@@ -290,42 +290,10 @@ def _cone_gap_grad(x, xz, xz_root, w2s, G, hz, xi):
 
 
 def _cone_restore(x, xz, xz_root, w2s, G, hz, xi, theta0, radius, tol, rounds=3):
-    # Newton steps on the gap along its gradient, then ball projection
+    # Newton steps on the gap along its gradient, then ball projection; tol
+    # broadcasts against the gap, so per-row tolerances need a trailing axis
     for _ in range(rounds):
         gap, gh = _cone_gap_grad(x, xz, xz_root, w2s, G, hz, xi)
-        m = gap > tol
-        if not m.any():
-            break
-        gm = gh[m]
-        denom = np.maximum(np.einsum("ij,ij->i", gm, gm), 1e-300)
-        x[m] = _project_ball(x[m] - (gap[m] / denom)[:, None] * gm, theta0, radius)
-    return x
-
-
-def _cone_gap_rows(x, xz_root, w2s, G, hz, xi):
-    # row-indexed variant: x (K, p) against per-row w2s (K, n, p), G/xi (K, n)
-    nu = _row_norm(x @ xz_root)
-    resid = xi - np.einsum("kp,knp->kn", x, w2s) - nu[:, None] * G
-    return _row_norm(resid) - np.einsum("kp,kp->k", x, hz)
-
-
-def _cone_gap_grad_rows(x, xz, xz_root, w2s, G, hz, xi):
-    nu = _row_norm(x @ xz_root)
-    resid = xi - np.einsum("kp,knp->kn", x, w2s) - nu[:, None] * G
-    rnorm = _row_norm(resid)
-    rhat = resid / np.where(rnorm > 0, rnorm, 1.0)[:, None]
-    dnu = (x @ xz) / np.where(nu > 0, nu, 1.0)[:, None]
-    grad = (
-        -np.einsum("kn,knp->kp", rhat, w2s)
-        - np.einsum("kn,kn->k", rhat, G)[:, None] * dnu
-        - hz
-    )
-    return rnorm - np.einsum("kp,kp->k", x, hz), grad
-
-
-def _cone_restore_rows(x, xz, xz_root, w2s, G, hz, xi, theta0, radius, tol, rounds=3):
-    for _ in range(rounds):
-        gap, gh = _cone_gap_grad_rows(x, xz, xz_root, w2s, G, hz, xi)
         m = gap > tol
         if not m.any():
             break
@@ -350,6 +318,8 @@ class _AoPrepared:
     x0: np.ndarray
     w2s: np.ndarray
     hz: np.ndarray
+    G: np.ndarray
+    xi: np.ndarray
     feas_tol: float
     active_tol: float
     starts_feasible: int
@@ -448,10 +418,10 @@ def _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root) -> _AoPrepared:
         rows.append(probe)
     if not rows:
         return _AoPrepared(
-            np.zeros((0, inst.p)), w2s, hz, feas_tol, active_tol, 0, None
+            np.zeros((0, inst.p)), w2s, hz, G, xi, feas_tol, active_tol, 0, None
         )
     x0 = np.array([rows[i % len(rows)] for i in range(starts + 1)])
-    return _AoPrepared(x0, w2s, hz, feas_tol, active_tol, len(rows), probe)
+    return _AoPrepared(x0, w2s, hz, G, xi, feas_tol, active_tol, len(rows), probe)
 
 
 _STALL_REL = 1e-7
@@ -495,7 +465,8 @@ def _ao_climb(
         fta = feas_tol[rb]
 
         grad = 2.0 * xa @ xz
-        gap, gh = _cone_gap_grad_rows(xa, xz, xz_root, w2a, ga, hza, xia)
+        gap, gh = _cone_gap_grad(xa[:, None], xz, xz_root, w2a, ga, hza, xia)
+        gap, gh = gap[:, 0], gh[:, 0]
         gh_sq = np.maximum(np.einsum("ij,ij->i", gh, gh), 1e-300)
         coef = np.where(
             gap > -active_tol[rb],
@@ -510,14 +481,13 @@ def _ao_climb(
             if todo.size == 0:
                 break
             cand = _project_ball(xa[todo] + sa[todo, None] * direction[todo], theta0, radius)
-            cand = _cone_restore_rows(
-                cand, xz, xz_root, w2a[todo], ga[todo], hza[todo], xia[todo],
-                theta0, radius, fta[todo],
-            )
+            consts = (w2a[todo], ga[todo], hza[todo], xia[todo])
+            cand = _cone_restore(
+                cand[:, None], xz, xz_root, *consts, theta0, radius, fta[todo, None]
+            )[:, 0]
             cobj = np.einsum("ij,jk,ik->i", cand, xz, cand)
             good = (
-                _cone_gap_rows(cand, xz_root, w2a[todo], ga[todo], hza[todo], xia[todo])
-                <= fta[todo]
+                _cone_gap(cand[:, None], xz_root, *consts)[:, 0] <= fta[todo]
             ) & (cobj > va[todo] + 1e-14 * np.maximum(1.0, va[todo]))
             hit = todo[good]
             xa[hit] = cand[good]
@@ -540,6 +510,32 @@ def _ao_climb(
         stalled = np.where(improved, 0, stalled + 1)
         step[stalled >= 3, :] = 0.0
     return best_val, best_x
+
+
+def _ao_ascend(preps, xz, xz_root, theta0, radius, iterations):
+    """Climb prepared instances (each with a feasible start) as one batch.
+
+    Each incumbent starts at the zero-signal probe (value 0) when one
+    exists.  Returns (ok, values, points) per instance after re-verifying
+    every incumbent against the cone and the ball; ok False means the
+    incumbent failed that check and its value must not be reported.
+    """
+    w2s = np.stack([prep.w2s for prep in preps])
+    big_g = np.stack([prep.G for prep in preps])
+    hz = np.stack([prep.hz for prep in preps])
+    xi = np.stack([prep.xi for prep in preps])
+    feas_tol = np.array([prep.feas_tol for prep in preps])
+    best_val = np.array([-math.inf if prep.probe is None else 0.0 for prep in preps])
+    best_x = np.stack(
+        [np.zeros(prep.x0.shape[-1]) if prep.probe is None else prep.probe for prep in preps]
+    )
+    best_val, best_x = _ao_climb(
+        np.stack([prep.x0 for prep in preps]), xz, xz_root, w2s, big_g, hz, xi, theta0, radius,
+        feas_tol, np.array([prep.active_tol for prep in preps]), iterations, best_val, best_x,
+    )
+    gap = _cone_gap(best_x[:, None, :], xz_root, w2s, big_g, hz, xi)[:, 0]
+    ok = (gap <= feas_tol) & _in_ball(best_x, theta0, radius)
+    return ok, np.einsum("bp,pq,bq->b", best_x, xz, best_x), best_x
 
 
 def solve_ao(
@@ -571,35 +567,15 @@ def solve_ao(
     prep = _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root)
     if prep.starts_feasible == 0:
         sol = AoSolution(0.0, None, True, 0, 0)
-        return (0.0, sol) if details else 0.0
-
-    theta0 = inst.theta0
-    radius = float(inst.ball_radius)
-    if prep.probe is not None:
-        best_val = np.array([0.0])
-        best_x = prep.probe[None, :].copy()
     else:
-        best_val = np.array([-math.inf])
-        best_x = np.zeros((1, inst.p))
-    best_val, best_x = _ao_climb(
-        prep.x0[None, :, :].copy(), xz, xz_root, prep.w2s[None], G[None],
-        prep.hz[None], inst.xi[None], theta0, radius,
-        np.array([prep.feas_tol]), np.array([prep.active_tol]),
-        iterations, best_val, best_x,
-    )
-    incumbent = best_x[0]
-
-    # re-verify the incumbent before reporting
-    bad = float(
-        _cone_gap(incumbent[None, None, :], xz_root, prep.w2s[None], G[None],
-                  prep.hz[None], inst.xi[None])[0, 0]
-    ) > prep.feas_tol or not bool(_in_ball(incumbent, theta0, radius))
-    if bad:
-        sol = AoSolution(0.0, None, True, prep.starts_feasible, iterations)
-        return (0.0, sol) if details else 0.0
-    value = float(incumbent @ (xz @ incumbent))
-    sol = AoSolution(value, incumbent, False, prep.starts_feasible, iterations)
-    return (value, sol) if details else value
+        ok, vals, points = _ao_ascend(
+            [prep], xz, xz_root, inst.theta0, float(inst.ball_radius), iterations
+        )
+        if ok[0]:
+            sol = AoSolution(float(vals[0]), points[0], False, prep.starts_feasible, iterations)
+        else:
+            sol = AoSolution(0.0, None, True, prep.starts_feasible, iterations)
+    return (sol.value, sol) if details else sol.value
 
 
 def ao_grid_value(
@@ -715,56 +691,30 @@ def _tail_chunk(args):
     m = len(rep_ids)
     po_vals = np.full(m, -math.inf)
     ao_vals = np.zeros(m)
-    empty = np.zeros(m, dtype=bool)
+    empty = np.ones(m, dtype=bool)
     po_bad = 0
-    preps, draws = [], []
+    preps, insts = [], []
     for r in rep_ids:
         rng = np.random.default_rng([seed, r])
         inst, big_g, big_h = draw_instance(model, n, rng, ball_radius)
         preps.append(
             _ao_prepare(inst, big_g, big_h, starts, (seed, r, 1), xz, xz_root, su_root)
         )
-        draws.append((inst, big_g))
-    for j, (inst, _) in enumerate(draws):
+        insts.append(inst)
+    for j, inst in enumerate(insts):
         try:
             po_vals[j] = solve_po(inst)
         except NoFeasiblePoint:
             po_bad += 1
 
     live = [j for j in range(m) if preps[j].starts_feasible > 0]
-    empty[[j for j in range(m) if j not in live]] = True
     if live:
-        theta0 = draws[0][0].theta0
-        radius = float(draws[0][0].ball_radius)
-        x0 = np.stack([preps[j].x0 for j in live])
-        w2s = np.stack([preps[j].w2s for j in live])
-        hz = np.stack([preps[j].hz for j in live])
-        xi = np.stack([draws[j][0].xi for j in live])
-        g_vec = np.stack([draws[j][1] for j in live])
-        ft = np.array([preps[j].feas_tol for j in live])
-        at = np.array([preps[j].active_tol for j in live])
-        best_val = np.array(
-            [0.0 if preps[j].probe is not None else -math.inf for j in live]
+        ok, vals, _ = _ao_ascend(
+            [preps[j] for j in live], xz, xz_root, insts[0].theta0,
+            float(insts[0].ball_radius), iterations,
         )
-        best_x = np.stack(
-            [
-                preps[j].probe if preps[j].probe is not None else np.zeros(x0.shape[-1])
-                for j in live
-            ]
-        )
-        best_val, best_x = _ao_climb(
-            x0, xz, xz_root, w2s, g_vec, hz, xi, theta0, radius,
-            ft, at, iterations, best_val, best_x,
-        )
-        # re-verify each incumbent before reporting
-        bgap = _cone_gap(best_x[:, None, :], xz_root, w2s, g_vec, hz, xi)[:, 0]
-        ok = (bgap <= ft) & _in_ball(best_x, theta0, radius)
-        vals = np.einsum("bp,pq,bq->b", best_x, xz, best_x)
-        for k, j in enumerate(live):
-            if ok[k]:
-                ao_vals[j] = float(vals[k])
-            else:
-                empty[j] = True
+        ao_vals[live] = np.where(ok, vals, 0.0)
+        empty[live] = ~ok
     return po_vals, ao_vals, po_bad, int(empty.sum())
 
 

@@ -2,10 +2,9 @@
 
 The covariate covariance is split into a latent-noise block (the part of X
 correlated with the regression error) and an instrumented signal block (the
-part an instrument can reach).  Both blocks share one eigenbasis, so the
-whole model is represented by two eigenvalue vectors plus an optional basis;
-the identity basis keeps every experiment diagonal and cheap even at p in
-the thousands.
+part an instrument can reach).  Both blocks are diagonal in one shared
+coordinate basis, so the whole model is two eigenvalue vectors; that keeps
+every experiment cheap even at p in the thousands.
 """
 
 from __future__ import annotations
@@ -248,39 +247,6 @@ class PatternRotation:
         y[2] += v[p - 1] / math.sqrt(2.0)
         return y
 
-    def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense.copy()
-        p = self.p
-        u = np.zeros((p, p))
-        u[:, 0] = self._a1
-        u[p - 2, 0] = 0.0
-        u[:, 1] = self._g2
-        u[p - 2, 1] = self._h2
-        u[p - 1, 1] = self._k2
-        u[:, 2] = self._g3
-        u[p - 2, 2] = self._h3
-        u[p - 1, 2] = self._h3
-        for idx in range(3, p - 2):  # 1-based column j = idx+1
-            m = self._mid_m[idx - 3]
-            s = self._mid_s[idx - 3]
-            col = np.zeros(p)
-            col[:3] = -s / m
-            col[idx : p - 2] = -s / m
-            col[idx] += s
-            u[:, idx] = col
-        u[0, p - 2] = -2.0 / math.sqrt(6.0)
-        u[1, p - 2] = 1.0 / math.sqrt(6.0)
-        u[2, p - 2] = 1.0 / math.sqrt(6.0)
-        u[1, p - 1] = -1.0 / math.sqrt(2.0)
-        u[2, p - 1] = 1.0 / math.sqrt(2.0)
-        return u
-
-
-def build_rotation(p: int) -> np.ndarray:
-    """Dense orthonormal rotation from the pattern construction."""
-    return PatternRotation(p).to_dense()
-
 
 # --------------------------------------------------------------------------
 # covariance splits
@@ -310,39 +276,17 @@ def split_nonorthogonal_eigs(
     return endo, base - endo
 
 
-def _materialize(eigs: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    if basis is None:
-        return np.diag(eigs)
-    return (basis * eigs) @ basis.T
-
-
-def split_orthogonal(
-    base_eigs: np.ndarray, basis: np.ndarray | None, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense split: latent-noise block keeps the top-k eigenvalues exactly."""
-    endo, sig = split_orthogonal_eigs(base_eigs, k)
-    return _materialize(endo, basis), _materialize(sig, basis)
-
-
-def split_nonorthogonal(
-    base_eigs: np.ndarray, basis: np.ndarray | None, k: int, alpha: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense split with n^-alpha of each top eigenvalue leaking to the signal."""
-    endo, sig = split_nonorthogonal_eigs(base_eigs, k, alpha, n)
-    return _materialize(endo, basis), _materialize(sig, basis)
-
-
 # --------------------------------------------------------------------------
 # assembled models
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Split covariate covariance in a shared eigenbasis.
+    """Split covariate covariance, diagonal in the coordinate basis.
 
-    endo_eigs / signal_eigs are the eigenvalues of the latent-noise and
-    instrumented-signal blocks; basis None means the identity eigenbasis.
-    rotation only affects how whitened endogeneity vectors are mapped in.
+    endo_eigs / signal_eigs are the diagonals of the latent-noise and
+    instrumented-signal blocks.  rotation (a PatternRotation or None) only
+    affects how whitened endogeneity vectors are mapped in.
     """
 
     p: int
@@ -351,8 +295,7 @@ class CovarianceModel:
     trunc_level: int
     split_kind: str
     alpha: float | None = None
-    basis: np.ndarray | None = None
-    rotation: object | None = None
+    rotation: PatternRotation | None = None
 
     @property
     def total_eigs(self) -> np.ndarray:
@@ -361,18 +304,16 @@ class CovarianceModel:
     def rotate(self, v: np.ndarray) -> np.ndarray:
         if self.rotation is None:
             return np.asarray(v, dtype=float).copy()
-        if isinstance(self.rotation, PatternRotation):
-            return self.rotation.matvec(v)
-        return np.asarray(self.rotation) @ v
+        return self.rotation.matvec(v)
 
     def endo_cov(self) -> np.ndarray:
-        return _materialize(self.endo_eigs, self.basis)
+        return np.diag(self.endo_eigs)
 
     def signal_cov(self) -> np.ndarray:
-        return _materialize(self.signal_eigs, self.basis)
+        return np.diag(self.signal_eigs)
 
     def total_cov(self) -> np.ndarray:
-        return _materialize(self.total_eigs, self.basis)
+        return np.diag(self.total_eigs)
 
     def endo_rank(self) -> int:
         e = self.endo_eigs
@@ -419,9 +360,9 @@ class EndogenousModel:
     """Covariance split plus coefficients, endogeneity, and noise levels.
 
     whitened_cross holds the realized (endo block)^(-1/2) covariate-error
-    covariance in basis coordinates: the requested vector projected onto the
-    range of the latent-noise block.  cross_cov is the same object in natural
-    coordinates, cross_cov = endo_cov^{1/2} whitened_cross.
+    covariance: the requested vector restricted to the support of the
+    latent-noise block.  cross_cov is the covariate-error covariance itself,
+    cross_cov = sqrt(endo_eigs) * whitened_cross.
     """
 
     cov: CovarianceModel
@@ -485,13 +426,9 @@ def assemble_model(
         requested = cov.rotate(_as_vector(whitened_cross, p))
     elif cross_cov is not None:
         w = _as_vector(cross_cov, p)
-        if cov.basis is not None:
-            w = cov.basis.T @ w
         requested = np.where(support, w / np.where(support, root, 1.0), 0.0)
     realized = np.where(support, requested, 0.0) if requested is not None else np.zeros(p)
-
-    cross_in_basis = root * realized
-    cross = cross_in_basis if cov.basis is None else cov.basis @ cross_in_basis
+    cross = root * realized
 
     endo_energy = float(realized @ realized)
     if noise_sd is None:

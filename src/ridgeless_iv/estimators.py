@@ -186,15 +186,12 @@ def _instrument_features(data: Dataset) -> np.ndarray:
     The signal block factors as A A^T with A its square root, so the
     instrument columns are W1 A restricted to the block's support.
     """
-    cov = data.model.cov
-    sig = cov.signal_eigs
+    sig = data.model.cov.signal_eigs
     top = sig.max(initial=0.0)
     if top <= 0.0:
         return np.empty((data.W1.shape[0], 0))
-    if cov.basis is None:
-        support = np.flatnonzero(sig > 1e-14 * top)
-        return data.W1[:, support] * np.sqrt(sig[support])[None, :]
-    return (data.W1 * np.sqrt(sig)[None, :]) @ cov.basis.T
+    support = np.flatnonzero(sig > 1e-14 * top)
+    return data.W1[:, support] * np.sqrt(sig[support])[None, :]
 
 
 def split_sample_lasso_iv(

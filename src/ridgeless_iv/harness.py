@@ -16,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -72,27 +72,27 @@ _LEAK_ALPHA = 1.01
 # coefficient and endogeneity rules
 
 
-def _coef_dense(i: np.ndarray) -> np.ndarray:
-    return 20.0 / np.sqrt(i)
+def _coef_dense(i: np.ndarray, scale: float = 20.0) -> np.ndarray:
+    return scale / np.sqrt(i)
 
 
-def _coef_sparse(i: np.ndarray) -> np.ndarray:
+def _coef_sparse(i: np.ndarray, scale: float = 20.0) -> np.ndarray:
     # support: every fifth index starting at 1, capped at 100
     keep = (i <= 100) & ((i.astype(int) + 4) % 5 == 0)
-    return np.where(keep, 20.0 / np.sqrt(i), 0.0)
+    return np.where(keep, scale / np.sqrt(i), 0.0)
 
 
-def _rho_inverse(i: np.ndarray) -> np.ndarray:
-    return 2.0 / i
+def _rho_inverse(i: np.ndarray, scale: float = 2.0) -> np.ndarray:
+    return scale / i
 
 
-def _rho_exp(i: np.ndarray) -> np.ndarray:
-    return 3.0 * np.exp(-i / 4.0)
+def _rho_exp(i: np.ndarray, scale: float = 3.0, tau: float = 4.0) -> np.ndarray:
+    return scale * np.exp(-i / tau)
 
 
 def _spectrum_setup(profile, split_kind, alpha, coef_rule, rho_rule):
     """Factory for the projected-RMSE setups: whitened endogeneity through
-    the pattern rotation, shared eigenbasis split."""
+    the pattern rotation, diagonal split.  Returns (build, split kind)."""
 
     def build(n: int):
         cov = build_covariance(
@@ -102,7 +102,7 @@ def _spectrum_setup(profile, split_kind, alpha, coef_rule, rho_rule):
         model = assemble_model(cov, coef_rule(i), whitened_cross=rho_rule(i))
         return model, None
 
-    return build
+    return build, split_kind
 
 
 def _window_setup(head_coef: bool = False, shifted: bool = False):
@@ -113,7 +113,8 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
     The shifted variant moves the first fifth of the window past the
     truncation level; the latent block is extended to cover it, since a
     factor model can only realize correlation inside the latent block's
-    range.  head_coef truncates the coefficient vector at 0.8 n.
+    range.  head_coef truncates the coefficient vector at 0.8 n.  Returns
+    (build, split kind).
     """
 
     def build(n: int):
@@ -148,9 +149,10 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
         model = assemble_model(cov, theta, cross_cov=omega)
         return model, np.flatnonzero(window)
 
-    return build
+    return build, "nonorthogonal"
 
 
+# setup id -> (model factory, split kind)
 _SETUPS = {
     "i": _spectrum_setup(_LOG_POLY, "orthogonal", None, _coef_dense, _rho_inverse),
     "ii": _spectrum_setup(_EXP_NOISE, "orthogonal", None, _coef_dense, _rho_exp),
@@ -161,18 +163,6 @@ _SETUPS = {
     "vii": _window_setup(),
     "viii": _window_setup(head_coef=True),
     "ix": _window_setup(shifted=True),
-}
-
-_SETUP_MODES = {
-    "i": "orthogonal",
-    "ii": "orthogonal",
-    "iii": "nonorthogonal",
-    "iv": "nonorthogonal",
-    "v": "orthogonal",
-    "vi": "nonorthogonal",
-    "vii": "nonorthogonal",
-    "viii": "nonorthogonal",
-    "ix": "nonorthogonal",
 }
 
 # comparison setups declare which columns the two-stage baseline instruments
@@ -186,16 +176,18 @@ def setup_model(setup_id: str, n: int) -> tuple[EndogenousModel, np.ndarray | No
     window (the projected-RMSE setups spread endogeneity over the whole
     latent block through the rotation).
     """
-    if setup_id not in _SETUPS:
-        raise UnknownSetup(f"unknown setup {setup_id!r}; expected one of {SETUP_IDS}")
-    return _SETUPS[setup_id](n)
+    return _setup_entry(setup_id)[0](n)
 
 
 def setup_mode(setup_id: str) -> str:
     """Condition-report mode matching the setup's split kind."""
-    if setup_id not in _SETUP_MODES:
+    return _setup_entry(setup_id)[1]
+
+
+def _setup_entry(setup_id: str):
+    if setup_id not in _SETUPS:
         raise UnknownSetup(f"unknown setup {setup_id!r}; expected one of {SETUP_IDS}")
-    return _SETUP_MODES[setup_id]
+    return _SETUPS[setup_id]
 
 
 def default_grid(setup_id: str, full_scale: bool = False) -> tuple[int, ...]:
@@ -205,8 +197,7 @@ def default_grid(setup_id: str, full_scale: bool = False) -> tuple[int, ...]:
     The full-scale grid runs to n=1000; the comparison setups start at 100,
     the projected-RMSE setups at 200.
     """
-    if setup_id not in _SETUPS:
-        raise UnknownSetup(f"unknown setup {setup_id!r}; expected one of {SETUP_IDS}")
+    _setup_entry(setup_id)  # validates the id
     if not full_scale:
         return (100, 200, 300, 400)
     start = 100 if setup_id in _WINDOW_SETUPS else 200
@@ -218,6 +209,12 @@ def default_grid(setup_id: str, full_scale: bool = False) -> tuple[int, ...]:
 
 _COEF_KINDS = ("inverse_sqrt", "sparse_inverse_sqrt")
 _CROSS_KINDS = ("inverse", "exp_decay", "none")
+# rule kinds whose only parameter is a scale, mapped to the named-setup rules
+_SCALED_RULES = {
+    "inverse_sqrt": _coef_dense,
+    "sparse_inverse_sqrt": _coef_sparse,
+    "inverse": _rho_inverse,
+}
 _PROFILE_KEYS = {
     "family",
     "scale",
@@ -269,17 +266,12 @@ def _profile_vector(rule: dict | None, kind_set, default_kind, p: int):
     tau = float(rule.pop("tau", 4.0))
     if rule:
         raise InvalidConfig(f"unknown rule keys {sorted(rule)}")
+    if kind == "none":
+        return None
     i = np.arange(1, p + 1, dtype=float)
-    if kind == "inverse_sqrt":
-        return scale / np.sqrt(i)
-    if kind == "sparse_inverse_sqrt":
-        keep = (i <= 100) & ((i.astype(int) + 4) % 5 == 0)
-        return np.where(keep, scale / np.sqrt(i), 0.0)
-    if kind == "inverse":
-        return scale / i
     if kind == "exp_decay":
-        return scale * np.exp(-i / tau)
-    return None  # "none"
+        return _rho_exp(i, scale, tau)
+    return _SCALED_RULES[kind](i, scale)
 
 
 def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
@@ -339,6 +331,8 @@ class ExperimentConfig:
             raise UnknownSetup(f"unknown setup {self.setup!r}")
         if self.setup == "custom" and self.profile is None:
             raise InvalidConfig("custom setup needs a profile")
+        if self.setup != "custom" and self.profile is not None:
+            raise InvalidConfig("profile applies only to setup 'custom'")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not self.n_grid:
             raise InvalidConfig("n_grid must be nonempty")
@@ -358,6 +352,8 @@ class ExperimentConfig:
             if self.dof is None or float(self.dof) <= 2:
                 raise InvalidConfig("student_t instrument needs dof > 2")
             object.__setattr__(self, "dof", float(self.dof))
+        elif self.dof is not None:
+            raise InvalidConfig("dof applies only to the student_t instrument law")
         est = tuple(self.estimators)
         if not est:
             raise InvalidConfig("estimator list must be nonempty")
@@ -373,31 +369,11 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", est)
 
 
-_CONFIG_FIELDS = (
-    "setup",
-    "n_grid",
-    "repetitions",
-    "base_seed",
-    "instrument_dist",
-    "dof",
-    "estimators",
-    "profile",
-    "output_dir",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
-    doc = {
-        "setup": cfg.setup,
-        "n_grid": list(cfg.n_grid),
-        "repetitions": cfg.repetitions,
-        "base_seed": cfg.base_seed,
-        "instrument_dist": cfg.instrument_dist,
-        "dof": cfg.dof,
-        "estimators": list(cfg.estimators),
-        "profile": cfg.profile,
-        "output_dir": cfg.output_dir,
-    }
+    doc = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -417,11 +393,14 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise InvalidConfig("config needs a setup id")
     kwargs = {k: doc[k] for k in _CONFIG_FIELDS[2:] if k in doc and doc[k] is not None}
     grid = doc.get("n_grid")
-    if grid is None:
-        if doc["setup"] == "custom":
-            raise InvalidConfig("custom setup needs an explicit n_grid")
-        grid = default_grid(doc["setup"])
-    return ExperimentConfig(setup=doc["setup"], n_grid=grid, **kwargs)
+    try:
+        if grid is None:
+            if doc["setup"] == "custom":
+                raise InvalidConfig("custom setup needs an explicit n_grid")
+            grid = default_grid(doc["setup"])
+        return ExperimentConfig(setup=doc["setup"], n_grid=grid, **kwargs)
+    except TypeError as err:  # a JSON value of the wrong kind, e.g. "n_grid": 100
+        raise InvalidConfig(f"config value has the wrong type: {err}") from err
 
 
 def load_config(path) -> ExperimentConfig:
@@ -520,15 +499,10 @@ def _model_for(cfg: ExperimentConfig, n: int):
         raise type(err)(f"setup {cfg.setup!r} at n={n}: {err}") from err
 
 
-def _signal_metric(model: EndogenousModel):
-    cov = model.cov
-    return cov.signal_eigs if cov.basis is None else cov.signal_cov()
-
-
 def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
     seed = repetition_seed(cfg.base_seed, n, rep)
     data = sample_dataset(model, n, seed, cfg.instrument_dist, cfg.dof)
-    metric = _signal_metric(model)
+    metric = model.cov.signal_eigs
     out = []
     for name in cfg.estimators:
         if name == "ridgeless":
@@ -558,8 +532,6 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
     """
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
-    if "lasso_iv" in cfg.estimators and cfg.setup not in _WINDOW_SETUPS:
-        raise InvalidConfig("lasso_iv needs an endogenous window setup")
     tasks = []
     for n in cfg.n_grid:
         model, endo_idx = _model_for(cfg, n)
@@ -639,39 +611,14 @@ def emit_outputs(result: ExperimentResult, kind: str, output_dir: str | None = N
         raise OutputError(f"cannot write outputs under {out!r}: {err}") from err
 
 
-def parse_runs_csv(path) -> tuple:
-    """Read a runs file back into RunRecord tuples (seed column absent: 0)."""
-    records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(RUNS_HEADER):
-            raise ValueError(f"unexpected runs header {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                RunRecord(
-                    setup=row["setup"],
-                    n=int(row["n"]),
-                    repetition=int(row["rep"]),
-                    estimator=row["estimator"],
-                    projected_rmse=float(row["projected_rmse"]),
-                    seed=0,
-                )
-            )
-    return tuple(records)
-
-
 # --------------------------------------------------------------------------
 # condition-checker families
 
 _CONDITION_GRID = tuple(range(100, 801, 100))
 
 
-def _family_logpoly_orthogonal(n: int) -> EndogenousModel:
-    return _SETUPS["i"](n)[0]
-
-
-def _family_expnoise_orthogonal(n: int) -> EndogenousModel:
-    return _SETUPS["ii"](n)[0]
+def _named_family(setup_id: str):
+    return (lambda n: setup_model(setup_id, n)[0]), setup_mode(setup_id)
 
 
 def _family_logpoly_nonorthogonal(n: int) -> EndogenousModel:
@@ -694,8 +641,8 @@ def _family_fixed_p_identity(n: int) -> EndogenousModel:
 
 
 CONDITION_FAMILIES = {
-    "logpoly_orthogonal": (_family_logpoly_orthogonal, "orthogonal"),
-    "expnoise_orthogonal": (_family_expnoise_orthogonal, "orthogonal"),
+    "logpoly_orthogonal": _named_family("i"),
+    "expnoise_orthogonal": _named_family("ii"),
     "logpoly_nonorthogonal": (_family_logpoly_nonorthogonal, "nonorthogonal"),
     "fixed_p_identity": (_family_fixed_p_identity, "exogenous"),
 }
@@ -707,7 +654,7 @@ def condition_family(name: str):
     if name in CONDITION_FAMILIES:
         return CONDITION_FAMILIES[name]
     if name in SETUP_IDS:
-        return (lambda n: setup_model(name, n)[0]), setup_mode(name)
+        return _named_family(name)
     raise UnknownSetup(
         f"unknown family {name!r}; expected a setup id or one of {sorted(CONDITION_FAMILIES)}"
     )

@@ -59,10 +59,6 @@ class EigenDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        q, lam = self.eigenvectors, self.eigenvalues
-        return (q * lam) @ q.T
-
 
 def sym_eig(a: np.ndarray) -> EigenDecomp:
     """Full symmetric eigendecomposition, descending order, deterministic signs."""
@@ -106,16 +102,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     q = dec.eigenvectors
     out = (q * root) @ q.T
     return 0.5 * (out + out.T)
-
-
-def rank_psd(a: np.ndarray, rel_tol: float | None = None) -> int:
-    """Numerical rank of a PSD matrix under the shared cutoff policy."""
-    dec = sym_eig(a)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(a.shape[0])
-    lam = dec.eigenvalues
-    lmax = lam[0] if lam.size else 0.0
-    return int(np.count_nonzero(lam > rel_tol * max(lmax, 0.0)))
 
 
 def null_space_basis(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Risk functionals, effective ranks, closed-form bounds, and the
 sufficient-condition checker for benign overfitting with endogeneity.
 
-Matrix arguments may be passed dense or as a 1-d eigenvalue vector; the
-experiments keep everything in one shared eigenbasis, where the vector form
-makes dimension in the thousands cheap.
+Rank and risk functionals take a dense PSD matrix or a 1-d eigenvalue
+vector.  Model functionals read the two eigenvalue vectors of the model's
+diagonal blocks directly, which keeps dimension in the thousands cheap.
 """
 
 from __future__ import annotations
@@ -165,19 +165,16 @@ def _support(model: EndogenousModel) -> np.ndarray:
     return e > default_rank_tol(model.p) * top if top > 0 else np.zeros(model.p, bool)
 
 
-def _whitened_in_basis(model: EndogenousModel) -> np.ndarray:
+def _whitened_cross(model: EndogenousModel) -> np.ndarray:
     """Recompute (endo block)^{-1/2} cross covariance from stored pieces."""
-    w = model.cross_cov
-    if model.cov.basis is not None:
-        w = model.cov.basis.T @ w
     sup = _support(model)
     root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
-    return np.where(sup, w / root, 0.0)
+    return np.where(sup, model.cross_cov / root, 0.0)
 
 
 def sigma_tilde2(model: EndogenousModel) -> float:
     """Noise variance left after removing the covariate-explained part."""
-    white = _whitened_in_basis(model)
+    white = _whitened_cross(model)
     val = model.noise_var - float(white @ white)
     if val < -1e-10 * max(1.0, model.noise_var):
         raise ModelInconsistent(f"residual noise variance {val:g} is negative")
@@ -188,7 +185,7 @@ def sigma_tilde2(model: EndogenousModel) -> float:
 
 def pinv_cross_norm(model: EndogenousModel) -> float:
     """Euclidean norm of (latent-noise block)^+ applied to the cross covariance."""
-    white = _whitened_in_basis(model)
+    white = _whitened_cross(model)
     sup = _support(model)
     root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
     return float(np.linalg.norm(np.where(sup, white / root, 0.0)))
@@ -196,8 +193,8 @@ def pinv_cross_norm(model: EndogenousModel) -> float:
 
 def cross_signal_energy(model: EndogenousModel) -> float:
     """Signal-weighted energy of the amplified cross covariance:
-    cross^T (endo^+) signal (endo^+) cross, in the shared basis."""
-    white = _whitened_in_basis(model)
+    cross^T (endo^+) signal (endo^+) cross."""
+    white = _whitened_cross(model)
     sup = _support(model)
     lam = np.where(sup, model.cov.endo_eigs, 1.0)
     amp = np.where(sup, white / np.sqrt(lam), 0.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,27 +31,6 @@ class Dataset:
     model: EndogenousModel
 
 
-def sample_mvt(dof: float, cov_factor: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Rows cov_factor @ t_i with t_i variance-matched multivariate t.
-
-    t_i = z_i * sqrt((dof-2)/chi2_i) shares one mixing scalar per row, so
-    each row has identity covariance but t tails.
-    """
-    if dof <= 2:
-        raise InfiniteVariance(f"need dof > 2, got {dof}")
-    cov_factor = np.asarray(cov_factor, dtype=float)
-    p = cov_factor.shape[1]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, p))
-    mix = np.sqrt((dof - 2.0) / rng.chisquare(dof, size=n))
-    return (z * mix[:, None]) @ cov_factor.T
-
-
-def _scale_cols(w: np.ndarray, root_eigs: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    scaled = w * root_eigs[None, :]
-    return scaled if basis is None else scaled @ basis.T
-
-
 def sample_dataset(
     model: EndogenousModel,
     n: int,
@@ -65,7 +43,8 @@ def sample_dataset(
     The error is synthesized from the latent-noise factor plus an extra
     scalar Gaussian, which reproduces the covariate-error covariance and the
     error variance without a (p+1)-dimensional Cholesky.  Under the t
-    instrument only W1 is replaced by variance-matched t rows; draw order is
+    instrument only W1 is replaced by variance-matched multivariate t rows,
+    z_i sqrt((dof-2)/chi2_i) with one mixing scalar per row; draw order is
     W1, W2, scalar noise, then the mixing chi-squares, so the Gaussian part
     of a run is unchanged by switching instrument law.
     """
@@ -89,21 +68,8 @@ def sample_dataset(
         mix = np.sqrt((dof - 2.0) / rng.chisquare(dof, size=n))
         w1 = w1 * mix[:, None]
 
-    x = _scale_cols(w1, np.sqrt(cov.signal_eigs), cov.basis)
-    x += _scale_cols(w2, np.sqrt(cov.endo_eigs), cov.basis)
+    x = w1 * np.sqrt(cov.signal_eigs)
+    x += w2 * np.sqrt(cov.endo_eigs)
     xi = w2 @ model.whitened_cross + np.sqrt(model.resid_noise_var) * g
     y = x @ model.true_coef + xi
     return Dataset(X=x, Y=y, xi=xi, W1=w1, W2=w2, seed=int(seed), model=model)
-
-
-def dump_csv(data: Dataset, path) -> None:
-    """Write the sample as CSV: x1..xp, y, xi."""
-    n, p = data.X.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(p)] + ["y", "xi"])
-        for i in range(n):
-            row = [f"{v:.17g}" for v in data.X[i]]
-            row.append(f"{data.Y[i]:.17g}")
-            row.append(f"{data.xi[i]:.17g}")
-            writer.writerow(row)

@@ -371,6 +371,22 @@ def test_tail_identical_across_worker_counts():
     assert serial.flags == pooled.flags
 
 
+def test_tail_chunk_matches_single_instance_solver():
+    # the batched climb inside the tail check and solve_ao on one draw must
+    # agree draw by draw: same prepare seed (seed, r, 1), same incumbent
+    model = slice_model(4)
+    report = tail_dominance_check(model, n=3, reps=64, seed=7, max_workers=1)
+    empties = 0
+    for r in range(64):
+        inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([7, r]))
+        value, sol = solve_ao(inst, big_g, big_h, seed=(7, r, 1), details=True)
+        assert abs(value - report.phi_ao[r]) <= 1e-12 * abs(report.phi_ao[r])
+        if sol.feasible_empty:
+            empties += 1
+            assert report.phi_ao[r] == 0.0
+    assert empties == report.flags["ao_feasible_empty"]
+
+
 def test_tail_rejects_zero_reps():
     with pytest.raises(ValueError):
         tail_dominance_check(slice_model(4), 3, 0)

@@ -16,11 +16,8 @@ from ridgeless_iv.covariance import (
     PatternRotation,
     assemble_model,
     build_covariance,
-    build_rotation,
     spectrum,
-    split_nonorthogonal,
     split_nonorthogonal_eigs,
-    split_orthogonal,
     split_orthogonal_eigs,
     truncation_level,
 )
@@ -140,14 +137,20 @@ def oracle_rotation(p):
     return u
 
 
+def dense_rotation(p):
+    """The rotation as a matrix: its products with the identity columns."""
+    rot = PatternRotation(p)
+    return np.column_stack([rot.matvec(e) for e in np.eye(p)])
+
+
 def test_rotation_p2_exchange():
     # antiband hits the diagonal, so the pattern is the exchange matrix
-    assert np.allclose(build_rotation(2), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(dense_rotation(2), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_rotation_orthonormal_small():
     for p in range(2, 12):
-        u = build_rotation(p)
+        u = dense_rotation(p)
         assert np.abs(u.T @ u - np.eye(p)).max() <= 1e-10
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-8
 
@@ -156,7 +159,7 @@ def test_rotation_closed_form_matches_oracle():
     for p in (7, 8, 13, 40, 101):
         rot = PatternRotation(p)
         ref = oracle_rotation(p)
-        assert np.abs(rot.to_dense() - ref).max() <= 1e-10
+        assert np.abs(dense_rotation(p) - ref).max() <= 1e-10
         rng = np.random.default_rng(p)
         for _ in range(3):
             v = rng.standard_normal(p)
@@ -175,9 +178,17 @@ def test_rotation_matvec_large_p():
 # ------------------------------------------------------------------ splits
 
 
+def split_cov(endo_eigs, signal_eigs, k, split_kind="orthogonal"):
+    cov = CovarianceModel(
+        p=endo_eigs.size, endo_eigs=endo_eigs, signal_eigs=signal_eigs,
+        trunc_level=k, split_kind=split_kind,
+    )
+    return cov.endo_cov(), cov.signal_cov(), cov.total_cov()
+
+
 def test_split_orthogonal_diag():
     eigs = np.array([3.0, 2.0, 1.0])
-    endo, sig = split_orthogonal(eigs, None, 1)
+    endo, sig, _ = split_cov(*split_orthogonal_eigs(eigs, 1), 1)
     assert np.allclose(endo, np.diag([3.0, 0.0, 0.0]))
     assert np.allclose(sig, np.diag([0.0, 2.0, 1.0]))
     endo0, sig0 = split_orthogonal_eigs(eigs, 0)
@@ -187,7 +198,9 @@ def test_split_orthogonal_diag():
 
 
 def test_split_nonorthogonal_example():
-    endo, sig = split_nonorthogonal(np.array([2.0, 1.0]), None, 1, 1.01, 10)
+    endo, sig, _ = split_cov(
+        *split_nonorthogonal_eigs(np.array([2.0, 1.0]), 1, 1.01, 10), 1, "nonorthogonal"
+    )
     leak = 10.0 ** (-1.01)
     assert np.allclose(endo, np.diag([2.0 * (1.0 - leak), 0.0]))
     assert np.allclose(sig, np.diag([2.0 * leak, 1.0]))
@@ -207,17 +220,15 @@ def test_split_nonorthogonal_validation_and_limits():
 
 def test_split_identities_dense():
     rng = np.random.default_rng(2)
-    g = rng.standard_normal((6, 6))
-    basis, _ = np.linalg.qr(g)
     eigs = np.sort(rng.uniform(0.5, 4.0, 6))[::-1]
-    for maker in (
-        lambda: split_orthogonal(eigs, basis, 2),
-        lambda: split_nonorthogonal(eigs, basis, 2, 1.5, 30),
+    for split, kind in (
+        (split_orthogonal_eigs(eigs, 2), "orthogonal"),
+        (split_nonorthogonal_eigs(eigs, 2, 1.5, 30), "nonorthogonal"),
     ):
-        endo, sig = maker()
-        total = (basis * eigs) @ basis.T
-        assert np.abs(endo + sig - total).max() <= 1e-12 * np.abs(total).max()
-    endo, sig = split_orthogonal(eigs, basis, 2)
+        endo, sig, total = split_cov(*split, 2, kind)
+        assert np.abs(total - np.diag(eigs)).max() <= 1e-12 * eigs[0]
+        assert np.abs(endo + sig - total).max() <= 1e-12 * eigs[0]
+    endo, sig, _ = split_cov(*split_orthogonal_eigs(eigs, 2), 2)
     op_norm = eigs[0]
     assert np.abs(endo @ sig).max() <= 1e-10 * op_norm
 

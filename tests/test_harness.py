@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from ridgeless_iv.harness import (
     ExperimentResult,
     InvalidConfig,
     OutputError,
+    RunRecord,
     UnknownSetup,
     aggregate_records,
     condition_family,
@@ -23,7 +25,6 @@ from ridgeless_iv.harness import (
     config_to_json,
     default_grid,
     emit_outputs,
-    parse_runs_csv,
     repetition_seed,
     run_setup,
     setup_mode,
@@ -172,6 +173,19 @@ def test_config_json_defaults_and_rejects():
         config_from_json('{"n_grid": [100]}')
     with pytest.raises(InvalidConfig):
         config_from_json('{"setup": "custom", "profile": {"family": "log_poly", "scale": 1, "beta": 1}}')
+    # wrongly typed values are validation errors, not crashes
+    for doc in (
+        '{"setup": "i", "n_grid": 100}',
+        '{"setup": "i", "estimators": 5}',
+        '{"setup": "i", "repetitions": [2]}',
+    ):
+        with pytest.raises(InvalidConfig):
+            config_from_json(doc)
+    # fields that only apply elsewhere are rejected, not silently ignored
+    with pytest.raises(InvalidConfig):
+        config_from_json('{"setup": "i", "profile": {"family": "log_poly", "scale": 1, "beta": 1}}')
+    with pytest.raises(InvalidConfig):
+        config_from_json('{"setup": "i", "dof": 5}')
 
 
 def test_custom_profile_matches_named_setup():
@@ -289,8 +303,15 @@ def test_emit_csv_golden_header_and_round_trip(tmp_path):
     path = emit_outputs(result, "csv", str(tmp_path))[0]
     raw = open(path, "rb").read()
     assert raw.startswith(b"setup,n,rep,estimator,projected_rmse\r\n")
-    back = parse_runs_csv(path)
-    assert [b.projected_rmse for b in back] == [r.projected_rmse for r in result.records]
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    # 17 significant digits bring every field back exactly (seed is not written)
+    back = tuple(
+        RunRecord(row["setup"], int(row["n"]), int(row["rep"]), row["estimator"],
+                  float(row["projected_rmse"]), rec.seed)
+        for row, rec in zip(rows, result.records)
+    )
+    assert back == result.records
     assert aggregate_records(back, ("ridgeless",)) == result.aggregates
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ridgeless_iv.covariance import CovarianceModel, assemble_model
-from ridgeless_iv.sampling import Dataset, InfiniteVariance, dump_csv, sample_dataset, sample_mvt
+from ridgeless_iv.sampling import InfiniteVariance, sample_dataset
 
 
 def small_model(p=6, rho_scale=0.4, noise_sd=1.5, k=3):
@@ -18,12 +18,17 @@ def small_model(p=6, rho_scale=0.4, noise_sd=1.5, k=3):
     return assemble_model(cov, theta, whitened_cross=w, noise_sd=noise_sd)
 
 
-def test_exogenous_special_case():
-    p = 4
+def identity_model(p, noise_sd=1.0):
+    """Exogenous model with identity covariance: X is the instrument factor."""
     cov = CovarianceModel(
         p=p, endo_eigs=np.zeros(p), signal_eigs=np.ones(p), trunc_level=0, split_kind="orthogonal"
     )
-    model = assemble_model(cov, np.zeros(p), noise_sd=2.0)
+    return assemble_model(cov, np.zeros(p), noise_sd=noise_sd)
+
+
+def test_exogenous_special_case():
+    p = 4
+    model = identity_model(p, noise_sd=2.0)
     data = sample_dataset(model, 50_000, seed=42)
     assert np.abs(np.cov(data.X.T) - np.eye(p)).max() <= 5.0 * np.sqrt(2.0 / 50_000)
     cross = data.X.T @ data.xi / data.X.shape[0]
@@ -66,20 +71,21 @@ def test_seed_determinism():
 
 
 def test_mvt_variance_match():
-    x = sample_mvt(5.0, np.eye(3), 100_000, seed=1)
-    v = x.var(axis=0)
+    data = sample_dataset(identity_model(3), 100_000, seed=1, instrument_dist="student_t", dof=5.0)
+    v = data.W1.var(axis=0)
     assert np.all((v > 0.97) & (v < 1.03))
 
 
 def test_mvt_gaussian_limit_kurtosis():
-    x = sample_mvt(1e6, np.eye(2), 200_000, seed=2)
+    data = sample_dataset(identity_model(2), 200_000, seed=2, instrument_dist="student_t", dof=1e6)
+    x = data.W1
     k = ((x - x.mean(0)) ** 4).mean(0) / x.var(0) ** 2
     assert np.all(np.abs(k - 3.0) < 0.15)
 
 
 def test_mvt_rejects_small_dof():
     with pytest.raises(InfiniteVariance):
-        sample_mvt(2.0, np.eye(2), 10, seed=0)
+        sample_dataset(identity_model(2), 10, seed=0, instrument_dist="student_t", dof=2.0)
     with pytest.raises(InfiniteVariance):
         sample_dataset(small_model(), 10, seed=0, instrument_dist="student_t", dof=1.5)
 
@@ -105,15 +111,3 @@ def test_factor_representation_consistency():
     cov = model.cov
     rebuilt = data.W1 * np.sqrt(cov.signal_eigs) + data.W2 * np.sqrt(cov.endo_eigs)
     assert np.abs(rebuilt - data.X).max() <= 1e-12
-
-
-def test_csv_dump(tmp_path):
-    model = small_model()
-    data = sample_dataset(model, 5, seed=21)
-    out = tmp_path / "sample.csv"
-    dump_csv(data, out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "x1,x2,x3,x4,x5,x6,y,xi"
-    assert len(lines) == 6
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[:6] == pytest.approx(list(data.X[0]), rel=1e-15)
