@@ -23,6 +23,7 @@ from scipy.optimize import brentq
 
 from .covariance import CovarianceModel, EndogenousModel, assemble_model
 from .matops import null_space_basis, psd_sqrt
+from .sampling import draw_factors
 
 _FEAS_REL = 1e-10
 
@@ -648,14 +649,14 @@ def slice_model(p: int = 4, endo_count: int | None = None) -> EndogenousModel:
 def draw_instance(model: EndogenousModel, n: int, rng, ball_radius: float | None = None):
     """One joint draw (instance, G, H) for the tail comparison.
 
-    Draw order is W1, W2, g, G, H so the primary-side variables match the
-    sampling module's convention.
+    The factors come from sampling.draw_factors (W1, W2 on the latent
+    support, g), then G and H are drawn, so the primary-side variables match
+    sample_dataset on the same stream.  W2 is zero-padded to n x p.
     """
     p = model.p
-    w1 = rng.standard_normal((n, p))
-    w2 = rng.standard_normal((n, p))
-    g = rng.standard_normal(n)
-    xi = w2 @ model.whitened_cross + math.sqrt(model.resid_noise_var) * g
+    w1, w2_support, xi = draw_factors(model, n, rng)
+    w2 = np.zeros((n, p))
+    w2[:, : w2_support.shape[1]] = w2_support
     big_g = rng.standard_normal(n)
     big_h = rng.standard_normal(p)
     if ball_radius is None:

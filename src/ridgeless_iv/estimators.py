@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matops import pseudoinverse
+from .matops import default_rank_tol, pseudoinverse
 from .sampling import Dataset
 
 
@@ -64,10 +64,32 @@ def _result(x, y, theta, method, iterations=None) -> FitResult:
 
 
 def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
-    """Least-norm solution of X theta = Y: theta = X^T (X X^T)^+ Y."""
+    """Least-norm solution of X theta = Y: theta = X^T (X X^T)^+ Y.
+
+    The Gram X X^T is Cholesky-factored and the dual system solved, then
+    theta is refined once with the dual solve of the residual Y - X theta,
+    which takes the relative residual to working precision on Grams with
+    condition numbers near 1e10.  When the factorization fails, or its
+    smallest squared pivot ratio is at or below default_rank_tol(n), the
+    Gram counts as rank deficient and the eigendecomposition pseudoinverse
+    gives the answer.
+    """
     x, y = _check_xy(x, y)
     gram = x @ x.T
-    theta = x.T @ (pseudoinverse(gram) @ y)
+    try:
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        pivots = np.diag(factor[0]) ** 2
+        # false for a rank-deficient Gram, and for one that overflowed to inf (nan)
+        full_rank = pivots.min() > default_rank_tol(len(y)) * pivots.max()
+    except np.linalg.LinAlgError:
+        full_rank = False
+    if not full_rank:
+        theta = x.T @ (pseudoinverse(gram) @ y)
+        return _result(x, y, theta, "min_norm")
+    theta = x.T @ scipy.linalg.cho_solve(factor, y, check_finite=False)
+    # refine theta itself, not the dual vector: X^T alpha loses digits to
+    # cancellation when alpha is large, the small correction does not
+    theta += x.T @ scipy.linalg.cho_solve(factor, y - x @ theta, check_finite=False)
     return _result(x, y, theta, "min_norm")
 
 

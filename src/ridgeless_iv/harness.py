@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -306,6 +307,21 @@ def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
 # config
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, but true is no sample size or seed
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool, a string or a float with a fractional part
+    is an InvalidConfig, not silently truncated."""
+    if not _is_number(value) or not (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a setup, a sample-size grid, and execution knobs.
@@ -333,24 +349,25 @@ class ExperimentConfig:
             raise InvalidConfig("custom setup needs a profile")
         if self.setup != "custom" and self.profile is not None:
             raise InvalidConfig("profile applies only to setup 'custom'")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        grid = tuple(_integer("n_grid entry", n) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", grid)
         if not self.n_grid:
             raise InvalidConfig("n_grid must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise InvalidConfig("n_grid entries must be positive")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvalidConfig("n_grid must be strictly ascending")
-        if int(self.repetitions) < 1:
+        object.__setattr__(self, "repetitions", _integer("repetitions", self.repetitions))
+        if self.repetitions < 1:
             raise InvalidConfig("repetitions must be at least 1")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
-        if int(self.base_seed) < 0:
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
+        if self.base_seed < 0:
             raise InvalidConfig("base_seed must be nonnegative")
-        object.__setattr__(self, "base_seed", int(self.base_seed))
         if self.instrument_dist not in ("gaussian", "student_t"):
             raise InvalidConfig(f"unknown instrument law {self.instrument_dist!r}")
         if self.instrument_dist == "student_t":
-            if self.dof is None or float(self.dof) <= 2:
-                raise InvalidConfig("student_t instrument needs dof > 2")
+            if not _is_number(self.dof) or not float(self.dof) > 2:
+                raise InvalidConfig(f"student_t instrument needs dof > 2, got {self.dof!r}")
             object.__setattr__(self, "dof", float(self.dof))
         elif self.dof is not None:
             raise InvalidConfig("dof applies only to the student_t instrument law")
@@ -490,13 +507,26 @@ def aggregate_records(records, estimator_order) -> tuple:
     return tuple(rows)
 
 
+def _reraise_at(err: Exception, where: str):
+    """Raise err again as its own type, its message prefixed with where; a
+    type whose constructor needs other arguments gets where as a note."""
+    try:
+        located = type(err)(f"{where}: {err}")
+    except Exception:
+        located = None
+    if located is None:
+        err.add_note(where)
+        raise err
+    raise located from err
+
+
 def _model_for(cfg: ExperimentConfig, n: int):
     try:
         if cfg.setup == "custom":
             return _custom_model(cfg.profile, n)
         return setup_model(cfg.setup, n)
     except ValueError as err:
-        raise type(err)(f"setup {cfg.setup!r} at n={n}: {err}") from err
+        _reraise_at(err, f"setup {cfg.setup!r} at n={n}")
 
 
 def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
@@ -528,7 +558,9 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
     Repetitions run independently on derived seeds, optionally across a
     thread pool; the result is identical bytes for any worker count because
     every record is a pure function of (base_seed, n, repetition) and the
-    output order is fixed up front.
+    output order is fixed up front.  An exception inside a repetition is
+    raised again with its type kept and (setup, n, rep, seed) in front of
+    its message.
     """
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
@@ -539,7 +571,11 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
 
     def run_one(task):
         n, model, endo_idx, rep = task
-        return _run_repetition(cfg, n, model, endo_idx, rep)
+        try:
+            return _run_repetition(cfg, n, model, endo_idx, rep)
+        except Exception as err:
+            seed = repetition_seed(cfg.base_seed, n, rep)
+            _reraise_at(err, f"setup {cfg.setup!r} at n={n}, rep {rep}, seed {seed}")
 
     workers = int(max_workers) if max_workers else 1
     if workers > 1 and len(tasks) > 1:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ridgeless_iv import estimators
 from ridgeless_iv.covariance import CovarianceModel, assemble_model
 from ridgeless_iv.estimators import (
     ConvergenceFailure,
@@ -14,6 +15,7 @@ from ridgeless_iv.estimators import (
     ridge,
     split_sample_lasso_iv,
 )
+from ridgeless_iv.matops import pseudoinverse
 from ridgeless_iv.sampling import sample_dataset
 
 
@@ -59,6 +61,29 @@ def test_min_norm_rank_deficient_rows():
     y = np.array([5.0, 5.0])
     fit = min_norm_interpolator(x, y)
     assert np.allclose(x @ fit.theta_hat, y)
+
+
+@pytest.mark.parametrize("design", ["duplicated_row", "tall"])
+def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
+    # a singular Gram skips the Cholesky path and gives the pseudoinverse answer
+    rng = np.random.default_rng(23)
+    if design == "duplicated_row":
+        x = rng.standard_normal((6, 20))
+        x[5] = x[2]
+    else:  # p < n: the Gram has rank p
+        x = rng.standard_normal((12, 5))
+    y = rng.standard_normal(x.shape[0])
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return pseudoinverse(a)
+
+    monkeypatch.setattr(estimators, "pseudoinverse", counted)
+    fit = min_norm_interpolator(x, y)
+    assert calls == [(x.shape[0], x.shape[0])]
+    ref = x.T @ (pseudoinverse(x @ x.T) @ y)
+    assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_min_norm_rejects_nonfinite():

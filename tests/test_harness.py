@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ridgeless_iv import harness
 from ridgeless_iv.cli import main
 from ridgeless_iv.harness import (
     CONDITION_FAMILIES,
@@ -30,6 +31,7 @@ from ridgeless_iv.harness import (
     setup_mode,
     setup_model,
 )
+from ridgeless_iv.sampling import sample_dataset
 
 TINY = ExperimentConfig(setup="i", n_grid=(100, 150), repetitions=2)
 
@@ -186,6 +188,25 @@ def test_config_json_defaults_and_rejects():
         config_from_json('{"setup": "i", "profile": {"family": "log_poly", "scale": 1, "beta": 1}}')
     with pytest.raises(InvalidConfig):
         config_from_json('{"setup": "i", "dof": 5}')
+    # counts and seeds are integers: no truncation of floats, no bools or strings
+    for doc in (
+        '{"setup": "i", "repetitions": 2.7}',
+        '{"setup": "i", "n_grid": [100.9, 200]}',
+        '{"setup": "i", "repetitions": "3"}',
+        '{"setup": "i", "base_seed": true}',
+        '{"setup": "i", "n_grid": [true, 2]}',
+        '{"setup": "i", "instrument_dist": "student_t", "dof": "5"}',
+        '{"setup": "i", "instrument_dist": "student_t", "dof": true}',
+    ):
+        with pytest.raises(InvalidConfig):
+            config_from_json(doc)
+    cfg = config_from_json('{"setup": "i", "n_grid": [100.0], "repetitions": 2.0}')
+    assert (cfg.n_grid, cfg.repetitions) == ((100,), 2)
+    cfg = ExperimentConfig(
+        setup="i", n_grid=np.array([100, 200]), repetitions=np.int64(3), base_seed=np.uint32(7)
+    )
+    assert (cfg.n_grid, cfg.repetitions, cfg.base_seed) == ((100, 200), 3, 7)
+    assert all(type(v) is int for v in (*cfg.n_grid, cfg.repetitions, cfg.base_seed))
 
 
 def test_custom_profile_matches_named_setup():
@@ -259,6 +280,28 @@ def test_run_deterministic_across_workers():
     pooled = run_setup(TINY, max_workers=4)
     assert serial.records == pooled.records
     assert serial.aggregates == pooled.aggregates
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_repetition_is_named(workers, monkeypatch):
+    seed = repetition_seed(TINY.base_seed, 150, 1)
+    target = sample_dataset(setup_model("i", 150)[0], 150, seed).Y
+    fit = harness.min_norm_interpolator
+
+    def flaky(x, y):
+        if np.array_equal(y, target):
+            raise _Boom("solver blew up")
+        return fit(x, y)
+
+    monkeypatch.setattr(harness, "min_norm_interpolator", flaky)
+    with pytest.raises(_Boom) as info:
+        run_setup(TINY, max_workers=workers)
+    assert str(info.value) == f"setup 'i' at n=150, rep 1, seed {seed}: solver blew up"
+    assert isinstance(info.value.__cause__, _Boom)
 
 
 def test_run_aggregates_recomputable():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ridgeless_iv.cgmt_lab import slice_model
 from ridgeless_iv.covariance import CovarianceModel, assemble_model
+from ridgeless_iv.harness import setup_model
 from ridgeless_iv.sampling import InfiniteVariance, sample_dataset
 
 
@@ -109,5 +111,40 @@ def test_factor_representation_consistency():
     model = small_model()
     data = sample_dataset(model, 100, seed=9)
     cov = model.cov
-    rebuilt = data.W1 * np.sqrt(cov.signal_eigs) + data.W2 * np.sqrt(cov.endo_eigs)
+    k = data.W2.shape[1]
+    rebuilt = data.W1 * np.sqrt(cov.signal_eigs)
+    rebuilt[:, :k] += data.W2 * np.sqrt(cov.endo_eigs[:k])
     assert np.abs(rebuilt - data.X).max() <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["slice", "ii"])
+def test_latent_factor_drawn_on_support_only(which):
+    model = slice_model(4) if which == "slice" else setup_model("ii", 400)[0]
+    n = 7
+    k = int(np.flatnonzero(model.cov.endo_eigs)[-1]) + 1
+    assert k < model.p
+    data = sample_dataset(model, n, seed=3)
+    assert data.W2.shape == (n, k)
+    # past the latent block the design is the scaled instrument factor, bit for bit
+    tail = data.W1[:, k:] * np.sqrt(model.cov.signal_eigs[k:])
+    assert data.X[:, k:].tobytes() == tail.tobytes()
+
+
+def test_exogenous_model_draws_no_latent_factor():
+    data = sample_dataset(identity_model(3), 4, seed=0)
+    assert data.W2.shape == (4, 0)
+    assert np.array_equal(data.X, data.W1)
+
+
+def test_random_stream_pinned():
+    # raw generator output, no BLAS involved: a change to the draw order or
+    # shapes of the sampler changes these values and has to be declared
+    data = sample_dataset(slice_model(4), 5, seed=2024)
+    np.testing.assert_array_equal(
+        data.W1[0],
+        [1.0288568739519013, 1.6419200406711503, 1.1467195295966137, -0.9731795154745656],
+    )
+    np.testing.assert_array_equal(
+        data.W2[:2].ravel(),
+        [0.9030630777436289, -1.4805813250203528, -0.5340928297145819, 0.16378857220098098],
+    )
