@@ -14,7 +14,7 @@ from .sampling import Dataset
 
 
 class InvalidData(ValueError):
-    """Design or response contains non-finite entries."""
+    """Design or response is empty, mis-shaped or contains non-finite entries."""
 
 
 class InvalidLambda(ValueError):
@@ -47,6 +47,8 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise InvalidData(f"incompatible shapes X{x.shape}, Y{y.shape}")
+    if x.shape[0] == 0:
+        raise InvalidData("empty sample: the design has no rows")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidData("non-finite entries in design or response")
     return x, y
@@ -104,6 +106,24 @@ def ridge(x: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
     return _result(x, y, theta, "ridge")
 
 
+# Relative slack of the zero certificate.  The screen takes X^T y from one
+# gemv or gemm, the sweep each entry from its own dot product; the two
+# differ by at most eps * sum_i |x_ij y_i|, far below this share of lam at
+# the plug-in penalty, so the certificate never claims a zero the sweep
+# would not return.
+_SCREEN_MARGIN = 1e-9
+
+
+def _zero_is_optimal(corr: np.ndarray, lam: float) -> bool:
+    """True when theta = 0 already meets the lasso KKT conditions.
+
+    corr is X^T y / n, the gradient of the loss at zero; zero is optimal
+    when no entry exceeds lam.  The test asks for a relative margin below
+    lam, so calls near the boundary (and lam = 0) go to the sweep.
+    """
+    return bool(np.abs(corr).max(initial=0.0) < (1.0 - _SCREEN_MARGIN) * lam)
+
+
 def _soft(v: float, t: float) -> float:
     if v > t:
         return v - t
@@ -122,12 +142,16 @@ def lasso_cd(
     """Coordinate descent for (1/2n)||Y - X theta||^2 + lam ||theta||_1.
 
     Full passes alternate with sweeps over the active set; convergence is
-    declared on the KKT residual, checked after every full pass.
+    declared on the KKT residual, checked after every full pass.  When
+    X^T y / n already certifies theta = 0 (see _zero_is_optimal) no pass
+    runs and the zero fit comes back with iterations=0.
     """
     if lam < 0:
         raise InvalidLambda(f"need lam >= 0, got {lam}")
     x, y = _check_xy(x, y)
     n, p = x.shape
+    if _zero_is_optimal(x.T @ y / n, lam):
+        return _result(x, y, np.zeros(p), "lasso", iterations=0)
     col_sq = (x * x).sum(axis=0) / n
     theta = np.zeros(p)
     resid = y.copy()
@@ -202,8 +226,9 @@ class LassoIVConfig:
         return plugin_lambda(sigma_hat, n, p)
 
 
-def _instrument_features(data: Dataset) -> np.ndarray:
-    """Observable instruments: the signal factor scaled into covariate units.
+def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
+    """Observable instruments on the given rows: the signal factor scaled
+    into covariate units.
 
     The signal block factors as A A^T with A its square root, so the
     instrument columns are W1 A restricted to the block's support.
@@ -211,9 +236,9 @@ def _instrument_features(data: Dataset) -> np.ndarray:
     sig = data.model.cov.signal_eigs
     top = sig.max(initial=0.0)
     if top <= 0.0:
-        return np.empty((data.W1.shape[0], 0))
+        return np.empty((rows.size, 0))
     support = np.flatnonzero(sig > 1e-14 * top)
-    return data.W1[:, support] * np.sqrt(sig[support])[None, :]
+    return data.W1[np.ix_(rows, support)] * np.sqrt(sig[support])[None, :]
 
 
 def split_sample_lasso_iv(
@@ -235,6 +260,11 @@ def split_sample_lasso_iv(
     endogenous contribution from Y and runs a lasso on the exogenous
     columns.  The half split is a permutation drawn from the dataset seed,
     so refits are reproducible.
+
+    One product of the half-1 instrument features with every endogenous
+    column serves the whole first stage: it certifies which columns' lasso
+    fits are zero, so those skip lasso_cd, and it gives the correlations
+    the marginal screening ranks.
     """
     config = config or LassoIVConfig()
     x, y = _check_xy(data.X, data.Y)
@@ -252,12 +282,13 @@ def split_sample_lasso_iv(
 
     theta = np.zeros(p)
     if endo_idx.size:
-        feats = _instrument_features(data)
-        if feats.shape[1] == 0:
+        f1 = _instrument_features(data, half1)
+        if f1.shape[1] == 0:
             raise SingularDesign("model has no instruments")
-        if np.linalg.matrix_rank(x[np.ix_(half1, endo_idx)]) < endo_idx.size:
+        endo1 = x[np.ix_(half1, endo_idx)]
+        if np.linalg.matrix_rank(endo1) < endo_idx.size:
             raise SingularDesign("endogenous columns are collinear on the first-stage half")
-        f1 = feats[half1]
+        corr = f1.T @ endo1
         col_norm = np.linalg.norm(f1, axis=0)
         taken = np.zeros(f1.shape[1], dtype=bool)
         fitted = np.empty((half1.size, endo_idx.size))
@@ -275,12 +306,14 @@ def split_sample_lasso_iv(
         for j, col in enumerate(endo_idx):
             target = x[half1, col]
             lam = config.penalty(float(target.std()), half1.size, f1.shape[1])
-            coef = _lasso_theta(f1, target, lam, config.tol, config.max_iter)
-            cand = f1 @ coef if np.any(coef) else None
+            cand = None
+            if not _zero_is_optimal(corr[:, j] / half1.size, lam):
+                coef = _lasso_theta(f1, target, lam, config.tol, config.max_iter)
+                cand = f1 @ coef if np.any(coef) else None
             unit = fresh_direction(cand) if cand is not None else None
             if unit is None:
                 # weak or shared instruments: marginal screening
-                score = np.abs(f1.T @ target) / np.where(col_norm > 0, col_norm, 1.0)
+                score = np.abs(corr[:, j]) / np.where(col_norm > 0, col_norm, 1.0)
                 score[taken | (col_norm == 0)] = -1.0
                 for pick in np.argsort(score)[::-1]:
                     if score[pick] < 0:

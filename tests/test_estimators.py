@@ -15,6 +15,7 @@ from ridgeless_iv.estimators import (
     ridge,
     split_sample_lasso_iv,
 )
+from ridgeless_iv.harness import setup_model
 from ridgeless_iv.matops import pseudoinverse
 from ridgeless_iv.sampling import sample_dataset
 
@@ -117,6 +118,16 @@ def test_ridge_limit_matches_min_norm():
     assert np.linalg.norm(rd - mn) <= 1e-6 * np.linalg.norm(mn)
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [min_norm_interpolator, lambda x, y: ridge(x, y, 0.5), lambda x, y: lasso_cd(x, y, 0.5)],
+    ids=["min_norm", "ridge", "lasso"],
+)
+def test_empty_sample_rejected(fit):
+    with pytest.raises(InvalidData, match="empty sample"):
+        fit(np.empty((0, 3)), np.empty(0))
+
+
 def test_ridge_rejects_bad_lambda():
     with pytest.raises(InvalidLambda):
         ridge(np.eye(2), np.zeros(2), 0.0)
@@ -156,6 +167,14 @@ def test_lasso_orthogonal_design_soft_threshold():
     assert np.allclose(fit.theta_hat, oracle, atol=1e-10)
 
 
+def assert_lasso_kkt(x, y, theta, lam, tol):
+    grad = x.T @ (y - x @ theta) / x.shape[0]
+    zero = theta == 0
+    assert np.all(np.abs(grad[zero]) <= lam + tol)
+    act = ~zero
+    assert np.all(np.abs(grad[act] - lam * np.sign(theta[act])) <= tol)
+
+
 def test_lasso_kkt_residual():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((50, 80))
@@ -163,11 +182,31 @@ def test_lasso_kkt_residual():
     lam = 0.1
     tol = 1e-8
     fit = lasso_cd(x, y, lam, tol=tol)
-    grad = x.T @ (y - x @ fit.theta_hat) / 50
-    zero = fit.theta_hat == 0
-    assert np.all(np.abs(grad[zero]) <= lam + tol)
-    act = ~zero
-    assert np.all(np.abs(grad[act] - lam * np.sign(fit.theta_hat[act])) <= tol)
+    assert_lasso_kkt(x, y, fit.theta_hat, lam, tol)
+
+
+def test_lasso_zero_screen_boundary():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((50, 80))
+    y = rng.standard_normal(50)
+    lam_max = np.abs(x.T @ y).max() / 50
+    above = lasso_cd(x, y, lam_max * (1 + 1e-6))
+    assert np.all(above.theta_hat == 0.0)
+    assert above.iterations == 0
+    assert above.train_loss == float(y @ y) / 50
+    tol = 1e-8
+    below = lasso_cd(x, y, lam_max * (1 - 1e-3), tol=tol)
+    assert np.any(below.theta_hat != 0.0)
+    assert below.iterations >= 1
+    assert_lasso_kkt(x, y, below.theta_hat, lam_max * (1 - 1e-3), tol)
+
+
+def test_lasso_zero_screen_leaves_zero_penalty_to_sweep():
+    # lam = 0 with y orthogonal to every column: no certificate, one pass
+    x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    fit = lasso_cd(x, np.array([1.0, 1.0, 0.0]), 0.0)
+    assert np.all(fit.theta_hat == 0.0)
+    assert fit.iterations == 1
 
 
 def test_lasso_convergence_failure_carries_iterate():
@@ -276,6 +315,39 @@ def test_lasso_iv_instrument_exhaustion():
     data = shared_instrument_dataset(eigs)
     with pytest.raises(SingularDesign, match="ran out"):
         split_sample_lasso_iv(data, endo_idx=[0, 1])
+
+
+def test_lasso_iv_zero_screen_matches_full_sweep(monkeypatch):
+    # the screen only skips work: with it switched off every lasso runs its
+    # coordinate sweep, and the fits must agree bit for bit
+    model, endo_idx = setup_model("vii", 100)
+    data = [sample_dataset(model, 100, seed) for seed in (3, 4, 5)]
+    screened = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
+    monkeypatch.setattr(estimators, "_zero_is_optimal", lambda corr, lam: False)
+    swept = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
+    for a, b in zip(screened, swept):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_lasso_iv_certified_columns_skip_lasso(monkeypatch):
+    # a huge penalty certifies every first-stage column: only the
+    # second-stage lasso runs, and it is screened too
+    model = baseline_model()
+    data = sample_dataset(model, 90, seed=44)
+    calls = []
+    real = estimators.lasso_cd
+
+    def counting(*args, **kwargs):
+        fit = real(*args, **kwargs)
+        calls.append(fit.iterations)
+        return fit
+
+    monkeypatch.setattr(estimators, "lasso_cd", counting)
+    cfg = LassoIVConfig(lambda_rule=lambda s, n, p: 10.0)
+    fit = split_sample_lasso_iv(data, endo_idx=[0, 1, 2], config=cfg)
+    assert calls == [0]
+    assert np.all(fit.theta_hat[3:] == 0.0)
+    assert np.all(np.isfinite(fit.theta_hat[:3]))
 
 
 def test_lasso_iv_rejects_too_many_endo():

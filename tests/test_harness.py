@@ -304,6 +304,16 @@ def test_failing_repetition_is_named(workers, monkeypatch):
     assert isinstance(info.value.__cause__, _Boom)
 
 
+def test_lasso_iv_baseline_values_pinned():
+    # setup vii answers of the two-stage baseline; a change to the lasso
+    # screen, sweep or first-stage rerouting must not move them silently
+    cfg = ExperimentConfig(
+        setup="vii", n_grid=(100,), repetitions=2, estimators=("ridgeless", "lasso_iv")
+    )
+    got = [r.projected_rmse for r in run_setup(cfg).records if r.estimator == "lasso_iv"]
+    np.testing.assert_allclose(got, [244.74077360421506, 1508.241063412887], rtol=1e-9)
+
+
 def test_run_aggregates_recomputable():
     result = run_setup(TINY)
     again = aggregate_records(result.records, TINY.estimators)
