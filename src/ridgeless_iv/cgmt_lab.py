@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from .covariance import CovarianceModel, EndogenousModel, assemble_model
-from .matops import null_space_basis, psd_sqrt
+from .matops import default_rank_tol, null_space_basis
 from .sampling import draw_factors
 
 _FEAS_REL = 1e-10
@@ -37,9 +37,10 @@ class PoInstance:
     """One draw of the primary maximization problem.
 
     W1 carries the instrument factor, W2 the latent-noise factor; xi is the
-    regression error vector realized jointly with W2.  The feasible set is
-    {theta' : (W1 Xi_z^{1/2} + W2 Sigma_u^{1/2}) theta' = xi,
-    |theta' + theta0| <= ball_radius}.
+    regression error vector realized jointly with W2.  signal_eigs and
+    endo_eigs are the diagonals of the signal and latent-noise blocks.  The
+    feasible set is {theta' : design() theta' = xi, |theta' + theta0| <=
+    ball_radius}.
     """
 
     W1: np.ndarray
@@ -47,8 +48,8 @@ class PoInstance:
     xi: np.ndarray
     ball_radius: float
     theta0: np.ndarray
-    Xi_z: np.ndarray
-    Sigma_u: np.ndarray
+    signal_eigs: np.ndarray
+    endo_eigs: np.ndarray
 
     def __post_init__(self):
         n, p = np.shape(self.W1)
@@ -58,8 +59,9 @@ class PoInstance:
             raise ValueError("xi must be an n-vector")
         if np.shape(self.theta0) != (p,):
             raise ValueError("theta0 must be a p-vector")
-        if np.shape(self.Xi_z) != (p, p) or np.shape(self.Sigma_u) != (p, p):
-            raise ValueError("covariance blocks must be p x p")
+        for eigs in (self.signal_eigs, self.endo_eigs):
+            if np.shape(eigs) != (p,) or not np.all(np.isfinite(eigs) & (np.asarray(eigs) >= 0)):
+                raise ValueError("covariance diagonals must be finite nonnegative p-vectors")
         theta_norm = float(np.linalg.norm(self.theta0))
         if self.ball_radius < theta_norm:
             raise ValueError(
@@ -75,8 +77,8 @@ class PoInstance:
         return self.W1.shape[1]
 
     def design(self) -> np.ndarray:
-        """The combined factor matrix W1 Xi_z^{1/2} + W2 Sigma_u^{1/2}."""
-        return self.W1 @ psd_sqrt(self.Xi_z) + self.W2 @ psd_sqrt(self.Sigma_u)
+        """The combined factor matrix W1 diag(signal)^{1/2} + W2 diag(endo)^{1/2}."""
+        return self.W1 * np.sqrt(self.signal_eigs) + self.W2 * np.sqrt(self.endo_eigs)
 
 
 @dataclass(frozen=True)
@@ -179,11 +181,11 @@ def max_projected_error(
     xi: np.ndarray,
     ball_radius: float,
     theta0: np.ndarray,
-    Xi_z: np.ndarray,
+    signal_eigs: np.ndarray,
     details: bool = False,
 ):
-    """Global maximum of (theta - theta0)' Xi_z (theta - theta0) over the
-    interpolants {theta : design (theta - theta0) = xi, |theta| <= radius}.
+    """Global maximum of (theta - theta0)' diag(signal_eigs) (theta - theta0)
+    over the interpolants {theta : design (theta - theta0) = xi, |theta| <= radius}.
 
     Exact solve: min-norm particular solution, orthonormal null-space
     coordinates, then the sphere-constrained quadratic maximization.
@@ -191,8 +193,10 @@ def max_projected_error(
     design = np.asarray(design, dtype=float)
     xi = np.asarray(xi, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
-    xz = np.asarray(Xi_z, dtype=float)
+    sig = np.asarray(signal_eigs, dtype=float)
     n, p = design.shape
+    if sig.shape != (p,):
+        raise ValueError("signal_eigs must be a p-vector")
 
     part, *_ = np.linalg.lstsq(design, xi, rcond=None)
     gap = float(np.linalg.norm(design @ part - xi))
@@ -205,7 +209,7 @@ def max_projected_error(
     if m == 0:
         if float(np.linalg.norm(d)) > ball_radius * (1.0 + _FEAS_REL):
             raise NoFeasiblePoint("unique interpolant falls outside the ball")
-        value = float(part @ (xz @ part))
+        value = float(part @ (sig * part))
         sol = PoSolution(value, part, 0.0, 0.0, 0.0, 0)
         return (value, sol) if details else value
 
@@ -216,14 +220,14 @@ def max_projected_error(
         raise NoFeasiblePoint("coefficient ball misses the solution set")
     radius = math.sqrt(max(rad_sq, 0.0))
 
-    a = basis.T @ (xz @ basis)
+    a = basis.T @ (sig[:, None] * basis)
     a = 0.5 * (a + a.T)
     anchor = part + basis @ center
-    b = basis.T @ (xz @ anchor)
+    b = basis.T @ (sig * anchor)
     s, mu, resid = _ball_quadratic_max(a, b, radius)
 
     theta_prime = anchor + basis @ s
-    value = float(theta_prime @ (xz @ theta_prime))
+    value = float(theta_prime @ (sig * theta_prime))
     sol = PoSolution(value, theta_prime, mu, resid, radius, m)
     return (value, sol) if details else value
 
@@ -231,7 +235,7 @@ def max_projected_error(
 def solve_po(inst: PoInstance, details: bool = False):
     """Exact optimum of the primary problem for one instance draw."""
     return max_projected_error(
-        inst.design(), inst.xi, inst.ball_radius, inst.theta0, inst.Xi_z, details=details
+        inst.design(), inst.xi, inst.ball_radius, inst.theta0, inst.signal_eigs, details=details
     )
 
 
@@ -256,13 +260,14 @@ def _project_ball(x: np.ndarray, theta0: np.ndarray, radius: float) -> np.ndarra
     return y * scale - theta0
 
 
-def _cone_gap(x, xz_root, w2s, G, hz, xi):
+def _cone_gap(x, sig_root, w2s, G, hz, xi):
     """Cone constraint slack for rows of x; <= 0 means feasible.
 
     Shapes broadcast over any leading batch axes: x is (..., S, p) against
-    per-batch w2s (..., n, p), G/xi (..., n), hz (..., p).
+    per-batch w2s (..., n, p), G/xi (..., n), hz (..., p); sig_root is the
+    p-vector square root of the signal diagonal.
     """
-    nu = _row_norm(np.einsum("...sp,pq->...sq", x, xz_root))
+    nu = _row_norm(x * sig_root)
     resid = (
         xi[..., None, :]
         - np.einsum("...sp,...np->...sn", x, w2s)
@@ -271,9 +276,9 @@ def _cone_gap(x, xz_root, w2s, G, hz, xi):
     return _row_norm(resid) - np.einsum("...sp,...p->...s", x, hz)
 
 
-def _cone_gap_grad(x, xz, xz_root, w2s, G, hz, xi):
+def _cone_gap_grad(x, sig, sig_root, w2s, G, hz, xi):
     # one residual evaluation serves both the gap and its gradient
-    nu = _row_norm(np.einsum("...sp,pq->...sq", x, xz_root))
+    nu = _row_norm(x * sig_root)
     resid = (
         xi[..., None, :]
         - np.einsum("...sp,...np->...sn", x, w2s)
@@ -281,7 +286,7 @@ def _cone_gap_grad(x, xz, xz_root, w2s, G, hz, xi):
     )
     rnorm = _row_norm(resid)
     rhat = resid / np.where(rnorm > 0, rnorm, 1.0)[..., None]
-    dnu = np.einsum("...sp,pq->...sq", x, xz) / np.where(nu > 0, nu, 1.0)[..., None]
+    dnu = x * sig / np.where(nu > 0, nu, 1.0)[..., None]
     grad = (
         -np.einsum("...sn,...np->...sp", rhat, w2s)
         - np.einsum("...sn,...n->...s", rhat, G)[..., None] * dnu
@@ -290,11 +295,11 @@ def _cone_gap_grad(x, xz, xz_root, w2s, G, hz, xi):
     return rnorm - np.einsum("...sp,...p->...s", x, hz), grad
 
 
-def _cone_restore(x, xz, xz_root, w2s, G, hz, xi, theta0, radius, tol, rounds=3):
+def _cone_restore(x, sig, sig_root, w2s, G, hz, xi, theta0, radius, tol, rounds=3):
     # Newton steps on the gap along its gradient, then ball projection; tol
     # broadcasts against the gap, so per-row tolerances need a trailing axis
     for _ in range(rounds):
-        gap, gh = _cone_gap_grad(x, xz, xz_root, w2s, G, hz, xi)
+        gap, gh = _cone_gap_grad(x, sig, sig_root, w2s, G, hz, xi)
         m = gap > tol
         if not m.any():
             break
@@ -304,8 +309,8 @@ def _cone_restore(x, xz, xz_root, w2s, G, hz, xi, theta0, radius, tol, rounds=3)
     return x
 
 
-def _signal_energy(x, xz):
-    return np.einsum("...sp,pq,...sq->...s", x, xz, x)
+def _signal_energy(x, sig):
+    return np.einsum("...p,p,...p->...", x, sig, x)
 
 
 def _in_ball(x, theta0, radius):
@@ -327,15 +332,15 @@ class _AoPrepared:
     probe: np.ndarray | None
 
 
-def _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root) -> _AoPrepared:
+def _ao_prepare(inst, G, H, starts, seed, sig, sig_root, endo_root) -> _AoPrepared:
     """Zero-signal probe, structured candidate pool, rescue sweep, padding.
 
     The returned start block always has starts + 1 rows (the sorted feasible
     pool cycled, with the probe last when it exists) so prepared instances
     stack into one batch; an empty feasible set yields starts_feasible = 0.
     """
-    w2s = inst.W2 @ su_root
-    hz = xz_root @ H
+    w2s = inst.W2 * endo_root
+    hz = sig_root * H
     xi = inst.xi
     theta0 = inst.theta0
     radius = float(inst.ball_radius)
@@ -343,13 +348,13 @@ def _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root) -> _AoPrepared:
     feas_tol = 1e-9 * xi_scale
     active_tol = 1e-7 * xi_scale
 
-    # zero-signal probe: theta' in the null space of the signal block with
-    # the latent factor reproducing xi exactly
+    # zero-signal probe: theta' on the coordinates where the signal root is
+    # zero (null_space_basis's cutoff) with the latent factor reproducing xi
     probe = None
-    zero_basis = null_space_basis(xz_root)
-    if zero_basis.shape[1] > 0:
-        t_hat, *_ = np.linalg.lstsq(w2s @ zero_basis, xi, rcond=None)
-        cand = zero_basis @ t_hat
+    zero = sig_root <= default_rank_tol(inst.p) * sig_root.max()
+    if zero.any():
+        cand = np.zeros(inst.p)
+        cand[zero], *_ = np.linalg.lstsq(w2s[:, zero], xi, rcond=None)
         if float(np.linalg.norm(w2s @ cand - xi)) <= feas_tol and float(
             np.linalg.norm(cand + theta0)
         ) <= radius * (1.0 + _FEAS_REL):
@@ -361,9 +366,7 @@ def _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root) -> _AoPrepared:
     pinv_w = np.linalg.pinv(w2s)
     null_w = null_space_basis(w2s)
     m_w = null_w.shape[1]
-    sig_vals, sig_vecs = scipy.linalg.eigh(xz)
-    pos = sig_vals > 1e-12 * max(float(sig_vals[-1]), 1.0)
-    v_sig = sig_vecs[:, pos]
+    flip = np.where(sig > 1e-12 * max(float(sig.max()), 1.0), -1.0, 1.0)
 
     offsets = [np.zeros(inst.p)]
     if m_w:
@@ -379,19 +382,19 @@ def _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root) -> _AoPrepared:
 
     x = _project_ball(pinv_w @ xi + offs, theta0, radius)
     for _ in range(8):
-        nu = _row_norm(x @ xz_root)
+        nu = _row_norm(x * sig_root)
         x = _project_ball((xi - nu[:, None] * G) @ pinv_w.T + offs, theta0, radius)
-    pool = [x, x - 2.0 * (x @ v_sig) @ v_sig.T]
+    pool = [x, x * flip]
     # anchors with an explicit Gaussian-direction coefficient, targeting the
-    # self-consistent scale |Xi_z^{1/2} theta'| directly
+    # self-consistent scale |diag(signal)^{1/2} theta'| directly
     g_norm = float(np.linalg.norm(G))
     if g_norm > 0:
         cs = float(np.linalg.norm(xi)) / g_norm * np.array([0.0, 0.25, 0.5, 1.0, 2.0])
         anchors = (xi - cs[:, None] * G) @ pinv_w.T
-        pool += [anchors, anchors - 2.0 * (anchors @ v_sig) @ v_sig.T]
+        pool += [anchors, anchors * flip]
     pool = _project_ball(np.vstack(pool), theta0, radius)
-    pool = _cone_restore(pool, xz, xz_root, w2s, G, hz, xi, theta0, radius, feas_tol, rounds=4)
-    keep = (_cone_gap(pool, xz_root, w2s, G, hz, xi) <= feas_tol) & _in_ball(
+    pool = _cone_restore(pool, sig, sig_root, w2s, G, hz, xi, theta0, radius, feas_tol, rounds=4)
+    keep = (_cone_gap(pool, sig_root, w2s, G, hz, xi) <= feas_tol) & _in_ball(
         pool, theta0, radius
     )
     pool = pool[keep]
@@ -404,16 +407,16 @@ def _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root) -> _AoPrepared:
             _row_norm(y)[:, None], 1e-300
         )
         y = _cone_restore(
-            y - theta0, xz, xz_root, w2s, G, hz, xi, theta0, radius, feas_tol, rounds=25
+            y - theta0, sig, sig_root, w2s, G, hz, xi, theta0, radius, feas_tol, rounds=25
         )
-        keep = (_cone_gap(y, xz_root, w2s, G, hz, xi) <= feas_tol) & _in_ball(
+        keep = (_cone_gap(y, sig_root, w2s, G, hz, xi) <= feas_tol) & _in_ball(
             y, theta0, radius
         )
         pool = y[keep]
 
     rows = []
     if pool.shape[0]:
-        order = np.argsort(_signal_energy(pool, xz))[::-1]
+        order = np.argsort(_signal_energy(pool, sig))[::-1]
         rows = list(pool[order[:starts]])
     if probe is not None:
         rows.append(probe)
@@ -429,7 +432,7 @@ _STALL_REL = 1e-7
 
 
 def _ao_climb(
-    x, xz, xz_root, w2s, G, hz, xi, theta0, radius,
+    x, sig, sig_root, w2s, G, hz, xi, theta0, radius,
     feas_tol, active_tol, iterations, best_val, best_x,
 ):
     """Projected-gradient ascent over a batch of prepared instances.
@@ -445,14 +448,14 @@ def _ao_climb(
     """
     n_batch = x.shape[0]
     bidx = np.arange(n_batch)
-    vals = _signal_energy(x, xz)
+    vals = _signal_energy(x, sig)
     cur = vals.max(axis=-1)
     arg = vals.argmax(axis=-1)
     upd = cur > best_val
     best_val[upd] = cur[upd]
     best_x[upd] = x[bidx[upd], arg[upd]]
 
-    step = radius / (4.0 * (1.0 + _row_norm(2.0 * np.einsum("bsp,pq->bsq", x, xz))))
+    step = radius / (4.0 * (1.0 + _row_norm(2.0 * x * sig)))
     stalled = np.zeros(n_batch, dtype=int)
     dead = 1e-16 * radius
     for _ in range(iterations):
@@ -465,8 +468,8 @@ def _ao_climb(
         w2a, ga, hza, xia = w2s[rb], G[rb], hz[rb], xi[rb]
         fta = feas_tol[rb]
 
-        grad = 2.0 * xa @ xz
-        gap, gh = _cone_gap_grad(xa[:, None], xz, xz_root, w2a, ga, hza, xia)
+        grad = 2.0 * xa * sig
+        gap, gh = _cone_gap_grad(xa[:, None], sig, sig_root, w2a, ga, hza, xia)
         gap, gh = gap[:, 0], gh[:, 0]
         gh_sq = np.maximum(np.einsum("ij,ij->i", gh, gh), 1e-300)
         coef = np.where(
@@ -484,11 +487,11 @@ def _ao_climb(
             cand = _project_ball(xa[todo] + sa[todo, None] * direction[todo], theta0, radius)
             consts = (w2a[todo], ga[todo], hza[todo], xia[todo])
             cand = _cone_restore(
-                cand[:, None], xz, xz_root, *consts, theta0, radius, fta[todo, None]
+                cand[:, None], sig, sig_root, *consts, theta0, radius, fta[todo, None]
             )[:, 0]
-            cobj = np.einsum("ij,jk,ik->i", cand, xz, cand)
+            cobj = _signal_energy(cand, sig)
             good = (
-                _cone_gap(cand[:, None], xz_root, *consts)[:, 0] <= fta[todo]
+                _cone_gap(cand[:, None], sig_root, *consts)[:, 0] <= fta[todo]
             ) & (cobj > va[todo] + 1e-14 * np.maximum(1.0, va[todo]))
             hit = todo[good]
             xa[hit] = cand[good]
@@ -513,7 +516,7 @@ def _ao_climb(
     return best_val, best_x
 
 
-def _ao_ascend(preps, xz, xz_root, theta0, radius, iterations):
+def _ao_ascend(preps, sig, sig_root, theta0, radius, iterations):
     """Climb prepared instances (each with a feasible start) as one batch.
 
     Each incumbent starts at the zero-signal probe (value 0) when one
@@ -531,12 +534,12 @@ def _ao_ascend(preps, xz, xz_root, theta0, radius, iterations):
         [np.zeros(prep.x0.shape[-1]) if prep.probe is None else prep.probe for prep in preps]
     )
     best_val, best_x = _ao_climb(
-        np.stack([prep.x0 for prep in preps]), xz, xz_root, w2s, big_g, hz, xi, theta0, radius,
+        np.stack([prep.x0 for prep in preps]), sig, sig_root, w2s, big_g, hz, xi, theta0, radius,
         feas_tol, np.array([prep.active_tol for prep in preps]), iterations, best_val, best_x,
     )
-    gap = _cone_gap(best_x[:, None, :], xz_root, w2s, big_g, hz, xi)[:, 0]
+    gap = _cone_gap(best_x[:, None, :], sig_root, w2s, big_g, hz, xi)[:, 0]
     ok = (gap <= feas_tol) & _in_ball(best_x, theta0, radius)
-    return ok, np.einsum("bp,pq,bq->b", best_x, xz, best_x), best_x
+    return ok, _signal_energy(best_x, sig), best_x
 
 
 def solve_ao(
@@ -550,9 +553,10 @@ def solve_ao(
 ):
     """Certified lower bound on the comparison problem's optimum.
 
-    Maximizes |Xi_z^{1/2} theta'|^2 subject to the Gaussian-comparison cone
-    |xi - W2 Sigma_u^{1/2} theta' - G |Xi_z^{1/2} theta'|| <= <Xi_z^{1/2}
-    theta', H> and the coefficient ball, by multi-start projected gradient
+    With S = diag(signal_eigs) and U = diag(endo_eigs), maximizes
+    |S^{1/2} theta'|^2 subject to the Gaussian-comparison cone
+    |xi - W2 U^{1/2} theta' - G |S^{1/2} theta'|| <= <S^{1/2} theta', H>
+    and the coefficient ball, by multi-start projected gradient
     ascent over a structured candidate pool (deterministic substream seeds).
     Only verified feasible iterates update the incumbent, so the returned
     value is attained by a feasible point.  An empty feasible set reports 0
@@ -562,15 +566,14 @@ def solve_ao(
     H = np.asarray(H, dtype=float)
     if G.shape != (inst.n,) or H.shape != (inst.p,):
         raise ValueError("G must be an n-vector and H a p-vector")
-    xz = np.asarray(inst.Xi_z, dtype=float)
-    xz_root = psd_sqrt(xz)
-    su_root = psd_sqrt(inst.Sigma_u)
-    prep = _ao_prepare(inst, G, H, starts, seed, xz, xz_root, su_root)
+    sig = np.asarray(inst.signal_eigs, dtype=float)
+    sig_root = np.sqrt(sig)
+    prep = _ao_prepare(inst, G, H, starts, seed, sig, sig_root, np.sqrt(inst.endo_eigs))
     if prep.starts_feasible == 0:
         sol = AoSolution(0.0, None, True, 0, 0)
     else:
         ok, vals, points = _ao_ascend(
-            [prep], xz, xz_root, inst.theta0, float(inst.ball_radius), iterations
+            [prep], sig, sig_root, inst.theta0, float(inst.ball_radius), iterations
         )
         if ok[0]:
             sol = AoSolution(float(vals[0]), points[0], False, prep.starts_feasible, iterations)
@@ -598,21 +601,21 @@ def ao_grid_value(
         raise ValueError("grid reference limited to p <= 3")
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
-    xz = np.asarray(inst.Xi_z, dtype=float)
-    xz_root = psd_sqrt(xz)
-    w2s = inst.W2 @ psd_sqrt(inst.Sigma_u)
-    hz = xz_root @ H
+    sig = np.asarray(inst.signal_eigs, dtype=float)
+    sig_root = np.sqrt(sig)
+    w2s = inst.W2 * np.sqrt(inst.endo_eigs)
+    hz = sig_root * H
     radius = float(inst.ball_radius)
 
     axes = [np.linspace(-radius, radius, points_per_axis)] * p
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     pts = pts[_row_norm(pts) <= radius] - inst.theta0
-    gap = _cone_gap(pts, xz_root, w2s, G, hz, inst.xi)
+    gap = _cone_gap(pts, sig_root, w2s, G, hz, inst.xi)
     feasible = gap <= slack
     if not feasible.any():
         return None
-    return float(_signal_energy(pts[feasible], xz).max())
+    return float(_signal_energy(pts[feasible], sig).max())
 
 
 # ------------------------------------------------------------ tail check
@@ -669,8 +672,8 @@ def draw_instance(model: EndogenousModel, n: int, rng, ball_radius: float | None
         xi=xi,
         ball_radius=ball_radius,
         theta0=model.true_coef,
-        Xi_z=model.cov.signal_cov(),
-        Sigma_u=model.cov.endo_cov(),
+        signal_eigs=model.cov.signal_eigs,
+        endo_eigs=model.cov.endo_eigs,
     )
     return inst, big_g, big_h
 
@@ -685,9 +688,9 @@ def _tail_chunk(args):
     block climbs in one call instead of one Python-level loop per draw.
     """
     model, n, seed, rep_ids, ball_radius, starts, iterations = args
-    xz = model.cov.signal_cov()
-    xz_root = psd_sqrt(xz)
-    su_root = psd_sqrt(model.cov.endo_cov())
+    sig = model.cov.signal_eigs
+    sig_root = np.sqrt(sig)
+    endo_root = np.sqrt(model.cov.endo_eigs)
 
     m = len(rep_ids)
     po_vals = np.full(m, -math.inf)
@@ -699,7 +702,7 @@ def _tail_chunk(args):
         rng = np.random.default_rng([seed, r])
         inst, big_g, big_h = draw_instance(model, n, rng, ball_radius)
         preps.append(
-            _ao_prepare(inst, big_g, big_h, starts, (seed, r, 1), xz, xz_root, su_root)
+            _ao_prepare(inst, big_g, big_h, starts, (seed, r, 1), sig, sig_root, endo_root)
         )
         insts.append(inst)
     for j, inst in enumerate(insts):
@@ -711,7 +714,7 @@ def _tail_chunk(args):
     live = [j for j in range(m) if preps[j].starts_feasible > 0]
     if live:
         ok, vals, _ = _ao_ascend(
-            [preps[j] for j in live], xz, xz_root, insts[0].theta0,
+            [preps[j] for j in live], sig, sig_root, insts[0].theta0,
             float(insts[0].ball_radius), iterations,
         )
         ao_vals[live] = np.where(ok, vals, 0.0)

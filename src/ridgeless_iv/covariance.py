@@ -306,15 +306,6 @@ class CovarianceModel:
             return np.asarray(v, dtype=float).copy()
         return self.rotation.matvec(v)
 
-    def endo_cov(self) -> np.ndarray:
-        return np.diag(self.endo_eigs)
-
-    def signal_cov(self) -> np.ndarray:
-        return np.diag(self.signal_eigs)
-
-    def total_cov(self) -> np.ndarray:
-        return np.diag(self.total_eigs)
-
     def endo_rank(self) -> int:
         e = self.endo_eigs
         top = e.max(initial=0.0)

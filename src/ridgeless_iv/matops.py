@@ -6,8 +6,6 @@ results can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -37,36 +35,11 @@ def _check_sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first non-negligible component is positive.
-
-    Keeps decompositions bit-reproducible; the underlying matrix only pins
-    eigenvectors up to sign.
-    """
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
-
-
-@dataclass(frozen=True)
-class EigenDecomp:
-    """Eigenvalues sorted descending, eigenvectors as matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(a: np.ndarray) -> EigenDecomp:
-    """Full symmetric eigendecomposition, descending order, deterministic signs."""
-    a = _check_sym(a)
-    lam, q = scipy.linalg.eigh(a)
-    lam = lam[::-1].copy()
-    q = _sign_normalize(q[:, ::-1])
-    return EigenDecomp(eigenvalues=lam, eigenvectors=q)
+def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # eigenvector signs cancel in q f(lam) q^T, so they are left as eigh gives
+    # them; the descending order fixes the summation order of that product
+    lam, q = scipy.linalg.eigh(_check_sym(a))
+    return lam[::-1].copy(), q[:, ::-1].copy()
 
 
 def pseudoinverse(a: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
@@ -75,31 +48,27 @@ def pseudoinverse(a: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
     Eigenvalues at or below rel_tol * lambda_max are treated as exact zeros.
     A negative eigenvalue below -rel_tol * lambda_max raises NotPSD.
     """
-    dec = sym_eig(a)
+    lam, q = _eigh_desc(a)
     if rel_tol is None:
         rel_tol = default_rank_tol(a.shape[0])
     if rel_tol < 0:
         raise ValueError("rel_tol must be nonnegative")
-    lam = dec.eigenvalues
     lmax = lam[0] if lam.size else 0.0
     cutoff = rel_tol * max(lmax, 0.0)
     if lam.size and lam[-1] < -cutoff and lam[-1] < -1e-14 * max(abs(lmax), 1.0):
         raise NotPSD(f"eigenvalue {lam[-1]:g} below tolerance {-cutoff:g}")
     inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-    q = dec.eigenvectors
     out = (q * inv) @ q.T
     return 0.5 * (out + out.T)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; tiny negative eigenvalues are clipped to 0."""
-    dec = sym_eig(a)
-    lam = dec.eigenvalues
+    lam, q = _eigh_desc(a)
     lmax = lam[0] if lam.size else 0.0
     if lam.size and lam[-1] < -1e-8 * max(lmax, 1.0):
         raise NotPSD(f"eigenvalue {lam[-1]:g} is negative beyond tolerance")
     root = np.sqrt(np.clip(lam, 0.0, None))
-    q = dec.eigenvectors
     out = (q * root) @ q.T
     return 0.5 * (out + out.T)
 

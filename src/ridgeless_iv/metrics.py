@@ -1,9 +1,10 @@
 """Risk functionals, effective ranks, closed-form bounds, and the
 sufficient-condition checker for benign overfitting with endogeneity.
 
-Rank and risk functionals take a dense PSD matrix or a 1-d eigenvalue
-vector.  Model functionals read the two eigenvalue vectors of the model's
-diagonal blocks directly, which keeps dimension in the thousands cheap.
+Rank functionals take a dense PSD matrix or a 1-d eigenvalue vector; the
+projected error takes the signal block's diagonal.  Model functionals read
+the two eigenvalue vectors of the model's diagonal blocks directly, which
+keeps dimension in the thousands cheap.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ def _eigs_of(sigma) -> np.ndarray:
     return np.sort(scipy.linalg.eigvalsh(sigma))[::-1]
 
 
-def projected_rmse(theta: np.ndarray, theta0: np.ndarray, signal_cov) -> float:
-    """Squared error of theta against theta0 in the signal-block metric."""
+def projected_rmse(theta: np.ndarray, theta0: np.ndarray, signal_eigs) -> float:
+    """Squared error of theta against theta0 weighted by the signal diagonal."""
     d = np.asarray(theta, dtype=float) - np.asarray(theta0, dtype=float)
-    s = np.asarray(signal_cov, dtype=float)
-    if s.ndim == 1:
-        return float(d @ (s * d))
-    return float(d @ (s @ d))
+    s = np.asarray(signal_eigs, dtype=float)
+    if s.shape != d.shape:
+        raise ValueError(f"metric shape {s.shape} does not match theta shape {d.shape}")
+    return float(d @ (s * d))
 
 
 def effective_ranks(sigma) -> tuple[float, float]:

@@ -24,8 +24,8 @@ from ridgeless_iv.metrics import projected_rmse
 from ridgeless_iv.sampling import sample_dataset
 
 AO_THETA0 = np.array([0.3, -0.2])
-AO_XZ = np.diag([1.0, 0.0])
-AO_SU = np.diag([0.0, 4.0])
+AO_SIGNAL = np.array([1.0, 0.0])
+AO_ENDO = np.array([0.0, 4.0])
 
 # trial seeds where both the solver and the 2-D grid reference find feasible
 # points, and ones where both report an empty feasible set
@@ -42,7 +42,7 @@ def ao_instance(trial):
     big_h = rng.standard_normal(2)
     inst = PoInstance(
         W1=w1, W2=w2, xi=xi, ball_radius=2.5, theta0=AO_THETA0,
-        Xi_z=AO_XZ, Sigma_u=AO_SU,
+        signal_eigs=AO_SIGNAL, endo_eigs=AO_ENDO,
     )
     return inst, big_g, big_h
 
@@ -58,7 +58,7 @@ def test_po_exact_for_determined_system():
     inst = PoInstance(
         W1=w1, W2=np.zeros((3, 3)), xi=xi,
         ball_radius=float(np.linalg.norm(unique)) + 0.5,
-        theta0=np.zeros(3), Xi_z=np.eye(3), Sigma_u=np.zeros((3, 3)),
+        theta0=np.zeros(3), signal_eigs=np.ones(3), endo_eigs=np.zeros(3),
     )
     value, sol = solve_po(inst, details=True)
     assert value == pytest.approx(float(unique @ unique), rel=1e-10)
@@ -74,7 +74,7 @@ def test_po_infeasible_when_ball_misses_unique_solution():
     inst = PoInstance(
         W1=w1, W2=np.zeros((3, 3)), xi=xi,
         ball_radius=0.9 * float(np.linalg.norm(unique)),
-        theta0=np.zeros(3), Xi_z=np.eye(3), Sigma_u=np.zeros((3, 3)),
+        theta0=np.zeros(3), signal_eigs=np.ones(3), endo_eigs=np.zeros(3),
     )
     with pytest.raises(NoFeasiblePoint):
         solve_po(inst)
@@ -89,7 +89,7 @@ def test_po_single_row_hand_geometry():
     radius = 2.0
     inst = PoInstance(
         W1=m, W2=np.zeros((1, 2)), xi=xi, ball_radius=radius,
-        theta0=theta0, Xi_z=np.eye(2), Sigma_u=np.zeros((2, 2)),
+        theta0=theta0, signal_eigs=np.ones(2), endo_eigs=np.zeros(2),
     )
     c = float(xi[0] + m[0] @ theta0)
     mv = m[0]
@@ -106,11 +106,11 @@ def test_po_grid_reference_one_free_dimension():
         rng = np.random.default_rng(300 + seed)
         design = rng.standard_normal((2, 3))
         xi = rng.standard_normal(2)
-        a = rng.standard_normal((3, 3))
-        xz = a.T @ a
+        # random positive diagonal: column sums of squared Gaussians
+        sig = (rng.standard_normal((3, 3)) ** 2).sum(axis=0)
         theta0 = rng.standard_normal(3) * 0.3
         radius = 3.0
-        value, sol = max_projected_error(design, xi, radius, theta0, xz, details=True)
+        value, sol = max_projected_error(design, xi, radius, theta0, sig, details=True)
         assert sol.null_dim == 1
 
         part, *_ = np.linalg.lstsq(design, xi, rcond=None)
@@ -122,7 +122,7 @@ def test_po_grid_reference_one_free_dimension():
         assert disc > 0
         t = np.linspace((-b - math.sqrt(disc)) / 2, (-b + math.sqrt(disc)) / 2, 20001)
         pts = part[None, :] + t[:, None] * null[None, :]
-        ref = float(np.einsum("ij,jk,ik->i", pts, xz, pts).max())
+        ref = float(np.einsum("ij,j,ij->i", pts, sig, pts).max())
         assert value == pytest.approx(ref, rel=1e-3)
 
 
@@ -130,18 +130,16 @@ def test_po_certificate_stationarity():
     for seed in range(10):
         rng = np.random.default_rng(500 + seed)
         n = 2 + seed % 2
-        a = rng.standard_normal((4, 4))
-        xz = a.T @ a
-        b = rng.standard_normal((4, 2))
-        su = b @ b.T
+        sig = (rng.standard_normal((4, 4)) ** 2).sum(axis=0)
+        endo = (rng.standard_normal((4, 2)) ** 2).sum(axis=1)
         inst = PoInstance(
             W1=rng.standard_normal((n, 4)),
             W2=rng.standard_normal((n, 4)),
             xi=rng.standard_normal(n),
             ball_radius=4.0,
             theta0=rng.standard_normal(4) * 0.2,
-            Xi_z=xz,
-            Sigma_u=su,
+            signal_eigs=sig,
+            endo_eigs=endo,
         )
         _, sol = solve_po(inst, details=True)
         assert sol.stationarity_residual <= 1e-8
@@ -153,37 +151,38 @@ def test_po_dominates_interpolator_projection():
     # the min-norm interpolant is feasible for the maximization, so its
     # signal-weighted error can never exceed the reported optimum
     model = slice_model(4)
-    xz = model.cov.signal_cov()
+    sig = model.cov.signal_eigs
     for seed in range(5):
         data = sample_dataset(model, 3, seed)
         fit = min_norm_interpolator(data.X, data.Y)
         radius = max(fit.norm_l2, float(np.linalg.norm(model.true_coef))) + 1.0
-        value = max_projected_error(data.X, data.xi, radius, model.true_coef, xz)
-        direct = projected_rmse(fit.theta_hat, model.true_coef, xz)
+        value = max_projected_error(data.X, data.xi, radius, model.true_coef, sig)
+        direct = projected_rmse(fit.theta_hat, model.true_coef, sig)
         assert value >= direct - 1e-8 * max(1.0, direct)
 
 
 def test_drawn_instance_matches_sampled_dataset():
     # same seed, same factor stream: the surrogate instance rebuilds the
-    # sampled design exactly
-    model = slice_model(4)
-    inst, _, _ = draw_instance(model, 5, np.random.default_rng(42))
-    data = sample_dataset(model, 5, 42)
-    np.testing.assert_allclose(inst.design(), data.X, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(inst.xi, data.xi)
+    # sampled design bit for bit (the same elementwise products)
+    for model in (slice_model(4), slice_model(6, 2)):
+        for seed in (0, 7, 42):
+            inst, _, _ = draw_instance(model, 5, np.random.default_rng(seed))
+            data = sample_dataset(model, 5, seed)
+            np.testing.assert_array_equal(inst.design(), data.X)
+            np.testing.assert_array_equal(inst.xi, data.xi)
 
 
 def test_po_distribution_matches_sampled_route():
     # independent streams through the sampler and through the surrogate
     # factors must give the same law of the maximum
     model = slice_model(4)
-    xz = model.cov.signal_cov()
+    sig = model.cov.signal_eigs
     radius = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
     reps = 10_000
     direct = np.empty(reps)
     for r in range(reps):
         data = sample_dataset(model, 3, 111_000 + r)
-        direct[r] = max_projected_error(data.X, data.xi, radius, model.true_coef, xz)
+        direct[r] = max_projected_error(data.X, data.xi, radius, model.true_coef, sig)
     surrogate = np.empty(reps)
     for r in range(reps):
         inst, _, _ = draw_instance(model, 3, np.random.default_rng(222_000 + r))
@@ -221,7 +220,7 @@ def test_ao_zero_signal_probe_exact():
     inst = PoInstance(
         W1=np.zeros((2, 2)), W2=np.eye(2), xi=np.array([0.0, 0.7]),
         ball_radius=2.0, theta0=np.array([0.1, 0.0]),
-        Xi_z=np.diag([1.0, 0.0]), Sigma_u=np.diag([0.0, 1.0]),
+        signal_eigs=np.array([1.0, 0.0]), endo_eigs=np.array([0.0, 1.0]),
     )
     value, sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]), details=True)
     assert value == 0.0
@@ -235,7 +234,7 @@ def test_ao_zero_signal_probe_infeasible():
     inst = PoInstance(
         W1=np.zeros((2, 2)), W2=np.eye(2), xi=np.array([-0.5, 0.7]),
         ball_radius=2.0, theta0=np.array([0.1, 0.0]),
-        Xi_z=np.diag([1.0, 0.0]), Sigma_u=np.diag([0.0, 1.0]),
+        signal_eigs=np.array([1.0, 0.0]), endo_eigs=np.array([0.0, 1.0]),
     )
     value, sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]), details=True)
     assert value == 0.0
@@ -275,8 +274,8 @@ def test_instance_validation():
         xi=rng.standard_normal(3),
         ball_radius=5.0,
         theta0=np.array([1.0, 2.0]),
-        Xi_z=np.eye(2),
-        Sigma_u=np.eye(2),
+        signal_eigs=np.ones(2),
+        endo_eigs=np.ones(2),
     )
     inst = PoInstance(**kw)
     assert (inst.n, inst.p) == (3, 2)
@@ -288,7 +287,14 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         PoInstance(**{**kw, "theta0": np.zeros(3)})
     with pytest.raises(ValueError):
-        PoInstance(**{**kw, "Sigma_u": np.eye(3)})
+        PoInstance(**{**kw, "endo_eigs": np.ones(3)})
+    with pytest.raises(ValueError):
+        PoInstance(**{**kw, "signal_eigs": np.eye(2)})
+    # a negative or non-finite diagonal entry has no square root
+    for bad in (-1e-3, np.nan, np.inf):
+        for key in ("signal_eigs", "endo_eigs"):
+            with pytest.raises(ValueError):
+                PoInstance(**{**kw, key: np.array([1.0, bad])})
     with pytest.raises(ValueError):
         PoInstance(**{**kw, "ball_radius": 1.0})
 
@@ -385,6 +391,38 @@ def test_tail_chunk_matches_single_instance_solver():
             empties += 1
             assert report.phi_ao[r] == 0.0
     assert empties == report.flags["ao_feasible_empty"]
+
+
+# phi_po and phi_ao of tail_dominance_check(slice_model(4), n=3, reps=32,
+# seed=1, max_workers=1), pinned so that a rewrite of the lab cannot move
+# them silently
+PINNED_PHI_PO = [
+    1739465.0829143578, 1014661.9561910189, 1542534.561102371, 397627.05825965013,
+    1118579.2082553776, 1414665.4537593746, 4988.065452687069, 1343160.4641304873,
+    1639063.026855847, 1490604.8722870196, 676258.7353875154, 856070.2702730681,
+    1174315.8562216558, 1592696.086479997, 1535906.9024426006, 318830.220612068,
+    999395.4071746225, 1027736.6348985881, 876540.818219562, 750093.1884380961,
+    1026183.1334353813, 1149387.793127379, 334768.8655854684, 1568339.4964361638,
+    1074869.4651399367, 1349577.2734290753, 1059256.3499106923, 771107.0722073497,
+    1321927.5559764332, 700767.5430119135, 1099938.8357771696, 1498680.003102318,
+]
+PINNED_PHI_AO = [
+    0.06747392146156929, 1638814.255357309, 1638533.260820039, 1917213.242811859,
+    1938094.2788448874, 1586794.3471793486, 1713542.423001261, 1966757.6010538037,
+    1594603.6945490392, 1966882.398860431, 0.0, 1638814.249797125,
+    0.0, 1549505.970449925, 1638814.253056566, 1509314.7820850692,
+    3.6261780372379535, 0.8345630536714637, 0.0, 4157.809044487838,
+    1714044.0044894482, 36.97335001478277, 0.0, 1966882.4027056312,
+    0.0, 0.0, 970194.4389612153, 25907.723519158393,
+    1394448.8615104232, 0.0, 1966882.4029385408, 1692270.2909909976,
+]
+
+
+def test_tail_check_values_pinned():
+    report = tail_dominance_check(slice_model(4), n=3, reps=32, seed=1, max_workers=1)
+    np.testing.assert_allclose(report.phi_po, PINNED_PHI_PO, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(report.phi_ao, PINNED_PHI_AO, rtol=1e-9, atol=0)
+    assert report.flags == {"po_infeasible": 0, "ao_feasible_empty": 7}
 
 
 def test_tail_rejects_zero_reps():

@@ -183,7 +183,7 @@ def split_cov(endo_eigs, signal_eigs, k, split_kind="orthogonal"):
         p=endo_eigs.size, endo_eigs=endo_eigs, signal_eigs=signal_eigs,
         trunc_level=k, split_kind=split_kind,
     )
-    return cov.endo_cov(), cov.signal_cov(), cov.total_cov()
+    return np.diag(cov.endo_eigs), np.diag(cov.signal_eigs), np.diag(cov.total_eigs)
 
 
 def test_split_orthogonal_diag():

@@ -7,7 +7,6 @@ from ridgeless_iv.matops import (
     null_space_basis,
     pseudoinverse,
     psd_sqrt,
-    sym_eig,
 )
 
 
@@ -17,43 +16,14 @@ def random_psd(rng, dim, rank=None):
     return g @ g.T
 
 
-def test_sym_eig_diagonal():
-    a = np.diag([3.0, 1.0, 2.0])
-    dec = sym_eig(a)
-    assert np.allclose(dec.eigenvalues, [3.0, 2.0, 1.0])
-    # eigenvectors are signed unit coordinates in descending-eigenvalue order
-    assert np.allclose(np.abs(dec.eigenvectors), np.eye(3)[:, [0, 2, 1]])
-    q, lam = dec.eigenvectors, dec.eigenvalues
-    assert np.allclose((q * lam) @ q.T, a)
-
-
-def test_sym_eig_hand_2x2():
-    # [[2,1],[1,2]] has eigenvalues 3 and 1 with eigenvectors (1,1)/sqrt2, (1,-1)/sqrt2
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    dec = sym_eig(a)
-    assert np.allclose(dec.eigenvalues, [3.0, 1.0])
-    s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(dec.eigenvectors[:, 0], [s, s])
-    assert np.allclose(dec.eigenvectors[:, 1], [s, -s])
-
-
-def test_sym_eig_sign_convention():
-    rng = np.random.default_rng(7)
-    a = random_psd(rng, 6)
-    dec = sym_eig(a)
-    for j in range(6):
-        col = dec.eigenvectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        assert col[nz[0]] > 0
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(InvalidMatrix):
-        sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidMatrix):
-        sym_eig(np.ones((2, 3)))
-    with pytest.raises(InvalidMatrix):
-        sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_pseudoinverse_and_psd_sqrt_reject_invalid():
+    for fn in (pseudoinverse, psd_sqrt):
+        with pytest.raises(InvalidMatrix):
+            fn(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidMatrix):
+            fn(np.ones((2, 3)))
+        with pytest.raises(InvalidMatrix):
+            fn(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_pseudoinverse_penrose_identities():

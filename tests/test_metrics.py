@@ -60,37 +60,37 @@ def tiny_model(rho=0.5, noise_sd=1.0):
 
 def test_projected_rmse_exact_recovery():
     theta = np.array([1.0, -2.0, 3.0])
-    assert projected_rmse(theta, theta, np.eye(3)) == 0.0
+    assert projected_rmse(theta, theta, np.ones(3)) == 0.0
 
 
 def test_projected_rmse_identity_is_squared_error():
     rng = np.random.default_rng(0)
     theta, theta0 = rng.standard_normal(5), rng.standard_normal(5)
-    got = projected_rmse(theta, theta0, np.eye(5))
+    got = projected_rmse(theta, theta0, np.ones(5))
     assert got == pytest.approx(float(np.sum((theta - theta0) ** 2)), rel=1e-14)
 
 
 def test_projected_rmse_hand_value():
-    assert projected_rmse(np.array([1.0, 1.0]), np.zeros(2), np.diag([2.0, 3.0])) == 5.0
+    assert projected_rmse(np.array([1.0, 1.0]), np.zeros(2), np.array([2.0, 3.0])) == 5.0
 
 
 def test_projected_rmse_swap_symmetric_and_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(20):
         a, b = rng.standard_normal(4), rng.standard_normal(4)
-        m = rng.standard_normal((4, 4))
-        s = m @ m.T
+        s = rng.uniform(0.0, 4.0, 4)
         assert projected_rmse(a, b, s) == pytest.approx(projected_rmse(b, a, s), rel=1e-12)
         assert projected_rmse(a, b, s) >= 0.0
 
 
-def test_projected_rmse_eigvector_form_matches_dense():
-    rng = np.random.default_rng(7)
-    a, b = rng.standard_normal(6), rng.standard_normal(6)
-    eigs = rng.uniform(0.1, 4.0, 6)
-    assert projected_rmse(a, b, eigs) == pytest.approx(
-        projected_rmse(a, b, np.diag(eigs)), rel=1e-14
-    )
+def test_projected_rmse_rejects_dense_metric():
+    # the metric is the signal diagonal; a p x p matrix or a wrong length
+    # must not broadcast into the vector formula
+    a, b = np.ones(3), np.zeros(3)
+    with pytest.raises(ValueError):
+        projected_rmse(a, b, np.eye(3))
+    with pytest.raises(ValueError):
+        projected_rmse(a, b, np.ones(4))
 
 
 # ---------------------------------------------------------- effective ranks

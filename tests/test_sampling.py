@@ -42,7 +42,7 @@ def test_moment_match_endogenous():
     model = small_model()
     n = 100_000
     data = sample_dataset(model, n, seed=7)
-    total = model.cov.total_cov()
+    total = np.diag(model.cov.total_eigs)
     emp = data.X.T @ data.X / n
     se = np.sqrt((np.outer(np.diag(total), np.diag(total)) + total**2) / n)
     assert np.all(np.abs(emp - total) <= 5.0 * se + 1e-12)
