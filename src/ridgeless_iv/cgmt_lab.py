@@ -5,9 +5,13 @@ The primary problem maximizes the signal-weighted squared error over all
 ball-constrained interpolants of one data draw; the comparison problem
 replaces the instrument factor by two independent Gaussian vectors and keeps
 everything else.  The primary side is solved exactly (affine slice of a ball,
-then a trust-region step); the comparison side is a certified lower bound
-from multi-start projected gradient ascent, which only makes the dominance
-check harder to pass.
+then a trust-region step).  The comparison side is solved by the CGMT
+scalarization (Thrampoulidis, Oymak & Hassibi 2015; Thrampoulidis, Abbasi &
+Hassibi 2018): with disjoint signal and latent supports it reduces to the
+objective's root nu and one inner product t, each (nu, t) pair splitting the
+ball budget into a Tikhonov secular equation and a trust-region problem on a
+sphere.  A node scan in nu and a bracketed root of the budget give the
+optimum, and the point that attains it is checked against the cone and ball.
 """
 
 from __future__ import annotations
@@ -97,7 +101,6 @@ class AoSolution:
     point: np.ndarray | None
     feasible_empty: bool
     starts_feasible: int
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -242,22 +245,29 @@ def solve_po(inst: PoInstance, details: bool = False):
 # --------------------------------------------------------------- comparison
 
 
-def _substream(seed, k: int):
-    if isinstance(seed, (tuple, list)):
-        return np.random.default_rng([*[int(s) for s in seed], int(k)])
-    return np.random.default_rng([int(seed), int(k)])
+# With disjoint supports the comparison problem reduces to two scalars.  On
+# the latent coordinates K put A = W2[:, K] endo_K^{1/2}, y = theta'_K +
+# theta0_K and c = xi + A theta0_K - nu G; on the signal coordinates J put
+# u = signal_J^{1/2} theta'_J, D = signal_J^{-1/2} and b = theta0_J, so that
+# the objective is nu^2 = |u|^2.  Other coordinates take theta' = -theta0.
+# For fixed nu and t = <u, H_J> the ball budget splits into
+#   L(nu, t) = min |y|^2         s.t. |c - A y| <= t
+#   S(nu, t) = min |D u + b|^2   s.t. |u| = nu, <u, H_J> = t,
+# and nu is feasible iff min L + S <= R^2 over t in [|P_perp c|, nu |H_J|].
+# L is a Tikhonov secular equation in the SVD of A; S is a trust-region
+# problem on the sphere orthogonal to H_J, in the eigenbasis of D^2 there.
+# Positions g in [0, 1] address the t window (see _ao_phi).
+
+_NU_NODES = 24  # linear nu nodes, and again as many logarithmic ones
+_T_GRID = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, 16))
+_GOLDEN_STEPS = 24
+_MAX_STEPS = 60
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
     # np.linalg.norm dispatch overhead dominates at these sizes
     return np.sqrt(np.einsum("...i,...i->...", x, x))
-
-
-def _project_ball(x: np.ndarray, theta0: np.ndarray, radius: float) -> np.ndarray:
-    y = x + theta0
-    norms = _row_norm(y)[..., None]
-    scale = np.minimum(1.0, radius / np.where(norms > 0, norms, 1.0))
-    return y * scale - theta0
 
 
 def _cone_gap(x, sig_root, w2s, G, hz, xi):
@@ -276,39 +286,6 @@ def _cone_gap(x, sig_root, w2s, G, hz, xi):
     return _row_norm(resid) - np.einsum("...sp,...p->...s", x, hz)
 
 
-def _cone_gap_grad(x, sig, sig_root, w2s, G, hz, xi):
-    # one residual evaluation serves both the gap and its gradient
-    nu = _row_norm(x * sig_root)
-    resid = (
-        xi[..., None, :]
-        - np.einsum("...sp,...np->...sn", x, w2s)
-        - nu[..., None] * G[..., None, :]
-    )
-    rnorm = _row_norm(resid)
-    rhat = resid / np.where(rnorm > 0, rnorm, 1.0)[..., None]
-    dnu = x * sig / np.where(nu > 0, nu, 1.0)[..., None]
-    grad = (
-        -np.einsum("...sn,...np->...sp", rhat, w2s)
-        - np.einsum("...sn,...n->...s", rhat, G)[..., None] * dnu
-        - hz[..., None, :]
-    )
-    return rnorm - np.einsum("...sp,...p->...s", x, hz), grad
-
-
-def _cone_restore(x, sig, sig_root, w2s, G, hz, xi, theta0, radius, tol, rounds=3):
-    # Newton steps on the gap along its gradient, then ball projection; tol
-    # broadcasts against the gap, so per-row tolerances need a trailing axis
-    for _ in range(rounds):
-        gap, gh = _cone_gap_grad(x, sig, sig_root, w2s, G, hz, xi)
-        m = gap > tol
-        if not m.any():
-            break
-        gm = gh[m]
-        denom = np.maximum(np.einsum("ij,ij->i", gm, gm), 1e-300)
-        x[m] = _project_ball(x[m] - (gap[m] / denom)[:, None] * gm, theta0, radius)
-    return x
-
-
 def _signal_energy(x, sig):
     return np.einsum("...p,p,...p->...", x, sig, x)
 
@@ -317,250 +294,275 @@ def _in_ball(x, theta0, radius):
     return _row_norm(x + theta0) <= radius * (1.0 + 1e-12)
 
 
+def _tikhonov(alpha, sv2, tau2):
+    """mu >= 0 with |mu alpha / (sv2 + mu)|^2 = tau2: Newton on 1/|r| in
+    kappa = 1/mu, which is concave, so the iterates approach from below,
+    starting from the largest one-component lower bound on kappa.
+    tau2 <= 0 gives mu = 0 (least squares), tau2 >= |alpha|^2 gives inf."""
+    a2 = alpha * alpha
+    act = (tau2 > 0.0) & (tau2 < a2.sum(axis=-1))
+    target = 1.0 / np.sqrt(np.where(act, tau2, 1.0))
+    bound = (np.abs(alpha) * target[..., None] - 1.0) / np.where(sv2 > 0.0, sv2, np.inf)
+    kap = np.where(act, bound.max(axis=-1, initial=0.0), 0.0)
+    for _ in range(_MAX_STEPS):
+        den = 1.0 + kap[..., None] * sv2
+        r2 = a2 / (den * den)
+        nr = np.sqrt(np.where(act, r2.sum(axis=-1), 1.0))
+        slope = np.where(act, (r2 * sv2 / den).sum(axis=-1), 1.0)
+        step = np.where(act, (target - 1.0 / nr) * nr**3 / slope, 0.0)
+        kap += step
+        if np.all(step <= 1e-13 * kap):
+            break
+    return np.where(act, 1.0 / np.where(act, kap, 1.0), np.where(tau2 > 0.0, np.inf, 0.0))
+
+
+def _sphere_min(m, gam, rho):
+    """w minimizing sum(m w^2 + 2 gam w) on |w| = rho, m ascending.
+
+    Newton on 1/|w(lam)| from a lower bound of the multiplier, then |w| is
+    pinned to rho.  In the hard case |w| stays short of rho even at the pole
+    lam = -m[0], and the rest of the radius goes along the first eigenvector.
+    """
+    live_rho = rho > 0.0
+    rs = np.where(live_rho, rho, 1.0)
+    lam = np.maximum(_row_norm(gam) / rs - m[..., -1], np.abs(gam[..., 0]) / rs - m[..., 0])
+
+    def at(lam):
+        den = m + lam[..., None]
+        den = np.where(den > 0.0, den, np.inf)
+        w = -gam / den
+        return w, den, _row_norm(w)
+
+    for _ in range(_MAX_STEPS):
+        w, den, nw = at(lam)
+        live = live_rho & (nw > rho)
+        slope = np.where(live, (w * w / den).sum(axis=-1), 1.0)
+        step = np.where(live, (1.0 / rs - 1.0 / np.where(live, nw, 1.0)) * nw**3 / slope, 0.0)
+        lam = lam + step
+        if np.all(step <= 1e-13 * np.abs(lam)):
+            break
+    hard = at(lam)[2] < rho * (1.0 - 1e-12)
+    w, _, nw = at(np.where(hard, -m[..., 0], lam))
+    w *= np.where(hard, 1.0, rs / np.where(nw > 0.0, nw, 1.0))[..., None]
+    pad = np.sqrt(np.maximum(rho * rho - nw * nw, 0.0))
+    w[..., 0] += np.where(hard, np.copysign(pad, -gam[..., 0]), 0.0)
+    return np.where(live_rho[..., None], w, 0.0)
+
+
+def _ao_phi(r, nu, g, point=False):
+    """L + S at nodes (nu, g) of shape (B, M) over the B reduced draws in r,
+    inf where the t window is closed; with point=True also y and u.
+
+    The window is [t_lo, nu |H_J|], t_lo = |P_perp c| less r["slack"], the
+    part of the certificate's cone tolerance the point may use.  g in [0, 1]
+    sets |P_range(c - A y)| = W sin(pi g / 2) and the radius of u off H_J to
+    (W / |H_J|) cos(pi g / 2), W^2 = nu^2 |H_J|^2 - t_lo^2, which removes
+    the square-root ends of the window.
+    """
+    col = {k: v[:, None] for k, v in r.items()}
+    t_hi = nu * col["hn"]
+    t_lo = np.maximum(_row_norm(col["pc"] - nu[..., None] * col["pg"]) - col["slack"], 0.0)
+    width = np.sqrt(np.maximum(t_hi * t_hi - t_lo * t_lo, 0.0))
+    pos = col["hn"] > 0.0
+    hn = np.where(pos, col["hn"], 1.0)
+    rho = np.where(col["flat"], 0.0, np.where(pos, width * np.cos(0.5 * math.pi * g) / hn, nu))
+    s = np.where(pos, np.sqrt(np.maximum(nu * nu - rho * rho, 0.0)), 0.0)
+    t = s * col["hn"]
+
+    alpha = col["ua"] - nu[..., None] * col["ug"]
+    sv2 = col["sv"] ** 2
+    den = sv2 + _tikhonov(alpha, sv2, t * t - t_lo * t_lo)[..., None]
+    coef = col["sv"] * alpha / np.where(den > 0.0, den, 1.0)
+
+    gam = s[..., None] * col["g1"] + col["g0"]
+    w = _sphere_min(col["m"], gam, rho)
+    sph = np.einsum("...i,...i->...", w, col["m"] * w + 2.0 * gam)
+    sph += s * (s * col["e2"] + 2.0 * col["e1"]) + col["bb"]
+    phi = np.where(t_lo <= t_hi, (coef * coef).sum(axis=-1) + sph, np.inf)
+    if not point:
+        return phi
+    y = np.einsum("bmq,bqk->bmk", coef, r["vt"])
+    u = np.einsum("bij,bmj->bmi", r["evec"], w) + s[..., None] * col["hhat"]
+    return phi, y, u
+
+
+def _ao_window_min(r, nu):
+    """min over the t window of L + S at one nu per draw: the grid, then a
+    golden-section search between the grid neighbours of its best node."""
+    rows, k = np.arange(nu.size), _T_GRID.size
+    phi = _ao_phi(r, nu[:, None], np.broadcast_to(_T_GRID, (nu.size, k)))
+    j = phi.argmin(axis=1)
+    best = [phi[rows, j], _T_GRID[j]]
+
+    def at(g):
+        f = _ao_phi(r, nu[:, None], g[:, None])[:, 0]
+        better = f < best[0]
+        best[:] = np.where(better, f, best[0]), np.where(better, g, best[1])
+        return f
+
+    a, b = _T_GRID[np.maximum(j - 1, 0)], _T_GRID[np.minimum(j + 1, k - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = at(c), at(d)
+    for _ in range(_GOLDEN_STEPS):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - _INV_PHI * (b - a), d), np.where(left, c, a + _INV_PHI * (b - a))
+        fx = at(np.where(left, c, d))
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return best[0], best[1]
+
+
 @dataclass(frozen=True)
 class _AoPrepared:
-    """Per-instance start block and constants for the ascent phase."""
+    """One draw reduced to the (nu, t) problem: its arrays, with the scanned
+    nu nodes and the top feasible one (index, best window position and
+    L + S there), and the count of feasible nodes."""
 
-    x0: np.ndarray
-    w2s: np.ndarray
-    hz: np.ndarray
-    G: np.ndarray
-    xi: np.ndarray
-    feas_tol: float
-    active_tol: float
+    red: dict
     starts_feasible: int
-    probe: np.ndarray | None
 
 
-def _ao_prepare(inst, G, H, starts, seed, sig, sig_root, endo_root) -> _AoPrepared:
-    """Zero-signal probe, structured candidate pool, rescue sweep, padding.
+def _ao_prepare(inst, G, H, sig, sig_root, endo_root) -> _AoPrepared:
+    """Reduce one draw and scan it on nu nodes times window positions.
 
-    The returned start block always has starts + 1 rows (the sorted feasible
-    pool cycled, with the probe last when it exists) so prepared instances
-    stack into one batch; an empty feasible set yields starts_feasible = 0.
+    The nu nodes are 0, linear and logarithmic nodes up to sqrt(max signal)
+    (R + |b|), and the roots of |P_perp c| = nu |H_J| + slack, where the
+    window opens or closes, moved a hair inside it.
     """
-    w2s = inst.W2 * endo_root
-    hz = sig_root * H
-    xi = inst.xi
-    theta0 = inst.theta0
-    radius = float(inst.ball_radius)
-    xi_scale = 1.0 + float(np.linalg.norm(xi))
-    feas_tol = 1e-9 * xi_scale
-    active_tol = 1e-7 * xi_scale
+    sig_j, lat = sig > 0.0, endo_root > 0.0
+    if np.any(sig_j & lat):
+        raise ValueError("the comparison solver needs disjoint signal and latent supports")
+    theta0, radius = inst.theta0, float(inst.ball_radius)
+    feas_tol = 1e-9 * (1.0 + float(np.linalg.norm(inst.xi)))
+    a_mat = inst.W2[:, lat] * endo_root[lat]
+    left, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
+    keep = sv > default_rank_tol(max(a_mat.shape)) * np.max(sv, initial=0.0)
+    left, sv, vt = left * keep, sv * keep, vt * keep[:, None]
+    c0 = inst.xi + a_mat @ theta0[lat]
+    ua, ug = left.T @ c0, left.T @ G
 
-    # zero-signal probe: theta' on the coordinates where the signal root is
-    # zero (null_space_basis's cutoff) with the latent factor reproducing xi
-    probe = None
-    zero = sig_root <= default_rank_tol(inst.p) * sig_root.max()
-    if zero.any():
-        cand = np.zeros(inst.p)
-        cand[zero], *_ = np.linalg.lstsq(w2s[:, zero], xi, rcond=None)
-        if float(np.linalg.norm(w2s @ cand - xi)) <= feas_tol and float(
-            np.linalg.norm(cand + theta0)
-        ) <= radius * (1.0 + _FEAS_REL):
-            probe = cand
-
-    # candidate pool: fixed-point solves of the cone equation at varied null
-    # offsets (random substreams plus deterministic axis scans), each with a
-    # signal-flipped twin that negates <theta1, H> under orthogonal blocks
-    pinv_w = np.linalg.pinv(w2s)
-    null_w = null_space_basis(w2s)
-    m_w = null_w.shape[1]
-    flip = np.where(sig > 1e-12 * max(float(sig.max()), 1.0), -1.0, 1.0)
-
-    offsets = [np.zeros(inst.p)]
-    if m_w:
-        for k in range(max(1, starts // 2)):
-            rng = _substream(seed, k)
-            amp = radius * 10.0 ** rng.uniform(-3.0, 0.0)
-            offsets.append(null_w @ (amp * rng.standard_normal(m_w)))
-        for j in range(min(m_w, 2)):
-            for amp in radius * 10.0 ** np.linspace(-3.0, 0.0, 5):
-                offsets.append(null_w[:, j] * amp)
-                offsets.append(null_w[:, j] * -amp)
-    offs = np.array(offsets)
-
-    x = _project_ball(pinv_w @ xi + offs, theta0, radius)
-    for _ in range(8):
-        nu = _row_norm(x * sig_root)
-        x = _project_ball((xi - nu[:, None] * G) @ pinv_w.T + offs, theta0, radius)
-    pool = [x, x * flip]
-    # anchors with an explicit Gaussian-direction coefficient, targeting the
-    # self-consistent scale |diag(signal)^{1/2} theta'| directly
-    g_norm = float(np.linalg.norm(G))
-    if g_norm > 0:
-        cs = float(np.linalg.norm(xi)) / g_norm * np.array([0.0, 0.25, 0.5, 1.0, 2.0])
-        anchors = (xi - cs[:, None] * G) @ pinv_w.T
-        pool += [anchors, anchors * flip]
-    pool = _project_ball(np.vstack(pool), theta0, radius)
-    pool = _cone_restore(pool, sig, sig_root, w2s, G, hz, xi, theta0, radius, feas_tol, rounds=4)
-    keep = (_cone_gap(pool, sig_root, w2s, G, hz, xi) <= feas_tol) & _in_ball(
-        pool, theta0, radius
+    h, dinv, b = H[sig_j], 1.0 / sig_root[sig_j], theta0[sig_j]
+    hn = float(np.linalg.norm(h))
+    hhat = h / hn if hn > 0.0 else np.zeros_like(h)
+    proj = np.eye(h.size) - np.outer(hhat, hhat)
+    m, evec = np.linalg.eigh(proj @ (dinv[:, None] ** 2 * proj))
+    if hn > 0.0:
+        # the first eigenvector is hhat itself: move it last and zero it
+        m, evec = np.roll(m, -1), np.roll(evec, -1, axis=1)
+        m[-1] = m[-2] if m.size > 1 else 1.0
+        evec[:, -1] = 0.0
+    dh = dinv * hhat
+    red = dict(
+        ua=ua, ug=ug, sv=sv, vt=vt, pc=c0 - left @ ua, pg=G - left @ ug,
+        hn=hn, hhat=hhat, m=m, evec=evec, g1=evec.T @ (dinv * dh), g0=evec.T @ (dinv * b),
+        e2=float(dh @ dh), e1=float(dh @ b), bb=float(b @ b), flat=h.size == 1 and hn > 0.0,
+        # the certificate's cone tolerance less room for rounding; with
+        # H_J = 0 the cone is the linear system P_perp c = 0 and gets none
+        slack=0.99 * feas_tol if hn > 0.0 else 0.0,
+        w2s=inst.W2 * endo_root, hz=sig_root * H, G=G, xi=inst.xi, feas_tol=feas_tol, lat=lat,
     )
-    pool = pool[keep]
-    if pool.shape[0] == 0 and probe is None:
-        # rescue sweep before declaring the set empty: restored uniform draws
-        # from the whole ball, not just the structured anchors
-        rng = _substream(seed, 999983)
-        y = rng.standard_normal((1024, inst.p))
-        y *= (radius * rng.uniform(0.0, 1.0, (1024, 1)) ** (1.0 / inst.p)) / np.maximum(
-            _row_norm(y)[:, None], 1e-300
-        )
-        y = _cone_restore(
-            y - theta0, sig, sig_root, w2s, G, hz, xi, theta0, radius, feas_tol, rounds=25
-        )
-        keep = (_cone_gap(y, sig_root, w2s, G, hz, xi) <= feas_tol) & _in_ball(
-            y, theta0, radius
-        )
-        pool = y[keep]
 
-    rows = []
-    if pool.shape[0]:
-        order = np.argsort(_signal_energy(pool, sig))[::-1]
-        rows = list(pool[order[:starts]])
-    if probe is not None:
-        rows.append(probe)
-    if not rows:
-        return _AoPrepared(
-            np.zeros((0, inst.p)), w2s, hz, G, xi, feas_tol, active_tol, 0, None
-        )
-    x0 = np.array([rows[i % len(rows)] for i in range(starts + 1)])
-    return _AoPrepared(x0, w2s, hz, G, xi, feas_tol, active_tol, len(rows), probe)
+    nu_max = float(sig_root.max()) * (radius + float(np.linalg.norm(b)))
+    edge = 0.999 * red["slack"]
+    p0 = red["pc"] @ red["pc"] - edge * edge
+    p1 = red["pc"] @ red["pg"] + hn * edge
+    p2 = red["pg"] @ red["pg"] - hn * hn
+    disc = p1 * p1 - p0 * p2
+    roots = [math.nan, math.nan]
+    if disc >= 0.0:
+        z = p1 + math.copysign(math.sqrt(disc), p1)
+        roots = [z / p2 if p2 else math.nan, p0 / z if z else math.nan]
+    roots = [x if 0.0 <= x <= nu_max else nu_max for x in roots]
+    ramp = np.arange(1, _NU_NODES + 1) / _NU_NODES
+    nodes = np.sort(np.concatenate(([0.0], nu_max * ramp, nu_max * 1e-6 ** (1.0 - ramp), roots)))
+
+    k = _T_GRID.size
+    one = {key: np.asarray(v)[None] for key, v in red.items()}
+    phi = _ao_phi(one, np.repeat(nodes, k)[None], np.tile(_T_GRID, nodes.size)[None])
+    phi = phi.reshape(nodes.size, k)
+    ok = phi.min(axis=1) <= radius * radius
+    top = int(np.flatnonzero(ok)[-1]) if ok.any() else 0
+    red.update(nodes=nodes, top=top, top_g=_T_GRID[phi[top].argmin()], top_phi=phi[top].min())
+    return _AoPrepared(red, int(ok.sum()))
 
 
-_STALL_REL = 1e-7
+def _ao_climb(preps, sig, sig_root, theta0, radius):
+    """Refine every prepared draw's top node as one batch and certify.
 
-
-def _ao_climb(
-    x, sig, sig_root, w2s, G, hz, xi, theta0, radius,
-    feas_tol, active_tol, iterations, best_val, best_x,
-):
-    """Projected-gradient ascent over a batch of prepared instances.
-
-    x is (B, S, p) with per-instance w2s (B, n, p), G/xi (B, n), hz (B, p),
-    tolerances (B,).  In the cone interior the step follows the objective
-    gradient; on the boundary it follows the gradient projected onto the
-    constraint tangent, with Newton feasibility restoration after each step
-    and per-row backtracking (shrink 0.5).  Work shrinks with the live set:
-    each iteration gathers only rows whose step has not collapsed and whose
-    instance has not stalled.  Only feasible iterates update the
-    per-instance incumbents (best_val, best_x), updated in place.
+    F(nu) = min_t (L + S) - R^2 is first checked exactly at the nodes above
+    the scanned top, since the grid may miss a narrow window.  Between the
+    last feasible node and the next one, regula falsi with the Illinois rule
+    finds the root of F, bisecting while the upper end has no finite value;
+    lo stays feasible throughout.  The point rebuilt at lo counts only if it
+    passes the cone (gap <= feas_tol) and the ball; returns (ok, values,
+    points).
     """
-    n_batch = x.shape[0]
-    bidx = np.arange(n_batch)
-    vals = _signal_energy(x, sig)
-    cur = vals.max(axis=-1)
-    arg = vals.argmax(axis=-1)
-    upd = cur > best_val
-    best_val[upd] = cur[upd]
-    best_x[upd] = x[bidx[upd], arg[upd]]
+    r = {k: np.stack([np.asarray(p.red[k]) for p in preps]) for k in preps[0].red}
+    nodes, top, g_lo = r["nodes"], r["top"].copy(), r["top_g"].copy()
+    lo = nodes[np.arange(top.size), top]
+    hi = lo.copy()
+    r2 = radius * radius
+    f_lo = r["top_phi"] - r2
+    f_hi = np.full(lo.size, np.inf)
 
-    step = radius / (4.0 * (1.0 + _row_norm(2.0 * x * sig)))
-    stalled = np.zeros(n_batch, dtype=int)
-    dead = 1e-16 * radius
-    for _ in range(iterations):
-        rb, rs = np.nonzero(step > dead)
-        if rb.size == 0:
+    def window(idx, x):
+        phi, g = _ao_window_min({k: v[idx] for k, v in r.items()}, x)
+        return phi - r2, g
+
+    walk = top + 1 < nodes.shape[1]
+    while walk.any():
+        idx = np.flatnonzero(walk)
+        top[idx] += 1
+        x = nodes[idx, top[idx]]
+        fx, g = window(idx, x)
+        feas = fx <= 0.0
+        lo[idx], g_lo[idx] = np.where(feas, x, lo[idx]), np.where(feas, g, g_lo[idx])
+        f_lo[idx] = np.where(feas, fx, f_lo[idx])
+        hi[idx], f_hi[idx] = x, np.where(feas, np.inf, fx)
+        walk[idx] = feas & (top[idx] + 1 < nodes.shape[1])
+
+    side = np.zeros(lo.size)
+    for _ in range(_MAX_STEPS):
+        idx = np.flatnonzero((hi - lo > 1e-14 * hi) & (f_lo < 0.0))
+        if idx.size == 0:
             break
-        xa = x[rb, rs]
-        va = vals[rb, rs]
-        sa = step[rb, rs]
-        w2a, ga, hza, xia = w2s[rb], G[rb], hz[rb], xi[rb]
-        fta = feas_tol[rb]
+        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+        fin = np.isfinite(fb)
+        x = np.where(fin, a - fa * (b - a) / np.where(fin, fb - fa, 1.0), 0.5 * (a + b))
+        x = np.clip(x, a + 1e-6 * (b - a), b - 1e-6 * (b - a))
+        fx, g = window(idx, x)
+        feas = fx <= 0.0
+        # the window's edges are nodes, so a window closed inside the
+        # bracket stays closed up to hi and lo is the answer
+        closed = np.isinf(fx)
+        f_hi[idx] = np.where(feas, np.where(side[idx] > 0, 0.5 * fb, fb), fx)
+        f_lo[idx] = np.where(feas, fx, np.where(side[idx] < 0, 0.5 * fa, fa))
+        lo[idx] = np.where(feas, x, a)
+        hi[idx] = np.where(feas, b, np.where(closed, a, x))
+        g_lo[idx] = np.where(feas, g, g_lo[idx])
+        side[idx] = np.where(feas, 1.0, -1.0)
 
-        grad = 2.0 * xa * sig
-        gap, gh = _cone_gap_grad(xa[:, None], sig, sig_root, w2a, ga, hza, xia)
-        gap, gh = gap[:, 0], gh[:, 0]
-        gh_sq = np.maximum(np.einsum("ij,ij->i", gh, gh), 1e-300)
-        coef = np.where(
-            gap > -active_tol[rb],
-            np.maximum(np.einsum("ij,ij->i", grad, gh), 0.0) / gh_sq,
-            0.0,
-        )
-        direction = grad - coef[:, None] * gh
-
-        ok = np.zeros(rb.size, dtype=bool)
-        todo = np.arange(rb.size)
-        for _ in range(25):
-            if todo.size == 0:
-                break
-            cand = _project_ball(xa[todo] + sa[todo, None] * direction[todo], theta0, radius)
-            consts = (w2a[todo], ga[todo], hza[todo], xia[todo])
-            cand = _cone_restore(
-                cand[:, None], sig, sig_root, *consts, theta0, radius, fta[todo, None]
-            )[:, 0]
-            cobj = _signal_energy(cand, sig)
-            good = (
-                _cone_gap(cand[:, None], sig_root, *consts)[:, 0] <= fta[todo]
-            ) & (cobj > va[todo] + 1e-14 * np.maximum(1.0, va[todo]))
-            hit = todo[good]
-            xa[hit] = cand[good]
-            va[hit] = cobj[good]
-            ok[hit] = True
-            sa[todo[~good]] *= 0.5
-            todo = todo[~good]
-            todo = todo[sa[todo] > dead]
-        sa[ok] *= 1.25
-        x[rb, rs] = xa
-        vals[rb, rs] = va
-        step[rb, rs] = sa
-
-        cur = vals.max(axis=-1)
-        arg = vals.argmax(axis=-1)
-        improved = cur > best_val + _STALL_REL * np.maximum(1.0, np.abs(best_val))
-        upd = cur > best_val
-        best_val[upd] = cur[upd]
-        best_x[upd] = x[bidx[upd], arg[upd]]
-        stalled = np.where(improved, 0, stalled + 1)
-        step[stalled >= 3, :] = 0.0
-    return best_val, best_x
+    _, y, u = _ao_phi(r, lo[:, None], g_lo[:, None], point=True)
+    lat, sig_j = r["lat"][0], sig > 0.0
+    points = np.tile(-theta0, (lo.size, 1))
+    points[:, lat] += y[:, 0]
+    points[:, sig_j] = u[:, 0] / sig_root[sig_j]
+    gap = _cone_gap(points[:, None], sig_root, r["w2s"], r["G"], r["hz"], r["xi"])[:, 0]
+    ok = (gap <= r["feas_tol"]) & _in_ball(points, theta0, radius)
+    return ok, _signal_energy(points, sig), points
 
 
-def _ao_ascend(preps, sig, sig_root, theta0, radius, iterations):
-    """Climb prepared instances (each with a feasible start) as one batch.
-
-    Each incumbent starts at the zero-signal probe (value 0) when one
-    exists.  Returns (ok, values, points) per instance after re-verifying
-    every incumbent against the cone and the ball; ok False means the
-    incumbent failed that check and its value must not be reported.
-    """
-    w2s = np.stack([prep.w2s for prep in preps])
-    big_g = np.stack([prep.G for prep in preps])
-    hz = np.stack([prep.hz for prep in preps])
-    xi = np.stack([prep.xi for prep in preps])
-    feas_tol = np.array([prep.feas_tol for prep in preps])
-    best_val = np.array([-math.inf if prep.probe is None else 0.0 for prep in preps])
-    best_x = np.stack(
-        [np.zeros(prep.x0.shape[-1]) if prep.probe is None else prep.probe for prep in preps]
-    )
-    best_val, best_x = _ao_climb(
-        np.stack([prep.x0 for prep in preps]), sig, sig_root, w2s, big_g, hz, xi, theta0, radius,
-        feas_tol, np.array([prep.active_tol for prep in preps]), iterations, best_val, best_x,
-    )
-    gap = _cone_gap(best_x[:, None, :], sig_root, w2s, big_g, hz, xi)[:, 0]
-    ok = (gap <= feas_tol) & _in_ball(best_x, theta0, radius)
-    return ok, _signal_energy(best_x, sig), best_x
-
-
-def solve_ao(
-    inst: PoInstance,
-    G: np.ndarray,
-    H: np.ndarray,
-    starts: int = 32,
-    iterations: int = 200,
-    seed=0,
-    details: bool = False,
-):
-    """Certified lower bound on the comparison problem's optimum.
+def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray, details: bool = False):
+    """Optimum of the comparison problem for disjoint signal and latent supports.
 
     With S = diag(signal_eigs) and U = diag(endo_eigs), maximizes
     |S^{1/2} theta'|^2 subject to the Gaussian-comparison cone
     |xi - W2 U^{1/2} theta' - G |S^{1/2} theta'|| <= <S^{1/2} theta', H>
-    and the coefficient ball, by multi-start projected gradient
-    ascent over a structured candidate pool (deterministic substream seeds).
-    Only verified feasible iterates update the incumbent, so the returned
-    value is attained by a feasible point.  An empty feasible set reports 0
-    with the feasible_empty flag after probing the zero-signal point first.
+    and the coefficient ball, by the scalar reduction above: a node scan in
+    nu, then a bracketed root of the ball budget.  The value is attained by
+    the returned point, which passes the cone and ball checks.  An empty
+    feasible set reports 0 with the feasible_empty flag.  Overlapping
+    supports raise ValueError.
     """
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -568,17 +570,12 @@ def solve_ao(
         raise ValueError("G must be an n-vector and H a p-vector")
     sig = np.asarray(inst.signal_eigs, dtype=float)
     sig_root = np.sqrt(sig)
-    prep = _ao_prepare(inst, G, H, starts, seed, sig, sig_root, np.sqrt(inst.endo_eigs))
-    if prep.starts_feasible == 0:
-        sol = AoSolution(0.0, None, True, 0, 0)
-    else:
-        ok, vals, points = _ao_ascend(
-            [prep], sig, sig_root, inst.theta0, float(inst.ball_radius), iterations
-        )
+    prep = _ao_prepare(inst, G, H, sig, sig_root, np.sqrt(inst.endo_eigs))
+    sol = AoSolution(0.0, None, True, prep.starts_feasible)
+    if prep.starts_feasible:
+        ok, vals, points = _ao_climb([prep], sig, sig_root, inst.theta0, float(inst.ball_radius))
         if ok[0]:
-            sol = AoSolution(float(vals[0]), points[0], False, prep.starts_feasible, iterations)
-        else:
-            sol = AoSolution(0.0, None, True, prep.starts_feasible, iterations)
+            sol = AoSolution(float(vals[0]), points[0], False, prep.starts_feasible)
     return (sol.value, sol) if details else sol.value
 
 
@@ -685,9 +682,9 @@ def _tail_chunk(args):
     """Solve one block of repetitions: primary exactly, comparison batched.
 
     Prepared comparison instances share shapes by construction, so the whole
-    block climbs in one call instead of one Python-level loop per draw.
+    block is refined in one call instead of one Python-level loop per draw.
     """
-    model, n, seed, rep_ids, ball_radius, starts, iterations = args
+    model, n, seed, rep_ids, ball_radius = args
     sig = model.cov.signal_eigs
     sig_root = np.sqrt(sig)
     endo_root = np.sqrt(model.cov.endo_eigs)
@@ -701,9 +698,7 @@ def _tail_chunk(args):
     for r in rep_ids:
         rng = np.random.default_rng([seed, r])
         inst, big_g, big_h = draw_instance(model, n, rng, ball_radius)
-        preps.append(
-            _ao_prepare(inst, big_g, big_h, starts, (seed, r, 1), sig, sig_root, endo_root)
-        )
+        preps.append(_ao_prepare(inst, big_g, big_h, sig, sig_root, endo_root))
         insts.append(inst)
     for j, inst in enumerate(insts):
         try:
@@ -713,9 +708,9 @@ def _tail_chunk(args):
 
     live = [j for j in range(m) if preps[j].starts_feasible > 0]
     if live:
-        ok, vals, _ = _ao_ascend(
+        ok, vals, _ = _ao_climb(
             [preps[j] for j in live], sig, sig_root, insts[0].theta0,
-            float(insts[0].ball_radius), iterations,
+            float(insts[0].ball_radius),
         )
         ao_vals[live] = np.where(ok, vals, 0.0)
         empty[live] = ~ok
@@ -730,25 +725,28 @@ def tail_dominance_check(
     seed: int = 0,
     ball_radius: float | None = None,
     grid_size: int = 20,
-    starts: int = 32,
-    iterations: int = 200,
     max_workers: int | None = None,
 ) -> TailReport:
     """Empirical tails of the primary and comparison optima on a c grid.
 
     A grid point counts as a violation when the primary tail exceeds twice
-    the comparison tail by more than three combined standard errors.  The
-    comparison values are lower bounds, so violations can only be
-    overcounted, never hidden.  Per-repetition seeding and fixed block
+    the comparison tail by more than three combined standard errors.  Both
+    optima are solved exactly; a comparison value counts only when its
+    point passes the cone and ball checks, and a draw whose point fails
+    them is flagged as empty.  Per-repetition seeding and fixed block
     boundaries keep the result identical whether blocks run serially or
-    across worker processes.
+    across worker processes.  A check with no rows, no repetition or no
+    threshold raises ValueError.
     """
+    if n < 1:
+        raise ValueError("need at least one row per instance")
     if reps < 1:
         raise ValueError("need at least one repetition")
+    if (np.size(c_grid) if c_grid is not None else grid_size) < 1:
+        raise ValueError("need at least one threshold")
 
     jobs = [
-        (model, n, seed, range(lo, min(lo + _TAIL_CHUNK, reps)), ball_radius,
-         starts, iterations)
+        (model, n, seed, range(lo, min(lo + _TAIL_CHUNK, reps)), ball_radius)
         for lo in range(0, reps, _TAIL_CHUNK)
     ]
     workers = max_workers if max_workers is not None else os.cpu_count() or 1

@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .cgmt_lab import slice_model, tail_dominance_check
 from .harness import (
+    CONDITION_GRID,
     OUTPUT_DIR_ENV,
     SETUP_IDS,
     ExperimentConfig,
@@ -125,7 +126,7 @@ def ranks(source):
 def conditions(name, n_grid):
     """Sufficient-condition sequences over a sample-size grid."""
     factory, mode = condition_family(name)
-    grid = tuple(n_grid) if n_grid else tuple(range(100, 801, 100))
+    grid = tuple(n_grid) if n_grid else CONDITION_GRID
     report = evaluate_conditions(factory, grid, mode=mode)
     names = list(report.sequences)
     click.echo("n " + " ".join(names))

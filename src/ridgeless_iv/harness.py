@@ -560,7 +560,8 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
     every record is a pure function of (base_seed, n, repetition) and the
     output order is fixed up front.  An exception inside a repetition is
     raised again with its type kept and (setup, n, rep, seed) in front of
-    its message.
+    its message; its records attribute holds the records of every task
+    before the failing one, in task order, for any worker count.
     """
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
@@ -578,11 +579,18 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
             _reraise_at(err, f"setup {cfg.setup!r} at n={n}, rep {rep}, seed {seed}")
 
     workers = int(max_workers) if max_workers else 1
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_one, tasks))
-    else:
-        chunks = [run_one(task) for task in tasks]
+    chunks = []
+    try:
+        if workers > 1 and len(tasks) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for chunk in pool.map(run_one, tasks):
+                    chunks.append(chunk)
+        else:
+            for task in tasks:
+                chunks.append(run_one(task))
+    except Exception as err:
+        err.records = tuple(rec for chunk in chunks for rec in chunk)
+        raise
     records = tuple(rec for chunk in chunks for rec in chunk)
     return ExperimentResult(
         config=cfg,
@@ -650,7 +658,7 @@ def emit_outputs(result: ExperimentResult, kind: str, output_dir: str | None = N
 # --------------------------------------------------------------------------
 # condition-checker families
 
-_CONDITION_GRID = tuple(range(100, 801, 100))
+CONDITION_GRID = tuple(range(100, 801, 100))
 
 
 def _named_family(setup_id: str):

@@ -1,6 +1,7 @@
 """Worst-case interpolation error lab: the exact primary-side solver, the
-lower-bound comparison solver, and the tail dominance check between them."""
+scalarized comparison solver, and the tail dominance check between them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.stats import ks_2samp
 from ridgeless_iv.cgmt_lab import (
     NoFeasiblePoint,
     PoInstance,
+    _cone_gap,
     ao_grid_value,
     draw_instance,
     max_projected_error,
@@ -197,7 +199,7 @@ def test_po_distribution_matches_sampled_route():
 def test_ao_grid_reference_two_dims():
     for trial in COMPARABLE_TRIALS:
         inst, big_g, big_h = ao_instance(trial)
-        value, sol = solve_ao(inst, big_g, big_h, seed=trial, details=True)
+        value, sol = solve_ao(inst, big_g, big_h, details=True)
         assert not sol.feasible_empty
         assert sol.starts_feasible > 0
         ref = ao_grid_value(inst, big_g, big_h, points_per_axis=2001)
@@ -208,7 +210,7 @@ def test_ao_grid_reference_two_dims():
 def test_ao_and_grid_agree_on_empty():
     for trial in EMPTY_TRIALS:
         inst, big_g, big_h = ao_instance(trial)
-        value, sol = solve_ao(inst, big_g, big_h, seed=trial, details=True)
+        value, sol = solve_ao(inst, big_g, big_h, details=True)
         assert ao_grid_value(inst, big_g, big_h) is None
         assert sol.feasible_empty
         assert value == 0.0
@@ -244,8 +246,73 @@ def test_ao_zero_signal_probe_infeasible():
 
 
 def test_ao_deterministic_under_fixed_seed():
+    # the solver draws no random numbers: one instance, one answer
     inst, big_g, big_h = ao_instance(11)
-    assert solve_ao(inst, big_g, big_h, seed=9) == solve_ao(inst, big_g, big_h, seed=9)
+    assert solve_ao(inst, big_g, big_h) == solve_ao(inst, big_g, big_h)
+
+
+def _ao_checks(inst, big_g, big_h, x):
+    """Cone gap and ball slack of rows of x (<= 0 means satisfied)."""
+    sig_root = np.sqrt(inst.signal_eigs)
+    w2s = inst.W2 * np.sqrt(inst.endo_eigs)
+    gap = _cone_gap(x, sig_root, w2s, big_g, sig_root * big_h, inst.xi)
+    return gap, np.linalg.norm(x + inst.theta0, axis=-1) - inst.ball_radius
+
+
+@pytest.mark.parametrize("p, endo_count", [(6, 2), (5, 1)])
+def test_ao_beats_random_search_in_four_signal_dims(p, endo_count):
+    # four signal coordinates, beyond the grid reference: no point of a
+    # seeded search (uniform over the ball, and perturbations of the
+    # reported point at scales 1e-6..1e-1 of the radius) that satisfies the
+    # exact cone and the ball has a larger objective
+    model = slice_model(p, endo_count)
+    sig = model.cov.signal_eigs
+    feasible = 0
+    for seed in range(4):
+        inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([p, seed]))
+        value, sol = solve_ao(inst, big_g, big_h, details=True)
+        rng = np.random.default_rng([p, seed, 1])
+        radius = inst.ball_radius
+        dirs = rng.standard_normal((100_000, p))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = [dirs * radius * rng.uniform(0, 1, (dirs.shape[0], 1)) ** (1 / p) - inst.theta0]
+        if not sol.feasible_empty:
+            feasible += 1
+            gap, slack = _ao_checks(inst, big_g, big_h, sol.point[None])
+            assert gap[0] <= 1e-9 * (1 + np.linalg.norm(inst.xi)) and slack[0] <= 1e-12 * radius
+            assert value == pytest.approx(float(sol.point @ (sig * sol.point)), rel=1e-12)
+            scales = radius * 10.0 ** rng.uniform(-6, -1, (dirs.shape[0], 1))
+            pts.append(sol.point + dirs[rng.permutation(dirs.shape[0])] * scales)
+        pts = np.vstack(pts)
+        gap, slack = _ao_checks(inst, big_g, big_h, pts)
+        ok = (gap <= 0) & (slack <= 0)
+        found = np.einsum("ij,j,ij->i", pts[ok], sig, pts[ok])
+        assert found.size == 0 or found.max() <= value * (1 + 1e-9)
+    assert feasible >= 2
+
+
+def test_ao_closed_form_when_ball_inactive():
+    # with n=3 and two latent columns P_perp has rank one; for this draw the
+    # window |P_perp(xi - nu G)| <= nu |H_J| is a bounded interval that the
+    # large ball does not cut, so the optimum is its upper end, the larger
+    # root of (|P_perp G|^2 - |H_J|^2) nu^2 - 2 <P_perp xi, P_perp G> nu +
+    # |P_perp xi|^2 = 0
+    model = slice_model(4)
+    inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng(8), ball_radius=1e4)
+    lat, sig_j = model.cov.endo_eigs > 0, model.cov.signal_eigs > 0
+    a_mat = inst.W2[:, lat] * np.sqrt(model.cov.endo_eigs[lat])
+
+    def perp(v):
+        return v - a_mat @ np.linalg.lstsq(a_mat, v, rcond=None)[0]
+
+    px, pg = perp(inst.xi), perp(big_g)
+    a2 = pg @ pg - big_h[sig_j] @ big_h[sig_j]
+    assert a2 > 0 and px @ pg > 0
+    root = (px @ pg + math.sqrt((px @ pg) ** 2 - (px @ px) * a2)) / a2
+    value, sol = solve_ao(inst, big_g, big_h, details=True)
+    assert value == pytest.approx(root**2, rel=1e-7)
+    _, slack = _ao_checks(inst, big_g, big_h, sol.point[None])
+    assert slack[0] < -0.5 * inst.ball_radius
 
 
 def test_ao_rejects_mismatched_gaussians():
@@ -378,14 +445,14 @@ def test_tail_identical_across_worker_counts():
 
 
 def test_tail_chunk_matches_single_instance_solver():
-    # the batched climb inside the tail check and solve_ao on one draw must
-    # agree draw by draw: same prepare seed (seed, r, 1), same incumbent
+    # the batched refinement inside the tail check and solve_ao on one draw
+    # must agree draw by draw
     model = slice_model(4)
     report = tail_dominance_check(model, n=3, reps=64, seed=7, max_workers=1)
     empties = 0
     for r in range(64):
         inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([7, r]))
-        value, sol = solve_ao(inst, big_g, big_h, seed=(7, r, 1), details=True)
+        value, sol = solve_ao(inst, big_g, big_h, details=True)
         assert abs(value - report.phi_ao[r]) <= 1e-12 * abs(report.phi_ao[r])
         if sol.feasible_empty:
             empties += 1
@@ -407,14 +474,14 @@ PINNED_PHI_PO = [
     1321927.5559764332, 700767.5430119135, 1099938.8357771696, 1498680.003102318,
 ]
 PINNED_PHI_AO = [
-    0.06747392146156929, 1638814.255357309, 1638533.260820039, 1917213.242811859,
-    1938094.2788448874, 1586794.3471793486, 1713542.423001261, 1966757.6010538037,
-    1594603.6945490392, 1966882.398860431, 0.0, 1638814.249797125,
-    0.0, 1549505.970449925, 1638814.253056566, 1509314.7820850692,
-    3.6261780372379535, 0.8345630536714637, 0.0, 4157.809044487838,
-    1714044.0044894482, 36.97335001478277, 0.0, 1966882.4027056312,
-    0.0, 0.0, 970194.4389612153, 25907.723519158393,
-    1394448.8615104232, 0.0, 1966882.4029385408, 1692270.2909909976,
+    0.06747455040242262, 1638814.2597516098, 1638636.4494481015, 1928224.0344944482,
+    1938096.0152515194, 1589827.19016706, 1713542.461891951, 1966760.0762847376,
+    1599231.258936045, 1966882.4055641184, 0.0, 1638814.2597516489,
+    0.4212474298609856, 1549527.9389969853, 1638814.2597516396, 1514823.3169459037,
+    3.6261786989062563, 0.8366543720146761, 0.0, 4157.812158439545,
+    1714261.494114044, 36.98202970530234, 0.0, 1966882.405564239,
+    0.0, 0.0, 970293.0433974686, 36062.47531940395,
+    1397242.777887895, 0.0, 1966882.4055641808, 1692846.536760715,
 ]
 
 
@@ -422,9 +489,23 @@ def test_tail_check_values_pinned():
     report = tail_dominance_check(slice_model(4), n=3, reps=32, seed=1, max_workers=1)
     np.testing.assert_allclose(report.phi_po, PINNED_PHI_PO, rtol=1e-9, atol=0)
     np.testing.assert_allclose(report.phi_ao, PINNED_PHI_AO, rtol=1e-9, atol=0)
-    assert report.flags == {"po_infeasible": 0, "ao_feasible_empty": 7}
+    assert report.flags == {"po_infeasible": 0, "ao_feasible_empty": 6}
 
 
 def test_tail_rejects_zero_reps():
     with pytest.raises(ValueError):
         tail_dominance_check(slice_model(4), 3, 0)
+    # no rows per instance, or no threshold, checks nothing
+    with pytest.raises(ValueError):
+        tail_dominance_check(slice_model(4), 0, 4)
+    with pytest.raises(ValueError):
+        tail_dominance_check(slice_model(4), 3, 4, grid_size=0)
+    with pytest.raises(ValueError):
+        tail_dominance_check(slice_model(4), 3, 4, c_grid=[])
+
+
+def test_ao_rejects_overlapping_supports():
+    inst, big_g, big_h = ao_instance(1)
+    inst = dataclasses.replace(inst, endo_eigs=np.array([0.5, 4.0]))
+    with pytest.raises(ValueError):
+        solve_ao(inst, big_g, big_h)

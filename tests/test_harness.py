@@ -288,6 +288,7 @@ class _Boom(RuntimeError):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_repetition_is_named(workers, monkeypatch):
+    clean = run_setup(TINY)
     seed = repetition_seed(TINY.base_seed, 150, 1)
     target = sample_dataset(setup_model("i", 150)[0], 150, seed).Y
     fit = harness.min_norm_interpolator
@@ -302,6 +303,10 @@ def test_failing_repetition_is_named(workers, monkeypatch):
         run_setup(TINY, max_workers=workers)
     assert str(info.value) == f"setup 'i' at n=150, rep 1, seed {seed}: solver blew up"
     assert isinstance(info.value.__cause__, _Boom)
+    # the tasks before the failing one, in task order, as a clean run has them
+    before = tuple(r for r in clean.records if (r.n, r.repetition) < (150, 1))
+    assert len(before) == 3
+    assert info.value.records == before
 
 
 def test_lasso_iv_baseline_values_pinned():
@@ -535,6 +540,10 @@ def test_cli_cgmt_check_small_run():
     assert "violations:" in res.output
     res = runner.invoke(main, ["cgmt-check", "--n", "3", "--p", "4", "--reps", "0"])
     assert res.exit_code == 2
+    # a zero-row instance or an empty threshold grid checks nothing
+    for bad in (["--n", "0", "--reps", "4"], ["--n", "3", "--reps", "4", "--grid-size", "0"]):
+        res = runner.invoke(main, ["cgmt-check", "--p", "4", *bad])
+        assert res.exit_code == 2
 
 
 def test_cli_compare_small_run():
