@@ -4,18 +4,21 @@ tail-dominated by its Gaussian comparison problem.
 The primary problem maximizes the signal-weighted squared error over all
 ball-constrained interpolants of one data draw; the comparison problem
 replaces the instrument factor by two independent Gaussian vectors and keeps
-everything else.  The primary side is solved exactly (affine slice of a ball,
-then a trust-region step).  The comparison side is solved by the CGMT
-scalarization (Thrampoulidis, Oymak & Hassibi 2015; Thrampoulidis, Abbasi &
-Hassibi 2018): with disjoint signal and latent supports it reduces to the
-objective's root nu and one inner product t, each (nu, t) pair splitting the
-ball budget into a Tikhonov secular equation and a trust-region problem on a
-sphere.  A node scan in nu and a bracketed root of the budget give the
-optimum, and the point that attains it is checked against the cone and ball.
+everything else.  The primary side is solved exactly: one SVD of the design
+gives the affine slice of the ball, and the trust-region step on its sphere
+is the batched kernel _sphere_min (More & Sorensen 1983) that the comparison
+side shares.  The comparison side is solved by the CGMT scalarization
+(Thrampoulidis, Oymak & Hassibi 2015; Thrampoulidis, Abbasi & Hassibi 2018):
+with disjoint signal and latent supports it reduces to the objective's root
+nu and one inner product t, each (nu, t) pair splitting the ball budget into
+a Tikhonov secular equation and a trust-region problem on a sphere.  A node
+scan in nu and a bracketed root of the budget give the optimum, and the
+point that attains it is checked against the cone and ball.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .covariance import CovarianceModel, EndogenousModel, assemble_model
-from .matops import default_rank_tol, null_space_basis
+from .matops import default_rank_tol
 from .sampling import draw_factors
 
 _FEAS_REL = 1e-10
@@ -136,47 +138,51 @@ class TailReport:
         return out
 
 
-# ------------------------------------------------------------------ primary
+# ------------------------------------------------------------ sphere kernel
 
 
-def _ball_quadratic_max(a: np.ndarray, b: np.ndarray, radius: float):
-    """Maximize s'As + 2b's over |s| <= radius for symmetric PSD A.
+_MAX_STEPS = 60
 
-    Returns (s*, multiplier, stationarity residual).  The maximizer sits on
-    the sphere; the multiplier solves the secular equation, with the usual
-    hard case when b has no component in the top eigenspace.
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    # np.linalg.norm dispatch overhead dominates at these sizes
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def _sphere_min(m, gam, rho):
+    """w minimizing sum(m w^2 + 2 gam w) on |w| = rho, m ascending.
+
+    Newton on 1/|w(lam)| from a lower bound of the multiplier, then |w| is
+    pinned to rho.  In the hard case |w| stays short of rho even at the pole
+    lam = -m[0], and the rest of the radius goes along the first eigenvector.
     """
-    m = a.shape[0]
-    if m == 0 or radius <= 0.0:
-        return np.zeros(m), 0.0, 0.0
-    eigvals, eigvecs = scipy.linalg.eigh(a)
-    lam_top = float(eigvals[-1])
-    beta = eigvecs.T @ b
-    scale = max(1.0, abs(lam_top), float(np.linalg.norm(b)) / max(radius, 1e-300))
-    edge = lam_top + 1e-13 * scale
-    r2 = radius * radius
+    live_rho = rho > 0.0
+    rs = np.where(live_rho, rho, 1.0)
+    lam = np.maximum(_row_norm(gam) / rs - m[..., -1], np.abs(gam[..., 0]) / rs - m[..., 0])
 
-    def shifted_norm_sq(mu):
-        return float(np.sum((beta / (mu - eigvals)) ** 2))
+    def at(lam):
+        den = m + lam[..., None]
+        den = np.where(den > 0.0, den, np.inf)
+        w = -gam / den
+        return w, den, _row_norm(w)
 
-    if shifted_norm_sq(edge) <= r2:
-        # hard case: the top eigen-direction carries no linear term, so the
-        # multiplier pins to the top eigenvalue and the sphere is filled out
-        # along that direction
-        s_eig = np.where(edge - eigvals > 0, beta / (edge - eigvals), 0.0)
-        pad = math.sqrt(max(r2 - float(s_eig @ s_eig), 0.0))
-        s_eig[-1] += pad
-        mu = lam_top
-        s = eigvecs @ s_eig
-    else:
-        hi = edge + scale
-        while shifted_norm_sq(hi) > r2:
-            hi = edge + 2.0 * (hi - edge)
-        mu = brentq(lambda m_: shifted_norm_sq(m_) - r2, edge, hi, xtol=1e-14 * scale)
-        s = eigvecs @ (beta / (mu - eigvals))
-    resid = float(np.linalg.norm((mu * s - a @ s) - b)) / max(1.0, float(np.linalg.norm(b)))
-    resid = max(resid, abs(float(np.linalg.norm(s)) - radius) / max(1.0, radius))
-    return s, float(mu), resid
+    for _ in range(_MAX_STEPS):
+        w, den, nw = at(lam)
+        live = live_rho & (nw > rho)
+        slope = np.where(live, (w * w / den).sum(axis=-1), 1.0)
+        step = np.where(live, (1.0 / rs - 1.0 / np.where(live, nw, 1.0)) * nw**3 / slope, 0.0)
+        lam = lam + step
+        if np.all(step <= 1e-13 * np.abs(lam)):
+            break
+    hard = at(lam)[2] < rho * (1.0 - 1e-12)
+    w, _, nw = at(np.where(hard, -m[..., 0], lam))
+    w *= np.where(hard, 1.0, rs / np.where(nw > 0.0, nw, 1.0))[..., None]
+    pad = np.sqrt(np.maximum(rho * rho - nw * nw, 0.0))
+    w[..., 0] += np.where(hard, np.copysign(pad, -gam[..., 0]), 0.0)
+    return np.where(live_rho[..., None], w, 0.0)
+
+
+# ------------------------------------------------------------------ primary
 
 
 def max_projected_error(
@@ -190,23 +196,34 @@ def max_projected_error(
     """Global maximum of (theta - theta0)' diag(signal_eigs) (theta - theta0)
     over the interpolants {theta : design (theta - theta0) = xi, |theta| <= radius}.
 
-    Exact solve: min-norm particular solution, orthonormal null-space
-    coordinates, then the sphere-constrained quadratic maximization.
+    Exact solve from one SVD of the design, which gives its rank, the
+    min-norm particular solution and an orthonormal null-space basis.  On
+    the null-space sphere the maximization of s'As + 2b's is the minimization
+    in _sphere_min with the spectrum of A and the linear term negated; the
+    multiplier mu of (mu - A) s = b is read off the returned step.  A
+    non-finite design or xi, or a mis-shaped xi, theta0 or signal_eigs,
+    raises ValueError; an empty feasible set raises NoFeasiblePoint.
     """
     design = np.asarray(design, dtype=float)
     xi = np.asarray(xi, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     sig = np.asarray(signal_eigs, dtype=float)
+    if design.ndim != 2:
+        raise ValueError("design must be an n x p matrix")
     n, p = design.shape
-    if sig.shape != (p,):
-        raise ValueError("signal_eigs must be a p-vector")
+    if xi.shape != (n,) or theta0.shape != (p,) or sig.shape != (p,):
+        raise ValueError("xi must be an n-vector, theta0 and signal_eigs p-vectors")
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(xi))):
+        raise ValueError("design and xi must be finite")
 
-    part, *_ = np.linalg.lstsq(design, xi, rcond=None)
+    left, sv, vt = scipy.linalg.svd(design)
+    rank = int(np.count_nonzero(sv > default_rank_tol(max(n, p)) * np.max(sv, initial=0.0)))
+    part = vt[:rank].T @ ((left[:, :rank].T @ xi) / sv[:rank])
     gap = float(np.linalg.norm(design @ part - xi))
     if gap > _FEAS_REL * (1.0 + float(np.linalg.norm(xi))):
         raise NoFeasiblePoint(f"linear system inconsistent, residual {gap:g}")
 
-    basis = null_space_basis(design)
+    basis = vt[rank:].T
     m = basis.shape[1]
     d = part + theta0
     if m == 0:
@@ -227,7 +244,16 @@ def max_projected_error(
     a = 0.5 * (a + a.T)
     anchor = part + basis @ center
     b = basis.T @ (sig * anchor)
-    s, mu, resid = _ball_quadratic_max(a, b, radius)
+    lam, vec = scipy.linalg.eigh(a)
+    w = _sphere_min(-lam[None, ::-1], -(b @ vec)[None, ::-1], np.array([radius]))
+    s = vec @ w[0, ::-1]
+    ss = float(s @ s)
+    mu, resid = 0.0, 0.0
+    if ss > 0.0:
+        a_s = a @ s
+        mu = float(s @ a_s + b @ s) / ss
+        resid = float(np.linalg.norm(mu * s - a_s - b)) / max(1.0, float(np.linalg.norm(b)))
+        resid = max(resid, abs(math.sqrt(ss) - radius) / max(1.0, radius))
 
     theta_prime = anchor + basis @ s
     value = float(theta_prime @ (sig * theta_prime))
@@ -261,13 +287,7 @@ def solve_po(inst: PoInstance, details: bool = False):
 _NU_NODES = 24  # linear nu nodes, and again as many logarithmic ones
 _T_GRID = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, 16))
 _GOLDEN_STEPS = 24
-_MAX_STEPS = 60
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    # np.linalg.norm dispatch overhead dominates at these sizes
-    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 def _cone_gap(x, sig_root, w2s, G, hz, xi):
@@ -314,39 +334,6 @@ def _tikhonov(alpha, sv2, tau2):
         if np.all(step <= 1e-13 * kap):
             break
     return np.where(act, 1.0 / np.where(act, kap, 1.0), np.where(tau2 > 0.0, np.inf, 0.0))
-
-
-def _sphere_min(m, gam, rho):
-    """w minimizing sum(m w^2 + 2 gam w) on |w| = rho, m ascending.
-
-    Newton on 1/|w(lam)| from a lower bound of the multiplier, then |w| is
-    pinned to rho.  In the hard case |w| stays short of rho even at the pole
-    lam = -m[0], and the rest of the radius goes along the first eigenvector.
-    """
-    live_rho = rho > 0.0
-    rs = np.where(live_rho, rho, 1.0)
-    lam = np.maximum(_row_norm(gam) / rs - m[..., -1], np.abs(gam[..., 0]) / rs - m[..., 0])
-
-    def at(lam):
-        den = m + lam[..., None]
-        den = np.where(den > 0.0, den, np.inf)
-        w = -gam / den
-        return w, den, _row_norm(w)
-
-    for _ in range(_MAX_STEPS):
-        w, den, nw = at(lam)
-        live = live_rho & (nw > rho)
-        slope = np.where(live, (w * w / den).sum(axis=-1), 1.0)
-        step = np.where(live, (1.0 / rs - 1.0 / np.where(live, nw, 1.0)) * nw**3 / slope, 0.0)
-        lam = lam + step
-        if np.all(step <= 1e-13 * np.abs(lam)):
-            break
-    hard = at(lam)[2] < rho * (1.0 - 1e-12)
-    w, _, nw = at(np.where(hard, -m[..., 0], lam))
-    w *= np.where(hard, 1.0, rs / np.where(nw > 0.0, nw, 1.0))[..., None]
-    pad = np.sqrt(np.maximum(rho * rho - nw * nw, 0.0))
-    w[..., 0] += np.where(hard, np.copysign(pad, -gam[..., 0]), 0.0)
-    return np.where(live_rho[..., None], w, 0.0)
 
 
 def _ao_phi(r, nu, g, point=False):
@@ -552,6 +539,29 @@ def _ao_climb(preps, sig, sig_root, theta0, radius):
     return ok, _signal_energy(points, sig), points
 
 
+def _solve_ao_draws(draws) -> list[AoSolution]:
+    """Comparison optima of (inst, G, H) draws of one model and one ball.
+
+    Each draw is prepared on its own; the ones with a feasible node are
+    refined as one batch, and the rest report 0 with the feasible_empty flag,
+    as does a draw whose refined point fails the certificate.
+    """
+    inst = draws[0][0]
+    sig = np.asarray(inst.signal_eigs, dtype=float)
+    sig_root, endo_root = np.sqrt(sig), np.sqrt(inst.endo_eigs)
+    preps = [_ao_prepare(i, G, H, sig, sig_root, endo_root) for i, G, H in draws]
+    sols = [AoSolution(0.0, None, True, prep.starts_feasible) for prep in preps]
+    live = [j for j, prep in enumerate(preps) if prep.starts_feasible]
+    if live:
+        ok, vals, points = _ao_climb(
+            [preps[j] for j in live], sig, sig_root, inst.theta0, float(inst.ball_radius)
+        )
+        for j, good, val, point in zip(live, ok, vals, points):
+            if good:
+                sols[j] = AoSolution(float(val), point, False, preps[j].starts_feasible)
+    return sols
+
+
 def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray, details: bool = False):
     """Optimum of the comparison problem for disjoint signal and latent supports.
 
@@ -568,14 +578,7 @@ def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray, details: bool = Fal
     H = np.asarray(H, dtype=float)
     if G.shape != (inst.n,) or H.shape != (inst.p,):
         raise ValueError("G must be an n-vector and H a p-vector")
-    sig = np.asarray(inst.signal_eigs, dtype=float)
-    sig_root = np.sqrt(sig)
-    prep = _ao_prepare(inst, G, H, sig, sig_root, np.sqrt(inst.endo_eigs))
-    sol = AoSolution(0.0, None, True, prep.starts_feasible)
-    if prep.starts_feasible:
-        ok, vals, points = _ao_climb([prep], sig, sig_root, inst.theta0, float(inst.ball_radius))
-        if ok[0]:
-            sol = AoSolution(float(vals[0]), points[0], False, prep.starts_feasible)
+    (sol,) = _solve_ao_draws([(inst, G, H)])
     return (sol.value, sol) if details else sol.value
 
 
@@ -685,36 +688,16 @@ def _tail_chunk(args):
     block is refined in one call instead of one Python-level loop per draw.
     """
     model, n, seed, rep_ids, ball_radius = args
-    sig = model.cov.signal_eigs
-    sig_root = np.sqrt(sig)
-    endo_root = np.sqrt(model.cov.endo_eigs)
-
-    m = len(rep_ids)
-    po_vals = np.full(m, -math.inf)
-    ao_vals = np.zeros(m)
-    empty = np.ones(m, dtype=bool)
-    po_bad = 0
-    preps, insts = [], []
-    for r in rep_ids:
-        rng = np.random.default_rng([seed, r])
-        inst, big_g, big_h = draw_instance(model, n, rng, ball_radius)
-        preps.append(_ao_prepare(inst, big_g, big_h, sig, sig_root, endo_root))
-        insts.append(inst)
-    for j, inst in enumerate(insts):
-        try:
+    draws = [
+        draw_instance(model, n, np.random.default_rng([seed, r]), ball_radius) for r in rep_ids
+    ]
+    sols = _solve_ao_draws(draws)
+    po_vals = np.full(len(draws), -math.inf)
+    for j, (inst, _, _) in enumerate(draws):
+        with contextlib.suppress(NoFeasiblePoint):
             po_vals[j] = solve_po(inst)
-        except NoFeasiblePoint:
-            po_bad += 1
-
-    live = [j for j in range(m) if preps[j].starts_feasible > 0]
-    if live:
-        ok, vals, _ = _ao_climb(
-            [preps[j] for j in live], sig, sig_root, insts[0].theta0,
-            float(insts[0].ball_radius),
-        )
-        ao_vals[live] = np.where(ok, vals, 0.0)
-        empty[live] = ~ok
-    return po_vals, ao_vals, po_bad, int(empty.sum())
+    ao_vals = np.array([sol.value for sol in sols])
+    return po_vals, ao_vals, int(np.isinf(po_vals).sum()), sum(s.feasible_empty for s in sols)
 
 
 def tail_dominance_check(
@@ -735,14 +718,19 @@ def tail_dominance_check(
     point passes the cone and ball checks, and a draw whose point fails
     them is flagged as empty.  Per-repetition seeding and fixed block
     boundaries keep the result identical whether blocks run serially or
-    across worker processes.  A check with no rows, no repetition or no
-    threshold raises ValueError.
+    across worker processes.  A scalar c_grid is a one-point grid.  A check
+    with no rows, no repetition or no threshold, or a grid that is not 1-d
+    or has a non-finite entry, raises ValueError before any draw is solved.
     """
     if n < 1:
         raise ValueError("need at least one row per instance")
     if reps < 1:
         raise ValueError("need at least one repetition")
-    if (np.size(c_grid) if c_grid is not None else grid_size) < 1:
+    if c_grid is not None:
+        c_grid = np.atleast_1d(np.asarray(c_grid, dtype=float))
+        if c_grid.ndim != 1 or not np.all(np.isfinite(c_grid)):
+            raise ValueError("threshold grid must be a finite scalar or 1-d sequence")
+    if (c_grid.size if c_grid is not None else grid_size) < 1:
         raise ValueError("need at least one threshold")
 
     jobs = [
@@ -766,7 +754,6 @@ def tail_dominance_check(
         if finite.size == 0:
             raise NoFeasiblePoint("no feasible primary repetition to place the grid")
         c_grid = np.quantile(finite, np.linspace(0.05, 0.99, grid_size))
-    c_grid = np.asarray(c_grid, dtype=float)
 
     p_po = np.array([float(np.mean(phi_po > c)) for c in c_grid])
     p_ao = np.array([float(np.mean(phi_ao >= c)) for c in c_grid])

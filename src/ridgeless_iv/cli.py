@@ -92,11 +92,9 @@ def simulate(config_path, seed, workers, output_dir):
 @guarded
 def ranks(source):
     """Effective ranks: trace over operator norm, and squared trace over
-    squared Frobenius norm."""
+    squared Frobenius norm.  A CSV matrix must be symmetric PSD."""
     if os.path.exists(source):
         mat = np.loadtxt(source, delimiter=",", ndmin=2)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got {mat.shape}")
         r, big_r = effective_ranks(mat)
         click.echo(f"dim={mat.shape[0]} r={r:.6g} R={big_r:.6g}")
         return

@@ -306,10 +306,15 @@ class CovarianceModel:
             return np.asarray(v, dtype=float).copy()
         return self.rotation.matvec(v)
 
-    def endo_rank(self) -> int:
+    @property
+    def endo_support(self) -> np.ndarray:
+        """Mask of the latent-noise eigenvalues above the rank cutoff."""
         e = self.endo_eigs
         top = e.max(initial=0.0)
-        return int(np.count_nonzero(e > default_rank_tol(self.p) * top)) if top > 0 else 0
+        return e > default_rank_tol(self.p) * top if top > 0 else np.zeros(self.p, bool)
+
+    def endo_rank(self) -> int:
+        return int(np.count_nonzero(self.endo_support))
 
 
 def build_covariance(
@@ -408,8 +413,7 @@ def assemble_model(
     if whitened_cross is not None and cross_cov is not None:
         raise ValueError("give whitened_cross or cross_cov, not both")
 
-    top = cov.endo_eigs.max(initial=0.0)
-    support = cov.endo_eigs > default_rank_tol(p) * top if top > 0 else np.zeros(p, bool)
+    support = cov.endo_support
     root = np.sqrt(np.where(support, cov.endo_eigs, 0.0))
 
     requested = None

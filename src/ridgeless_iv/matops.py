@@ -62,31 +62,23 @@ def pseudoinverse(a: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _check_psd(lam: np.ndarray) -> None:
+    # lam descending; eigenvalues this far below zero are not roundoff
+    if lam.size and lam[-1] < -1e-8 * max(lam[0], 1.0):
+        raise NotPSD(f"eigenvalue {lam[-1]:g} is negative beyond tolerance")
+
+
+def psd_eigvals(a: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of a symmetric PSD matrix, checked as in psd_sqrt."""
+    lam = scipy.linalg.eigvalsh(_check_sym(a))[::-1].copy()
+    _check_psd(lam)
+    return lam
+
+
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; tiny negative eigenvalues are clipped to 0."""
     lam, q = _eigh_desc(a)
-    lmax = lam[0] if lam.size else 0.0
-    if lam.size and lam[-1] < -1e-8 * max(lmax, 1.0):
-        raise NotPSD(f"eigenvalue {lam[-1]:g} is negative beyond tolerance")
+    _check_psd(lam)
     root = np.sqrt(np.clip(lam, 0.0, None))
     out = (q * root) @ q.T
     return 0.5 * (out + out.T)
-
-
-def null_space_basis(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of a rectangular matrix.
-
-    Returns a p x (p - rank) matrix with M @ basis ~ 0; the empty case gives
-    a p x 0 array.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InvalidMatrix(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidMatrix("matrix has non-finite entries")
-    if rel_tol is None:
-        rel_tol = default_rank_tol(max(m.shape))
-    _, s, vt = scipy.linalg.svd(m, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
-    return vt[rank:].T.copy()

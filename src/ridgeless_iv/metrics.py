@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import EndogenousModel
-from .matops import default_rank_tol, psd_sqrt
+from .matops import NotPSD, psd_eigvals, psd_sqrt
 
 
 class ZeroMatrix(ValueError):
@@ -37,9 +36,11 @@ class DegenerateNoise(ValueError):
 
 def _eigs_of(sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim == 1:
-        return np.sort(sigma)[::-1]
-    return np.sort(scipy.linalg.eigvalsh(sigma))[::-1]
+    if sigma.ndim != 1:
+        return psd_eigvals(sigma)
+    if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+        raise NotPSD("eigenvalue vector needs finite nonnegative entries")
+    return np.sort(sigma)[::-1]
 
 
 def projected_rmse(theta: np.ndarray, theta0: np.ndarray, signal_eigs) -> float:
@@ -52,7 +53,12 @@ def projected_rmse(theta: np.ndarray, theta0: np.ndarray, signal_eigs) -> float:
 
 
 def effective_ranks(sigma) -> tuple[float, float]:
-    """(trace/op-norm, trace^2/trace-of-square) of a PSD matrix."""
+    """(trace/op-norm, trace^2/trace-of-square) of a PSD matrix.
+
+    A dense matrix that is not square, finite and symmetric raises
+    InvalidMatrix; one with an eigenvalue below the psd_sqrt tolerance, or
+    an eigenvalue vector with a negative or non-finite entry, raises NotPSD.
+    """
     eigs = _eigs_of(sigma)
     tr = float(eigs.sum())
     if tr <= 0 or eigs[0] <= 0:
@@ -160,15 +166,9 @@ def norm_effective_ranks(
 # --------------------------------------------------------- model functionals
 
 
-def _support(model: EndogenousModel) -> np.ndarray:
-    e = model.cov.endo_eigs
-    top = e.max(initial=0.0)
-    return e > default_rank_tol(model.p) * top if top > 0 else np.zeros(model.p, bool)
-
-
 def _whitened_cross(model: EndogenousModel) -> np.ndarray:
     """Recompute (endo block)^{-1/2} cross covariance from stored pieces."""
-    sup = _support(model)
+    sup = model.cov.endo_support
     root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
     return np.where(sup, model.cross_cov / root, 0.0)
 
@@ -187,7 +187,7 @@ def sigma_tilde2(model: EndogenousModel) -> float:
 def pinv_cross_norm(model: EndogenousModel) -> float:
     """Euclidean norm of (latent-noise block)^+ applied to the cross covariance."""
     white = _whitened_cross(model)
-    sup = _support(model)
+    sup = model.cov.endo_support
     root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
     return float(np.linalg.norm(np.where(sup, white / root, 0.0)))
 
@@ -196,7 +196,7 @@ def cross_signal_energy(model: EndogenousModel) -> float:
     """Signal-weighted energy of the amplified cross covariance:
     cross^T (endo^+) signal (endo^+) cross."""
     white = _whitened_cross(model)
-    sup = _support(model)
+    sup = model.cov.endo_support
     lam = np.where(sup, model.cov.endo_eigs, 1.0)
     amp = np.where(sup, white / np.sqrt(lam), 0.0)
     return float(amp @ (model.cov.signal_eigs * amp))

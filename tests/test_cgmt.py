@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ks_2samp
 
+from ridgeless_iv import cgmt_lab
 from ridgeless_iv.cgmt_lab import (
     NoFeasiblePoint,
     PoInstance,
@@ -82,6 +83,20 @@ def test_po_infeasible_when_ball_misses_unique_solution():
         solve_po(inst)
 
 
+def chord(design, xi, radius, theta0):
+    """Min-norm particular solution, unit null direction and the ends of the
+    t interval where part + t null lies in the ball shifted by -theta0, for
+    a design with a one-dimensional null space."""
+    part, *_ = np.linalg.lstsq(design, xi, rcond=None)
+    null = scipy.linalg.null_space(design)[:, 0]
+    d = part + theta0
+    b = 2.0 * float(null @ d)
+    c = float(d @ d) - radius**2
+    disc = b * b - 4.0 * c
+    assert disc > 0
+    return part, null, (-b - math.sqrt(disc)) / 2, (-b + math.sqrt(disc)) / 2
+
+
 def test_po_single_row_hand_geometry():
     # one equation in the plane: the feasible set is a chord of the ball and
     # the quadratic is maximized at one of the two endpoints
@@ -102,6 +117,18 @@ def test_po_single_row_hand_geometry():
     expect = max(float((e - theta0) @ (e - theta0)) for e in ends)
     assert solve_po(inst) == pytest.approx(expect, rel=1e-9)
 
+    # criterion-10 draws (three rows, four coordinates) are chords too; the
+    # closed form holds the solver to working precision, including draws 476
+    # and 9380, which a multiplier solved to a loose tolerance misses by up
+    # to 3e-10
+    model = slice_model(4)
+    sig = model.cov.signal_eigs
+    for r in (*range(200), 476, 9380):
+        inst, _, _ = draw_instance(model, 3, np.random.default_rng([0, r]))
+        part, null, lo, hi = chord(inst.design(), inst.xi, inst.ball_radius, inst.theta0)
+        expect = max(float((part + t * null) @ (sig * (part + t * null))) for t in (lo, hi))
+        assert solve_po(inst) == pytest.approx(expect, rel=1e-12, abs=0), r
+
 
 def test_po_grid_reference_one_free_dimension():
     for seed in range(5):
@@ -115,14 +142,8 @@ def test_po_grid_reference_one_free_dimension():
         value, sol = max_projected_error(design, xi, radius, theta0, sig, details=True)
         assert sol.null_dim == 1
 
-        part, *_ = np.linalg.lstsq(design, xi, rcond=None)
-        null = scipy.linalg.null_space(design)[:, 0]
-        d = part + theta0
-        b = 2.0 * float(null @ d)
-        c = float(d @ d) - radius**2
-        disc = b * b - 4.0 * c
-        assert disc > 0
-        t = np.linspace((-b - math.sqrt(disc)) / 2, (-b + math.sqrt(disc)) / 2, 20001)
+        part, null, lo, hi = chord(design, xi, radius, theta0)
+        t = np.linspace(lo, hi, 20001)
         pts = part[None, :] + t[:, None] * null[None, :]
         ref = float(np.einsum("ij,j,ij->i", pts, sig, pts).max())
         assert value == pytest.approx(ref, rel=1e-3)
@@ -364,6 +385,22 @@ def test_instance_validation():
                 PoInstance(**{**kw, key: np.array([1.0, bad])})
     with pytest.raises(ValueError):
         PoInstance(**{**kw, "ball_radius": 1.0})
+    # the primary solver checks its own arguments: a non-finite design or
+    # xi, or a mis-shaped xi or theta0, never reaches the SVD
+    design = inst.design()
+    args = (design, design @ np.array([0.1, 0.1]), 5.0, kw["theta0"], kw["signal_eigs"])
+    assert max_projected_error(*args) == pytest.approx(0.02)
+    for pos, bad in (
+        (0, np.where(np.eye(3, 2) > 0, np.nan, design)),
+        (0, np.where(np.eye(3, 2) > 0, np.inf, design)),
+        (0, design[0]),
+        (1, np.array([np.nan, 0.0, 0.0])),
+        (1, np.zeros(2)),
+        (3, np.zeros(3)),
+        (4, np.ones(3)),
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            max_projected_error(*args[:pos], bad, *args[pos + 1:])
 
 
 def test_slice_model_structure():
@@ -412,6 +449,10 @@ def test_tail_degenerate_threshold():
     row = report.rows()[0]
     assert row["c"] == -1.0
     assert row["violation"] is False
+    # a scalar threshold is a one-point grid
+    scalar = tail_dominance_check(model, 3, 24, c_grid=-1.0, seed=0)
+    assert scalar.c_grid.shape == (1,)
+    assert scalar.rows() == report.rows()
 
 
 def test_tail_small_rep_slack():
@@ -492,7 +533,12 @@ def test_tail_check_values_pinned():
     assert report.flags == {"po_infeasible": 0, "ao_feasible_empty": 6}
 
 
-def test_tail_rejects_zero_reps():
+def test_tail_rejects_zero_reps(monkeypatch):
+    # every argument is checked before the first block of draws is solved
+    def unreachable(args):
+        raise AssertionError("a draw was solved before the arguments were checked")
+
+    monkeypatch.setattr(cgmt_lab, "_tail_chunk", unreachable)
     with pytest.raises(ValueError):
         tail_dominance_check(slice_model(4), 3, 0)
     # no rows per instance, or no threshold, checks nothing
@@ -502,6 +548,10 @@ def test_tail_rejects_zero_reps():
         tail_dominance_check(slice_model(4), 3, 4, grid_size=0)
     with pytest.raises(ValueError):
         tail_dominance_check(slice_model(4), 3, 4, c_grid=[])
+    # a threshold grid must be one-dimensional and finite
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [[1.0, 2.0]], np.nan):
+        with pytest.raises(ValueError):
+            tail_dominance_check(slice_model(4), 3, 4, c_grid=bad)
 
 
 def test_ao_rejects_overlapping_supports():

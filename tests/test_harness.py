@@ -499,6 +499,18 @@ def test_cli_ranks_matrix_file(tmp_path):
     rect = tmp_path / "r.csv"
     np.savetxt(rect, np.ones((2, 3)), delimiter=",")
     assert runner.invoke(main, ["ranks", "--matrix", str(rect)]).exit_code == 2
+    # a CSV is outside input: an asymmetric or indefinite matrix has no
+    # effective rank, and non-finite entries are rejected
+    for name, bad in (
+        ("asym", [[1.0, 2.0], [0.0, 1.0]]),
+        ("indef", [[1.0, 0.0], [0.0, -0.5]]),
+        ("nan", [[1.0, np.nan], [np.nan, 1.0]]),
+    ):
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, np.array(bad), delimiter=",")
+        res = runner.invoke(main, ["ranks", "--matrix", str(path)])
+        assert res.exit_code == 2, name
+        assert "r=" not in res.output
 
 
 def test_cli_ranks_setup_reference():

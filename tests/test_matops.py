@@ -4,8 +4,8 @@ import pytest
 from ridgeless_iv.matops import (
     InvalidMatrix,
     NotPSD,
-    null_space_basis,
     pseudoinverse,
+    psd_eigvals,
     psd_sqrt,
 )
 
@@ -17,7 +17,7 @@ def random_psd(rng, dim, rank=None):
 
 
 def test_pseudoinverse_and_psd_sqrt_reject_invalid():
-    for fn in (pseudoinverse, psd_sqrt):
+    for fn in (pseudoinverse, psd_sqrt, psd_eigvals):
         with pytest.raises(InvalidMatrix):
             fn(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(InvalidMatrix):
@@ -50,6 +50,8 @@ def test_pseudoinverse_rejects_indefinite():
     a = np.diag([1.0, -1.0])
     with pytest.raises(NotPSD):
         pseudoinverse(a)
+    with pytest.raises(NotPSD):
+        psd_eigvals(a)
 
 
 def test_psd_sqrt_squares_back():
@@ -65,15 +67,3 @@ def test_psd_sqrt_squares_back():
         assert np.linalg.norm(psd_sqrt(pseudoinverse(a)) - rp) <= 1e-6 * (
             1.0 + np.linalg.norm(rp)
         )
-
-
-def test_null_space_basis():
-    rng = np.random.default_rng(13)
-    m = rng.standard_normal((5, 12))
-    basis = null_space_basis(m)
-    assert basis.shape == (12, 7)
-    assert np.allclose(basis.T @ basis, np.eye(7), atol=1e-12)
-    assert np.abs(m @ basis).max() <= 1e-10 * np.abs(m).max()
-    # full column rank gives an empty basis
-    tall = rng.standard_normal((9, 4))
-    assert null_space_basis(tall).shape == (4, 0)

@@ -13,6 +13,7 @@ from ridgeless_iv.covariance import (
     build_covariance,
 )
 from ridgeless_iv.estimators import min_norm_interpolator
+from ridgeless_iv.matops import InvalidMatrix, NotPSD
 from ridgeless_iv.metrics import (
     DegenerateNoise,
     MissingSelector,
@@ -141,6 +142,19 @@ def test_effective_ranks_power_of_two_scale_exact():
 def test_effective_ranks_zero_matrix_rejected():
     with pytest.raises(ZeroMatrix):
         effective_ranks(np.zeros((3, 3)))
+    # no effective rank without a PSD matrix: an upper-triangular one (eigvalsh
+    # would read only its lower triangle), an indefinite one, or an
+    # eigenvalue vector with a negative or non-finite entry
+    with pytest.raises(InvalidMatrix):
+        effective_ranks(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidMatrix):
+        effective_ranks(np.ones((2, 3)))
+    for bad in (np.diag([1.0, -0.5]), np.array([1.0, -0.5]), np.array([1.0, np.nan]),
+                np.array([np.inf, 1.0])):
+        with pytest.raises(NotPSD):
+            effective_ranks(bad)
+    # eigenvalues within the psd_sqrt roundoff rule are accepted
+    assert effective_ranks(np.diag([1.0, -1e-10])) == pytest.approx((1.0, 1.0))
 
 
 # ----------------------------------------------------- general-norm ranks
