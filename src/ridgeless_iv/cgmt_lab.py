@@ -654,7 +654,9 @@ def draw_instance(model: EndogenousModel, n: int, rng, ball_radius: float | None
 
     The factors come from sampling.draw_factors (W1, W2 on the latent
     support, g), then G and H are drawn, so the primary-side variables match
-    sample_dataset on the same stream.  W2 is zero-padded to n x p.
+    sample_dataset's direct route on the same stream (a model with a flat
+    signal tail of n + 1 or more columns is sampled compressed there, see
+    sample_dataset).  W2 is zero-padded to n x p.
     """
     p = model.p
     w1, w2_support, xi = draw_factors(model, n, rng)

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matops import default_rank_tol, pseudoinverse
+from .matops import default_rank_tol
+# the benchmark's tracer looks this name up here (ROADMAP item 4)
+from .matops import pseudoinverse  # noqa: F401
 from .sampling import Dataset
 
 
@@ -65,16 +67,24 @@ def _result(x, y, theta, method, iterations=None) -> FitResult:
     )
 
 
+# relative residual |X theta - Y| / |Y| above which the Cholesky answer is
+# not accepted and the design itself is solved
+_RESID_TOL = 1e-12
+
+
 def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Least-norm solution of X theta = Y: theta = X^T (X X^T)^+ Y.
 
     The Gram X X^T is Cholesky-factored and the dual system solved, then
     theta is refined once with the dual solve of the residual Y - X theta,
     which takes the relative residual to working precision on Grams with
-    condition numbers near 1e10.  When the factorization fails, or its
-    smallest squared pivot ratio is at or below default_rank_tol(n), the
-    Gram counts as rank deficient and the eigendecomposition pseudoinverse
-    gives the answer.
+    condition numbers near 1e10.  When the factorization fails, its
+    smallest squared pivot ratio is at or below default_rank_tol(n), or the
+    refined answer's relative residual is above 1e-12, X itself is solved
+    by a rank-revealing QR (LAPACK gelsy, singular values below
+    default_rank_tol(max(n, p)) times the largest treated as zero).  That
+    gives the min-norm least-squares answer for any rank without squaring
+    the condition number, as a pseudoinverse of the Gram would.
     """
     x, y = _check_xy(x, y)
     gram = x @ x.T
@@ -85,13 +95,17 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
         full_rank = pivots.min() > default_rank_tol(len(y)) * pivots.max()
     except np.linalg.LinAlgError:
         full_rank = False
-    if not full_rank:
-        theta = x.T @ (pseudoinverse(gram) @ y)
-        return _result(x, y, theta, "min_norm")
-    theta = x.T @ scipy.linalg.cho_solve(factor, y, check_finite=False)
-    # refine theta itself, not the dual vector: X^T alpha loses digits to
-    # cancellation when alpha is large, the small correction does not
-    theta += x.T @ scipy.linalg.cho_solve(factor, y - x @ theta, check_finite=False)
+    if full_rank:
+        theta = x.T @ scipy.linalg.cho_solve(factor, y, check_finite=False)
+        # refine theta itself, not the dual vector: X^T alpha loses digits to
+        # cancellation when alpha is large, the small correction does not
+        theta += x.T @ scipy.linalg.cho_solve(factor, y - x @ theta, check_finite=False)
+        fit = _result(x, y, theta, "min_norm")
+        if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
+            return fit
+    theta = scipy.linalg.lstsq(
+        x, y, cond=default_rank_tol(max(x.shape)), check_finite=False, lapack_driver="gelsy"
+    )[0]
     return _result(x, y, theta, "min_norm")
 
 
@@ -259,7 +273,8 @@ def split_sample_lasso_iv(
     instrument set and are rejected outright.  Half 2 removes the estimated
     endogenous contribution from Y and runs a lasso on the exogenous
     columns.  The half split is a permutation drawn from the dataset seed,
-    so refits are reproducible.
+    so refits are reproducible.  A compressed sample (sampling.Dataset) has
+    no model-coordinate instruments and raises InvalidData.
 
     One product of the half-1 instrument features with every endogenous
     column serves the whole first stage: it certifies which columns' lasso
@@ -267,6 +282,8 @@ def split_sample_lasso_iv(
     the marginal screening ranks.
     """
     config = config or LassoIVConfig()
+    if data.compressed:  # the instruments are W1 columns in model coordinates
+        raise InvalidData("lasso_iv needs a sample in the model's columns, not a compressed one")
     x, y = _check_xy(data.X, data.Y)
     n, p = x.shape
     endo_idx = np.asarray(sorted(set(int(i) for i in np.atleast_1d(endo_idx))), dtype=int)

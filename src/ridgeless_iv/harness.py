@@ -532,7 +532,6 @@ def _model_for(cfg: ExperimentConfig, n: int):
 def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
     seed = repetition_seed(cfg.base_seed, n, rep)
     data = sample_dataset(model, n, seed, cfg.instrument_dist, cfg.dof)
-    metric = model.cov.signal_eigs
     out = []
     for name in cfg.estimators:
         if name == "ridgeless":
@@ -545,7 +544,8 @@ def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
                 n=n,
                 repetition=rep,
                 estimator=name,
-                projected_rmse=projected_rmse(fit.theta_hat, model.true_coef, metric),
+                # in the sample's own columns, which a compressed sample redefines
+                projected_rmse=projected_rmse(fit.theta_hat, data.true_coef, data.signal_eigs),
                 seed=seed,
             )
         )

@@ -96,16 +96,18 @@ def test_criterion_01_interpolation_suite():
 
 def test_interpolation_on_named_setup_designs():
     # criterion 01 draws i.i.d. Gaussian designs; the named setups have
-    # Gram condition numbers up to ~5e9 (setup ii at n=400)
+    # Gram condition numbers up to ~5e9 (setup ii at n=400), and the
+    # flat-tailed setups ii and iv run to n=1000 on the full-scale grid
     resid = {}
-    for sid in SETUP_IDS:
-        for n in (100, 400):
-            model, _ = setup_model(sid, n)
-            data = sample_dataset(model, n, repetition_seed(0, n, 0))
-            fit = min_norm_interpolator(data.X, data.Y)
-            resid[sid, n] = float(np.linalg.norm(data.X @ fit.theta_hat - data.Y)) / float(
-                np.linalg.norm(data.Y)
-            )
+    cases = [(sid, n) for sid in SETUP_IDS for n in (100, 400)]
+    cases += [(sid, n) for sid in ("ii", "iv") for n in (700, 1000)]
+    for sid, n in cases:
+        model, _ = setup_model(sid, n)
+        data = sample_dataset(model, n, repetition_seed(0, n, 0))
+        fit = min_norm_interpolator(data.X, data.Y)
+        resid[sid, n] = float(np.linalg.norm(data.X @ fit.theta_hat - data.Y)) / float(
+            np.linalg.norm(data.Y)
+        )
     worst = max(resid, key=resid.get)
     print(f"[named-setup designs] worst rel residual {resid[worst]:.2e} at {worst}")
     assert resid[worst] <= 1e-12

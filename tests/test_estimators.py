@@ -17,7 +17,6 @@ from ridgeless_iv.estimators import (
     split_sample_lasso_iv,
 )
 from ridgeless_iv.harness import setup_model
-from ridgeless_iv.matops import pseudoinverse
 from ridgeless_iv.sampling import sample_dataset
 
 
@@ -65,7 +64,8 @@ def test_min_norm_rank_deficient_rows():
 
 @pytest.mark.parametrize("design", ["duplicated_row", "tall"])
 def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
-    # a singular Gram skips the Cholesky path and gives the pseudoinverse answer
+    # a singular Gram skips the Cholesky answer; X itself is solved by a
+    # rank-revealing QR, which gives the pseudoinverse answer pinv(X) Y
     rng = np.random.default_rng(23)
     if design == "duplicated_row":
         x = rng.standard_normal((6, 20))
@@ -74,16 +74,35 @@ def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
         x = rng.standard_normal((12, 5))
     y = rng.standard_normal(x.shape[0])
     calls = []
+    lstsq = scipy.linalg.lstsq
 
-    def counted(a):
-        calls.append(a.shape)
-        return pseudoinverse(a)
+    def counted(a, b, **kwargs):
+        calls.append(kwargs["lapack_driver"])
+        return lstsq(a, b, **kwargs)
 
-    monkeypatch.setattr(estimators, "pseudoinverse", counted)
+    monkeypatch.setattr(scipy.linalg, "lstsq", counted)
     fit = min_norm_interpolator(x, y)
-    assert calls == [(x.shape[0], x.shape[0])]
-    ref = x.T @ (pseudoinverse(x @ x.T) @ y)
+    assert calls == ["gelsy"]
+    ref = scipy.linalg.pinv(x) @ y
     assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_min_norm_inexact_cholesky_answer_falls_back(monkeypatch):
+    # a full-rank Gram whose refined answer misses the 1e-12 relative
+    # residual bound is solved again from X
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((8, 30))
+    y = rng.standard_normal(8)
+    cho_solve = scipy.linalg.cho_solve
+
+    def inexact(*args, **kwargs):
+        return cho_solve(*args, **kwargs) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", inexact)
+    fit = min_norm_interpolator(x, y)
+    ref = scipy.linalg.pinv(x) @ y
+    assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(x @ fit.theta_hat - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_min_norm_rejects_nonfinite():
@@ -362,3 +381,22 @@ def test_lasso_iv_custom_penalty_rule():
     cfg = LassoIVConfig(lambda_rule=lambda s, n, p: 10.0)  # huge penalty kills exo part
     fit = split_sample_lasso_iv(data, endo_idx=[0], config=cfg)
     assert np.all(fit.theta_hat[1:] == 0.0)
+
+
+def test_lasso_iv_rejects_compressed_sample():
+    # a flat signal tail of 36 >= n + 1 columns past the latent block is
+    # drawn compressed, whose columns are no model coordinates to instrument
+    p, n = 40, 20
+    eigs = np.r_[3.0, 2.0, 1.0, np.full(p - 3, 0.1)]
+    endo = np.zeros(p)
+    endo[:2] = 1.0
+    cov = CovarianceModel(
+        p=p, endo_eigs=endo, signal_eigs=eigs, trunc_level=2, split_kind="nonorthogonal"
+    )
+    w = np.zeros(p)
+    w[:2] = 0.5
+    model = assemble_model(cov, 1.0 / np.arange(1, p + 1), whitened_cross=w)
+    data = sample_dataset(model, n, seed=8)
+    assert data.X.shape == (n, 3 + 1 + n)
+    with pytest.raises(InvalidData, match="compressed"):
+        split_sample_lasso_iv(data, endo_idx=[0, 1])
