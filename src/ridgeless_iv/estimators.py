@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matops import default_rank_tol
+from .matops import cholesky_lower, cholesky_solve, default_rank_tol
 # the benchmark's tracer looks this name up here (ROADMAP item 4)
 from .matops import pseudoinverse  # noqa: F401
 from .sampling import Dataset
@@ -78,7 +78,9 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     The Gram X X^T is Cholesky-factored and the dual system solved, then
     theta is refined once with the dual solve of the residual Y - X theta,
     which takes the relative residual to working precision on Grams with
-    condition numbers near 1e10.  When the factorization fails, its
+    condition numbers near 1e10.  The factor and the solves run without
+    the GIL (matops.cholesky_lower), so repetitions on a thread pool do
+    not queue behind one another's.  When the factorization fails, its
     smallest squared pivot ratio is at or below default_rank_tol(n), or the
     refined answer's relative residual is above 1e-12, X itself is solved
     by a rank-revealing QR (LAPACK gelsy, singular values below
@@ -87,19 +89,16 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     the condition number, as a pseudoinverse of the Gram would.
     """
     x, y = _check_xy(x, y)
-    gram = x @ x.T
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        pivots = np.diag(factor[0]) ** 2
+    factor, full_rank = cholesky_lower(x @ x.T)
+    if full_rank:
+        pivots = np.diag(factor) ** 2
         # false for a rank-deficient Gram, and for one that overflowed to inf (nan)
         full_rank = pivots.min() > default_rank_tol(len(y)) * pivots.max()
-    except np.linalg.LinAlgError:
-        full_rank = False
     if full_rank:
-        theta = x.T @ scipy.linalg.cho_solve(factor, y, check_finite=False)
+        theta = x.T @ cholesky_solve(factor, y)
         # refine theta itself, not the dual vector: X^T alpha loses digits to
         # cancellation when alpha is large, the small correction does not
-        theta += x.T @ scipy.linalg.cho_solve(factor, y - x @ theta, check_finite=False)
+        theta += x.T @ cholesky_solve(factor, y - x @ theta)
         fit = _result(x, y, theta, "min_norm")
         if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
             return fit

@@ -11,6 +11,8 @@ many workers execute the repetitions.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import math
 import numbers
@@ -552,6 +554,36 @@ def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
     return out
 
 
+# glibc mallopt parameters (malloc.h) and the values pinned for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds at the ceiling (32 and 64 MB)
+    that its adaptive rule reaches on its own after freeing one large block.
+
+    A repetition allocates and frees a few MB of arrays (X, W1, the Gram).
+    Left adaptive, the thresholds follow the largest block freed so far, so
+    the heap is trimmed (or the block unmapped) after most repetitions and
+    the next one faults the same pages in again: about 7,500 page faults
+    per 16-repetition setup ii sweep over n = 100..400, a quarter of its
+    CPU time in the kernel; with two workers each trim also has to flush
+    the TLB of the CPU running the other.  Pinned, freed blocks below
+    64 MB stay in the heap for the next repetition.  A no-op where the C
+    library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> ExperimentResult:
     """Execute the configured experiment.
 
@@ -561,8 +593,10 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
     output order is fixed up front.  An exception inside a repetition is
     raised again with its type kept and (setup, n, rep, seed) in front of
     its message; its records attribute holds the records of every task
-    before the failing one, in task order, for any worker count.
+    before the failing one, in task order, for any worker count.  The first
+    call pins the process's malloc thresholds (_pin_malloc_thresholds).
     """
+    _pin_malloc_thresholds()
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
     tasks = []
@@ -582,9 +616,17 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
     chunks = []
     try:
         if workers > 1 and len(tasks) > 1:
+            # largest n first, so the last tasks are short and no worker idles
+            # long on another's; results are still read in task order
+            order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(run_one, tasks):
-                    chunks.append(chunk)
+                futures = {i: pool.submit(run_one, tasks[i]) for i in order}
+                try:
+                    for i in range(len(tasks)):
+                        chunks.append(futures[i].result())
+                finally:
+                    for future in futures.values():
+                        future.cancel()
         else:
             for task in tasks:
                 chunks.append(run_one(task))

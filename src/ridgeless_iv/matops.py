@@ -6,8 +6,11 @@ results can be shared freely across threads.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 
 class InvalidMatrix(ValueError):
@@ -21,6 +24,79 @@ class NotPSD(ValueError):
 def default_rank_tol(dim: int) -> float:
     # deterministic cutoff for truncated spectra that contain exact zeros
     return dim * np.finfo(float).eps * 64.0
+
+
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _lapack(name: str, signature: str):
+    """LAPACK routine `name` as exported by scipy.linalg.cython_lapack,
+    callable from Python through ctypes.
+
+    It is the code scipy.linalg's own wrappers run, so results are the same
+    bits; but scipy.linalg holds the GIL for the whole LAPACK call and a
+    ctypes call releases it.  Every argument is a pointer; signature is the
+    C prototype with double for scipy's double typedef, checked against the
+    export so a different build fails at import instead of misreading
+    memory.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    exported = _CAPSULE_NAME(capsule)
+    found = exported.decode().replace("__pyx_t_5scipy_6linalg_13cython_lapack_d", "double")
+    if found != signature:
+        raise ImportError(f"cython_lapack.{name} is {found!r}, expected {signature!r}")
+    nargs = signature.count(",") + 1
+    proto = ctypes.CFUNCTYPE(None, *([ctypes.c_void_p] * nargs))
+    return proto(_CAPSULE_POINTER(capsule, exported))
+
+
+_POTRF = _lapack("dpotrf", "void (char *, int *, double *, int *, int *)")
+_POTRS = _lapack(
+    "dpotrs", "void (char *, int *, int *, double *, int *, double *, int *, int *)"
+)
+_LOWER = ctypes.c_char_p(b"L")
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def cholesky_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(factor, ok): LAPACK potrf of a symmetric positive definite matrix.
+
+    factor is a Fortran-ordered copy of a whose lower triangle holds the
+    Cholesky factor L (a = L L^T) and whose upper triangle keeps a's
+    entries; ok is False when a leading minor is not positive, and the
+    factor is then incomplete (LAPACK lets nan through with ok True).  Same
+    bits as scipy.linalg.cho_factor(a, lower=True), without holding the
+    GIL.
+    """
+    factor = np.array(a, dtype=float, order="F")
+    n = factor.shape[0]
+    info = ctypes.c_int(0)
+    _POTRF(_LOWER, _int(n), factor.ctypes.data, _int(n), ctypes.byref(info))
+    return factor, info.value == 0
+
+
+def cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for a vector b, given factor from cholesky_lower(a).
+
+    Same bits as scipy.linalg.cho_solve((factor, True), b), without holding
+    the GIL.
+    """
+    x = np.array(b, dtype=float)
+    n = factor.shape[0]
+    info = ctypes.c_int(0)
+    _POTRS(
+        _LOWER, _int(n), _int(1), factor.ctypes.data, _int(n), x.ctypes.data, _int(n),
+        ctypes.byref(info),
+    )
+    return x
 
 
 def _check_sym(a: np.ndarray) -> np.ndarray:

@@ -93,12 +93,12 @@ def test_min_norm_inexact_cholesky_answer_falls_back(monkeypatch):
     rng = np.random.default_rng(29)
     x = rng.standard_normal((8, 30))
     y = rng.standard_normal(8)
-    cho_solve = scipy.linalg.cho_solve
+    cho_solve = estimators.cholesky_solve
 
     def inexact(*args, **kwargs):
         return cho_solve(*args, **kwargs) * (1.0 + 1e-9)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", inexact)
+    monkeypatch.setattr(estimators, "cholesky_solve", inexact)
     fit = min_norm_interpolator(x, y)
     ref = scipy.linalg.pinv(x) @ y
     assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
