@@ -91,8 +91,6 @@ class PoInstance:
 class PoSolution:
     value: float
     theta_prime: np.ndarray
-    multiplier: float
-    stationarity_residual: float
     radius: float
     null_dim: int
 
@@ -112,30 +110,28 @@ class TailReport:
     p_phi_ao_ge: np.ndarray
     stderr_po: np.ndarray
     stderr_ao: np.ndarray
-    violations: int
+    violation: np.ndarray
     reps: int
     phi_po: np.ndarray
     phi_ao: np.ndarray
     flags: dict = field(default_factory=dict)
 
+    @property
+    def violations(self) -> int:
+        return int(np.count_nonzero(self.violation))
+
     def rows(self) -> list[dict]:
-        out = []
-        for i, c in enumerate(self.c_grid):
-            out.append(
-                {
-                    "c": float(c),
-                    "p_phi_gt": float(self.p_phi_gt[i]),
-                    "p_phi_ao_ge": float(self.p_phi_ao_ge[i]),
-                    "stderr_po": float(self.stderr_po[i]),
-                    "stderr_ao": float(self.stderr_ao[i]),
-                    "violation": bool(
-                        self.p_phi_gt[i]
-                        > 2.0 * self.p_phi_ao_ge[i]
-                        + 3.0 * (self.stderr_po[i] + 2.0 * self.stderr_ao[i])
-                    ),
-                }
-            )
-        return out
+        return [
+            {
+                "c": float(c),
+                "p_phi_gt": float(self.p_phi_gt[i]),
+                "p_phi_ao_ge": float(self.p_phi_ao_ge[i]),
+                "stderr_po": float(self.stderr_po[i]),
+                "stderr_ao": float(self.stderr_ao[i]),
+                "violation": bool(self.violation[i]),
+            }
+            for i, c in enumerate(self.c_grid)
+        ]
 
 
 # ------------------------------------------------------------ sphere kernel
@@ -191,16 +187,14 @@ def max_projected_error(
     ball_radius: float,
     theta0: np.ndarray,
     signal_eigs: np.ndarray,
-    details: bool = False,
-):
+) -> PoSolution:
     """Global maximum of (theta - theta0)' diag(signal_eigs) (theta - theta0)
     over the interpolants {theta : design (theta - theta0) = xi, |theta| <= radius}.
 
     Exact solve from one SVD of the design, which gives its rank, the
     min-norm particular solution and an orthonormal null-space basis.  On
     the null-space sphere the maximization of s'As + 2b's is the minimization
-    in _sphere_min with the spectrum of A and the linear term negated; the
-    multiplier mu of (mu - A) s = b is read off the returned step.  A
+    in _sphere_min with the spectrum of A and the linear term negated.  A
     non-finite design or xi, or a mis-shaped xi, theta0 or signal_eigs,
     raises ValueError; an empty feasible set raises NoFeasiblePoint.
     """
@@ -229,9 +223,7 @@ def max_projected_error(
     if m == 0:
         if float(np.linalg.norm(d)) > ball_radius * (1.0 + _FEAS_REL):
             raise NoFeasiblePoint("unique interpolant falls outside the ball")
-        value = float(part @ (sig * part))
-        sol = PoSolution(value, part, 0.0, 0.0, 0.0, 0)
-        return (value, sol) if details else value
+        return PoSolution(float(part @ (sig * part)), part, 0.0, 0)
 
     center = -(basis.T @ d)
     fixed = d + basis @ center  # component of d orthogonal to the null space
@@ -246,25 +238,14 @@ def max_projected_error(
     b = basis.T @ (sig * anchor)
     lam, vec = scipy.linalg.eigh(a)
     w = _sphere_min(-lam[None, ::-1], -(b @ vec)[None, ::-1], np.array([radius]))
-    s = vec @ w[0, ::-1]
-    ss = float(s @ s)
-    mu, resid = 0.0, 0.0
-    if ss > 0.0:
-        a_s = a @ s
-        mu = float(s @ a_s + b @ s) / ss
-        resid = float(np.linalg.norm(mu * s - a_s - b)) / max(1.0, float(np.linalg.norm(b)))
-        resid = max(resid, abs(math.sqrt(ss) - radius) / max(1.0, radius))
-
-    theta_prime = anchor + basis @ s
-    value = float(theta_prime @ (sig * theta_prime))
-    sol = PoSolution(value, theta_prime, mu, resid, radius, m)
-    return (value, sol) if details else value
+    theta_prime = anchor + basis @ (vec @ w[0, ::-1])
+    return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, radius, m)
 
 
-def solve_po(inst: PoInstance, details: bool = False):
+def solve_po(inst: PoInstance) -> PoSolution:
     """Exact optimum of the primary problem for one instance draw."""
     return max_projected_error(
-        inst.design(), inst.xi, inst.ball_radius, inst.theta0, inst.signal_eigs, details=details
+        inst.design(), inst.xi, inst.ball_radius, inst.theta0, inst.signal_eigs
     )
 
 
@@ -562,7 +543,7 @@ def _solve_ao_draws(draws) -> list[AoSolution]:
     return sols
 
 
-def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray, details: bool = False):
+def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray) -> AoSolution:
     """Optimum of the comparison problem for disjoint signal and latent supports.
 
     With S = diag(signal_eigs) and U = diag(endo_eigs), maximizes
@@ -579,7 +560,7 @@ def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray, details: bool = Fal
     if G.shape != (inst.n,) or H.shape != (inst.p,):
         raise ValueError("G must be an n-vector and H a p-vector")
     (sol,) = _solve_ao_draws([(inst, G, H)])
-    return (sol.value, sol) if details else sol.value
+    return sol
 
 
 def ao_grid_value(
@@ -697,7 +678,7 @@ def _tail_chunk(args):
     po_vals = np.full(len(draws), -math.inf)
     for j, (inst, _, _) in enumerate(draws):
         with contextlib.suppress(NoFeasiblePoint):
-            po_vals[j] = solve_po(inst)
+            po_vals[j] = solve_po(inst).value
     ao_vals = np.array([sol.value for sol in sols])
     return po_vals, ao_vals, int(np.isinf(po_vals).sum()), sum(s.feasible_empty for s in sols)
 
@@ -761,14 +742,13 @@ def tail_dominance_check(
     p_ao = np.array([float(np.mean(phi_ao >= c)) for c in c_grid])
     se_po = np.sqrt(p_po * (1.0 - p_po) / reps)
     se_ao = np.sqrt(p_ao * (1.0 - p_ao) / reps)
-    bad = p_po > 2.0 * p_ao + 3.0 * (se_po + 2.0 * se_ao)
     return TailReport(
         c_grid=c_grid,
         p_phi_gt=p_po,
         p_phi_ao_ge=p_ao,
         stderr_po=se_po,
         stderr_ao=se_ao,
-        violations=int(np.count_nonzero(bad)),
+        violation=p_po > 2.0 * p_ao + 3.0 * (se_po + 2.0 * se_ao),
         reps=reps,
         phi_po=phi_po,
         phi_ao=phi_ao,

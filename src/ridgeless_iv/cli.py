@@ -123,9 +123,8 @@ def ranks(source):
 @guarded
 def conditions(name, n_grid):
     """Sufficient-condition sequences over a sample-size grid."""
-    factory, mode = condition_family(name)
     grid = tuple(n_grid) if n_grid else CONDITION_GRID
-    report = evaluate_conditions(factory, grid, mode=mode)
+    report = evaluate_conditions(condition_family(name), grid)
     names = list(report.sequences)
     click.echo("n " + " ".join(names))
     for row in report.rows():

@@ -95,7 +95,7 @@ def _rho_exp(i: np.ndarray, scale: float = 3.0, tau: float = 4.0) -> np.ndarray:
 
 def _spectrum_setup(profile, split_kind, alpha, coef_rule, rho_rule):
     """Factory for the projected-RMSE setups: whitened endogeneity through
-    the pattern rotation, diagonal split.  Returns (build, split kind)."""
+    the pattern rotation, diagonal split."""
 
     def build(n: int):
         cov = build_covariance(
@@ -105,7 +105,7 @@ def _spectrum_setup(profile, split_kind, alpha, coef_rule, rho_rule):
         model = assemble_model(cov, coef_rule(i), whitened_cross=rho_rule(i))
         return model, None
 
-    return build, split_kind
+    return build
 
 
 def _window_setup(head_coef: bool = False, shifted: bool = False):
@@ -116,8 +116,7 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
     The shifted variant moves the first fifth of the window past the
     truncation level; the latent block is extended to cover it, since a
     factor model can only realize correlation inside the latent block's
-    range.  head_coef truncates the coefficient vector at 0.8 n.  Returns
-    (build, split kind).
+    range.  head_coef truncates the coefficient vector at 0.8 n.
     """
 
     def build(n: int):
@@ -152,10 +151,10 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
         model = assemble_model(cov, theta, cross_cov=omega)
         return model, np.flatnonzero(window)
 
-    return build, "nonorthogonal"
+    return build
 
 
-# setup id -> (model factory, split kind)
+# setup id -> model factory
 _SETUPS = {
     "i": _spectrum_setup(_LOG_POLY, "orthogonal", None, _coef_dense, _rho_inverse),
     "ii": _spectrum_setup(_EXP_NOISE, "orthogonal", None, _coef_dense, _rho_exp),
@@ -179,12 +178,7 @@ def setup_model(setup_id: str, n: int) -> tuple[EndogenousModel, np.ndarray | No
     window (the projected-RMSE setups spread endogeneity over the whole
     latent block through the rotation).
     """
-    return _setup_entry(setup_id)[0](n)
-
-
-def setup_mode(setup_id: str) -> str:
-    """Condition-report mode matching the setup's split kind."""
-    return _setup_entry(setup_id)[1]
+    return _setup_entry(setup_id)(n)
 
 
 def _setup_entry(setup_id: str):
@@ -278,8 +272,6 @@ def _profile_vector(rule: dict | None, kind_set, default_kind, p: int):
 
 
 def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
-    if not isinstance(profile, dict):
-        raise InvalidConfig("custom setup needs a profile mapping")
     extra = set(profile) - _PROFILE_KEYS
     if extra:
         raise InvalidConfig(f"unknown profile keys {sorted(extra)}")
@@ -310,8 +302,13 @@ def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass, but true is no sample size or seed
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a finite real: bool is an int subclass, but true is no sample size,
+    # seed or parameter, and neither is inf (JSON 1e309) or nan
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+    )
 
 
 def _integer(name: str, value) -> int:
@@ -322,6 +319,30 @@ def _integer(name: str, value) -> int:
     ):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+_PROFILE_STRINGS = ("family", "noise", "split", "rotation", "kind")
+_PROFILE_RULES = ("dim", "coef", "cross")
+
+
+def _check_profile_types(profile, where: str = "profile") -> None:
+    """JSON types in a custom profile and its rules: strings under the keys
+    in _PROFILE_STRINGS, a list of numbers under values, and a number
+    anywhere else (null where allowed).  The values themselves are checked
+    when a model is built."""
+    if not isinstance(profile, dict):
+        raise InvalidConfig(f"{where} must be a mapping, got {profile!r}")
+    for key, value in profile.items():
+        name = f"{where} {key}"
+        if key in _PROFILE_RULES and value is not None:
+            _check_profile_types(value, name)
+        elif key == "values":
+            if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
+                raise InvalidConfig(f"{name} must be a list of numbers, got {value!r}")
+        elif value is not None and not (
+            isinstance(value, str) if key in _PROFILE_STRINGS else _is_number(value)
+        ):
+            raise InvalidConfig(f"{name} has the wrong type: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -347,10 +368,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.setup not in SETUP_IDS and self.setup != "custom":
             raise UnknownSetup(f"unknown setup {self.setup!r}")
-        if self.setup == "custom" and self.profile is None:
-            raise InvalidConfig("custom setup needs a profile")
-        if self.setup != "custom" and self.profile is not None:
+        if self.setup == "custom":
+            _check_profile_types(self.profile)
+        elif self.profile is not None:
             raise InvalidConfig("profile applies only to setup 'custom'")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise InvalidConfig(f"output_dir must be a string, got {self.output_dir!r}")
         grid = tuple(_integer("n_grid entry", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if not self.n_grid:
@@ -369,7 +392,9 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown instrument law {self.instrument_dist!r}")
         if self.instrument_dist == "student_t":
             if not _is_number(self.dof) or not float(self.dof) > 2:
-                raise InvalidConfig(f"student_t instrument needs dof > 2, got {self.dof!r}")
+                raise InvalidConfig(
+                    f"student_t instrument needs a finite dof > 2, got {self.dof!r}"
+                )
             object.__setattr__(self, "dof", float(self.dof))
         elif self.dof is not None:
             raise InvalidConfig("dof applies only to the student_t instrument law")
@@ -704,7 +729,7 @@ CONDITION_GRID = tuple(range(100, 801, 100))
 
 
 def _named_family(setup_id: str):
-    return (lambda n: setup_model(setup_id, n)[0]), setup_mode(setup_id)
+    return lambda n: setup_model(setup_id, n)[0]
 
 
 def _family_logpoly_nonorthogonal(n: int) -> EndogenousModel:
@@ -721,22 +746,23 @@ def _family_fixed_p_identity(n: int) -> EndogenousModel:
         endo_eigs=np.zeros(50),
         signal_eigs=np.ones(50),
         trunc_level=0,
-        split_kind="orthogonal",
+        split_kind="exogenous",
     )
     return assemble_model(cov, np.full(50, 0.5), noise_sd=1.0)
 
 
+# the condition mode of each family is its models' split kind
 CONDITION_FAMILIES = {
     "logpoly_orthogonal": _named_family("i"),
     "expnoise_orthogonal": _named_family("ii"),
-    "logpoly_nonorthogonal": (_family_logpoly_nonorthogonal, "nonorthogonal"),
-    "fixed_p_identity": (_family_fixed_p_identity, "exogenous"),
+    "logpoly_nonorthogonal": _family_logpoly_nonorthogonal,
+    "fixed_p_identity": _family_fixed_p_identity,
 }
 
 
 def condition_family(name: str):
-    """(model factory, condition mode) for a named family, accepting either
-    a family name or a named setup id."""
+    """Model factory for a named family, accepting either a family name or
+    a named setup id."""
     if name in CONDITION_FAMILIES:
         return CONDITION_FAMILIES[name]
     if name in SETUP_IDS:

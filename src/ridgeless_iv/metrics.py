@@ -1,21 +1,21 @@
 """Risk functionals, effective ranks, closed-form bounds, and the
 sufficient-condition checker for benign overfitting with endogeneity.
 
-Rank functionals take a dense PSD matrix or a 1-d eigenvalue vector; the
-projected error takes the signal block's diagonal.  Model functionals read
-the two eigenvalue vectors of the model's diagonal blocks directly, which
-keeps dimension in the thousands cheap.
+effective_ranks takes a dense PSD matrix or a 1-d eigenvalue vector; the
+norm ranks and the projected error take a covariance's diagonal.  Model
+functionals read the two eigenvalue vectors of the model's diagonal blocks
+directly, which keeps dimension in the thousands cheap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .covariance import EndogenousModel
-from .matops import NotPSD, psd_eigvals, psd_sqrt
+from .matops import NotPSD, psd_eigvals
 
 
 class ZeroMatrix(ValueError):
@@ -56,7 +56,7 @@ def effective_ranks(sigma) -> tuple[float, float]:
     """(trace/op-norm, trace^2/trace-of-square) of a PSD matrix.
 
     A dense matrix that is not square, finite and symmetric raises
-    InvalidMatrix; one with an eigenvalue below the psd_sqrt tolerance, or
+    InvalidMatrix; one with an eigenvalue below the psd_eigvals tolerance, or
     an eigenvalue vector with a negative or non-finite entry, raises NotPSD.
     """
     eigs = _eigs_of(sigma)
@@ -92,7 +92,7 @@ def _delta_method(num, den, num_scale_sq):
 
 
 def norm_effective_ranks(
-    sigma,
+    sigma_diag,
     norm: str = "l2",
     mc_samples: int = 10_000,
     seed: int = 0,
@@ -100,42 +100,35 @@ def norm_effective_ranks(
     selector_fn=None,
     sup_weighted: float | None = None,
 ) -> NormRankEstimate:
-    """Monte Carlo general-norm effective ranks.
+    """Monte Carlo general-norm effective ranks of a diagonal covariance.
 
     Draws H ~ N(0, I), evaluates the dual norm of Sigma^{1/2}H and the
     Sigma-weighted length of the minimal dual subgradient, and returns
-    delta-method standard errors for both rank estimates.
+    delta-method standard errors for both rank estimates.  sigma_diag is
+    the diagonal of Sigma; a 2-d input raises ValueError, and a negative or
+    non-finite entry NotPSD.
     """
-    eigs_or_dense = np.asarray(sigma, dtype=float)
-    diag = eigs_or_dense.ndim == 1
-    if diag:
-        root = np.sqrt(eigs_or_dense)
-        diag_sigma = eigs_or_dense
-        dim = eigs_or_dense.size
-    else:
-        root = psd_sqrt(eigs_or_dense)
-        diag_sigma = np.diag(eigs_or_dense)
-        dim = eigs_or_dense.shape[0]
-    if not np.any(diag_sigma > 0):
+    sigma = np.asarray(sigma_diag, dtype=float)
+    if sigma.ndim != 1:
+        raise ValueError("norm effective ranks take the covariance's diagonal as a vector")
+    top = float(_eigs_of(sigma).max(initial=0.0))
+    if top <= 0:
         raise ZeroMatrix("norm effective ranks need a nonzero matrix")
+    root = np.sqrt(sigma)
+    sup = math.sqrt(top)
 
     rng = np.random.default_rng(seed)
-    h = rng.standard_normal((mc_samples, dim))
-    y = h * root[None, :] if diag else h @ root  # rows are Sigma^{1/2} H
+    y = rng.standard_normal((mc_samples, sigma.size)) * root[None, :]  # rows are Sigma^{1/2} H
 
     if norm == "l2":
         num = np.linalg.norm(y, axis=1)
         # v* = y/|y|; its Sigma-length is |Sigma^{1/2} y| / |y|
-        wy = y * root[None, :] if diag else y @ root
-        den = np.linalg.norm(wy, axis=1) / np.where(num > 0, num, 1.0)
-        eigs = _eigs_of(sigma)
-        sup = math.sqrt(float(eigs[0]))
+        den = np.linalg.norm(y * root[None, :], axis=1) / np.where(num > 0, num, 1.0)
         checked = True
     elif norm == "l1":
         num = np.abs(y).max(axis=1)
         picks = np.abs(y).argmax(axis=1)  # argmax takes the lowest index on ties
-        den = np.sqrt(diag_sigma if diag else np.diag(eigs_or_dense))[picks]
-        sup = math.sqrt(float((diag_sigma if diag else np.diag(eigs_or_dense)).max()))
+        den = root[picks]
         checked = False
     elif norm == "custom":
         if dual_fn is None or selector_fn is None or sup_weighted is None:
@@ -144,9 +137,7 @@ def norm_effective_ranks(
         den = np.empty(mc_samples)
         for i, row in enumerate(y):
             v = np.asarray(selector_fn(row), dtype=float)
-            den[i] = math.sqrt(float(v @ (diag_sigma * v))) if diag else math.sqrt(
-                float(v @ (eigs_or_dense @ v))
-            )
+            den[i] = math.sqrt(float(v @ (sigma * v)))
         sup = float(sup_weighted)
         checked = False
     else:
@@ -184,21 +175,23 @@ def sigma_tilde2(model: EndogenousModel) -> float:
     return max(val, 0.0)
 
 
-def pinv_cross_norm(model: EndogenousModel) -> float:
-    """Euclidean norm of (latent-noise block)^+ applied to the cross covariance."""
-    white = _whitened_cross(model)
+def _amplified_cross(model: EndogenousModel) -> np.ndarray:
+    """(latent-noise block)^+ applied to the cross covariance, through the
+    whitened form."""
     sup = model.cov.endo_support
     root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
-    return float(np.linalg.norm(np.where(sup, white / root, 0.0)))
+    return np.where(sup, _whitened_cross(model) / root, 0.0)
+
+
+def pinv_cross_norm(model: EndogenousModel) -> float:
+    """Euclidean norm of (latent-noise block)^+ applied to the cross covariance."""
+    return float(np.linalg.norm(_amplified_cross(model)))
 
 
 def cross_signal_energy(model: EndogenousModel) -> float:
     """Signal-weighted energy of the amplified cross covariance:
     cross^T (endo^+) signal (endo^+) cross."""
-    white = _whitened_cross(model)
-    sup = model.cov.endo_support
-    lam = np.where(sup, model.cov.endo_eigs, 1.0)
-    amp = np.where(sup, white / np.sqrt(lam), 0.0)
+    amp = _amplified_cross(model)
     return float(amp @ (model.cov.signal_eigs * amp))
 
 
@@ -233,24 +226,13 @@ class BoundReport:
     flags: dict = field(default_factory=dict)
 
     def rows(self) -> list[dict]:
-        row = {"delta": self.delta}
-        for name in (
-            "gamma_delta",
-            "eta_delta",
-            "epsilon",
-            "epsilon_principal",
-            "eta1",
-            "eta2",
-            "rmse_bound",
-            "rmse_principal",
-            "norm_bound",
-            "norm_principal",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                row[name] = value
-        for key, value in self.flags.items():
-            row[f"flag_{key}"] = value
+        """One row: every number that is set, in field order, then the flags."""
+        row = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("constants_used", "flags") and getattr(self, f.name) is not None
+        }
+        row.update((f"flag_{key}", value) for key, value in self.flags.items())
         return [row]
 
 
@@ -298,7 +280,7 @@ def norm_upper_bound(model: EndogenousModel, n: int, delta: float) -> BoundRepor
 
     B = (1+eps)^{1/2} (|theta0| + pinv-cross norm + (2 eta1 + resid sd + eta2)
     sqrt(n / tr(signal))).  The literal variant multiplies the deviation eps
-    by the printed ceiling (56 orthogonal, 160 non-orthogonal); the principal
+    by the printed ceiling (160 non-orthogonal, else 56); the principal
     variant uses constant 1.  The mean dual length E|signal^{1/2}H| inside
     eta2 is replaced by its upper bound sqrt(tr), which can only enlarge B.
     """
@@ -328,7 +310,7 @@ def norm_upper_bound(model: EndogenousModel, n: int, delta: float) -> BoundRepor
         + (1.0 + cross_tr / tr_sq) * (n / big_r)
         + (pc / s_tilde) * math.sqrt(tr_sig / n)
     )
-    ceiling = 56.0 if model.cov.split_kind == "orthogonal" else 160.0
+    ceiling = 160.0 if model.cov.split_kind == "nonorthogonal" else 56.0
     eps_lit = ceiling * eps_raw
 
     theta_norm = float(np.linalg.norm(model.true_coef))
@@ -383,20 +365,28 @@ def _is_decreasing(values: np.ndarray) -> bool:
     )
 
 
-def evaluate_conditions(model_factory, n_grid, mode: str = "orthogonal") -> ConditionReport:
+_MODES = ("orthogonal", "nonorthogonal", "exogenous")
+
+
+def evaluate_conditions(model_factory, n_grid) -> ConditionReport:
     """Tabulate the sufficient-condition sequences over a sample-size grid.
 
-    model_factory(n) must return the assembled model at that n.  All modes
-    report the basic trio (rank_ratio, eff_dim, aliasing); the orthogonal
-    mode adds the endogeneity sequence, the non-orthogonal mode adds its
-    scaled variant plus the block-overlap sequences, and the exogenous mode
-    adds only the block-overlap rank sequence.
+    model_factory(n) must return the assembled model at that n; the mode is
+    the models' split kind, which every model on the grid must share.  All
+    modes report the basic trio (rank_ratio, eff_dim, aliasing); the
+    orthogonal mode adds the endogeneity sequence, the non-orthogonal mode
+    adds its scaled variant plus the block-overlap sequences, and the
+    exogenous mode adds only the block-overlap rank sequence.  An unknown or
+    mixed split kind raises ValueError.
     """
-    if mode not in ("orthogonal", "nonorthogonal", "exogenous"):
-        raise ValueError(f"unknown mode {mode!r}")
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 3 or any(b < a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("need a nondecreasing grid with at least 3 points")
+    models = [model_factory(n) for n in n_grid]
+    kinds = {model.cov.split_kind for model in models}
+    if len(kinds) != 1 or not kinds <= set(_MODES):
+        raise ValueError(f"models need one split kind out of {_MODES}, got {sorted(kinds)}")
+    (mode,) = kinds
 
     names = ["rank_ratio", "eff_dim", "aliasing"]
     if mode == "orthogonal":
@@ -407,8 +397,7 @@ def evaluate_conditions(model_factory, n_grid, mode: str = "orthogonal") -> Cond
         names += ["cross_rank"]
     seq = {name: np.empty(len(n_grid)) for name in names}
 
-    for i, n in enumerate(n_grid):
-        model = model_factory(n)
+    for i, (n, model) in enumerate(zip(n_grid, models)):
         sig = model.cov.signal_eigs
         _, big_r = effective_ranks(sig)
         tr_sig = float(sig.sum())

@@ -25,11 +25,11 @@ class Dataset:
     signal_eigs).
 
     A sample from the direct route has the model's columns: true_coef and
-    signal_eigs are the model's own vectors (the default when they are not
-    given).  A compressed sample (see sample_dataset) has m + 1 + n columns
-    [head, z, L], signal_eigs = [s_H, lam, lam 1_n] and true_coef =
-    [theta0_H, |theta0_T|, 0_n].  W1, W2 are kept so downstream checks can
-    rebuild the factor form without re-deriving it from X.
+    signal_eigs are the model's own vectors.  A compressed sample (see
+    sample_dataset) has m + 1 + n columns [head, z, L], signal_eigs =
+    [s_H, lam, lam 1_n] and true_coef = [theta0_H, |theta0_T|, 0_n].  W1, W2
+    are kept so downstream checks can rebuild the factor form without
+    re-deriving it from X.
     """
 
     X: np.ndarray
@@ -39,14 +39,8 @@ class Dataset:
     W2: np.ndarray
     seed: int
     model: EndogenousModel
-    true_coef: np.ndarray | None = None
-    signal_eigs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.true_coef is None:
-            object.__setattr__(self, "true_coef", self.model.true_coef)
-        if self.signal_eigs is None:
-            object.__setattr__(self, "signal_eigs", self.model.cov.signal_eigs)
+    true_coef: np.ndarray
+    signal_eigs: np.ndarray
 
     @property
     def compressed(self) -> bool:

@@ -136,7 +136,7 @@ def test_criterion_02_spectral_identities():
         np.ones(30),
         0.5 ** np.arange(20, dtype=float),
         spectrum(LogPolySpectrum(scale=300.0, beta=2.0, log_factor=math.e / 2), 100)[1],
-        wishart @ wishart.T,
+        np.linalg.eigvalsh(wishart @ wishart.T),
     ):
         r, _ = effective_ranks(sigma)
         est = norm_effective_ranks(sigma, "l2", mc_samples=10_000, seed=31)
@@ -376,14 +376,12 @@ def test_criterion_11_condition_checker():
     parts = []
     ok = True
     for name in ("logpoly_orthogonal", "expnoise_orthogonal", "logpoly_nonorthogonal"):
-        factory, mode = CONDITION_FAMILIES[name]
-        rep = evaluate_conditions(factory, grid, mode=mode)
+        rep = evaluate_conditions(CONDITION_FAMILIES[name], grid)
         bad = [k for k, v in rep.verdicts.items() if not v.decreasing]
         ok &= not bad
         parts.append(f"{name}: {len(rep.verdicts)} sequences decreasing" if not bad
                      else f"{name}: NOT decreasing {bad}")
-    factory, mode = CONDITION_FAMILIES["fixed_p_identity"]
-    rep = evaluate_conditions(factory, grid, mode=mode)
+    rep = evaluate_conditions(CONDITION_FAMILIES["fixed_p_identity"], grid)
     eff = rep.sequences["eff_dim"]
     increasing = bool(np.all(np.diff(eff) > 0))
     ok &= increasing

@@ -63,8 +63,8 @@ def test_po_exact_for_determined_system():
         ball_radius=float(np.linalg.norm(unique)) + 0.5,
         theta0=np.zeros(3), signal_eigs=np.ones(3), endo_eigs=np.zeros(3),
     )
-    value, sol = solve_po(inst, details=True)
-    assert value == pytest.approx(float(unique @ unique), rel=1e-10)
+    sol = solve_po(inst)
+    assert sol.value == pytest.approx(float(unique @ unique), rel=1e-10)
     assert sol.null_dim == 0
     np.testing.assert_allclose(sol.theta_prime, unique, rtol=1e-9)
 
@@ -115,7 +115,7 @@ def test_po_single_row_hand_geometry():
     half = math.sqrt(radius**2 - float(closest @ closest))
     ends = (closest + half * along, closest - half * along)
     expect = max(float((e - theta0) @ (e - theta0)) for e in ends)
-    assert solve_po(inst) == pytest.approx(expect, rel=1e-9)
+    assert solve_po(inst).value == pytest.approx(expect, rel=1e-9)
 
     # criterion-10 draws (three rows, four coordinates) are chords too; the
     # closed form holds the solver to working precision, including draws 476
@@ -127,7 +127,7 @@ def test_po_single_row_hand_geometry():
         inst, _, _ = draw_instance(model, 3, np.random.default_rng([0, r]))
         part, null, lo, hi = chord(inst.design(), inst.xi, inst.ball_radius, inst.theta0)
         expect = max(float((part + t * null) @ (sig * (part + t * null))) for t in (lo, hi))
-        assert solve_po(inst) == pytest.approx(expect, rel=1e-12, abs=0), r
+        assert solve_po(inst).value == pytest.approx(expect, rel=1e-12, abs=0), r
 
 
 def test_po_grid_reference_one_free_dimension():
@@ -139,17 +139,20 @@ def test_po_grid_reference_one_free_dimension():
         sig = (rng.standard_normal((3, 3)) ** 2).sum(axis=0)
         theta0 = rng.standard_normal(3) * 0.3
         radius = 3.0
-        value, sol = max_projected_error(design, xi, radius, theta0, sig, details=True)
+        sol = max_projected_error(design, xi, radius, theta0, sig)
         assert sol.null_dim == 1
 
         part, null, lo, hi = chord(design, xi, radius, theta0)
         t = np.linspace(lo, hi, 20001)
         pts = part[None, :] + t[:, None] * null[None, :]
         ref = float(np.einsum("ij,j,ij->i", pts, sig, pts).max())
-        assert value == pytest.approx(ref, rel=1e-3)
+        assert sol.value == pytest.approx(ref, rel=1e-3)
 
 
 def test_po_certificate_stationarity():
+    # KKT for maximizing theta' S theta' on the slice {design theta' = xi,
+    # |theta' + theta0| <= R}: on the null space of the design, S theta' is
+    # mu (theta' + theta0) with mu >= 0, and the ball is active
     for seed in range(10):
         rng = np.random.default_rng(500 + seed)
         n = 2 + seed % 2
@@ -164,10 +167,16 @@ def test_po_certificate_stationarity():
             signal_eigs=sig,
             endo_eigs=endo,
         )
-        _, sol = solve_po(inst, details=True)
-        assert sol.stationarity_residual <= 1e-8
-        if sol.null_dim:
-            assert sol.multiplier >= -1e-12
+        sol = solve_po(inst)
+        null = scipy.linalg.null_space(inst.design())
+        assert null.shape[1] == sol.null_dim == 4 - n
+        grad = null.T @ (sig * sol.theta_prime)
+        normal = null.T @ (sol.theta_prime + inst.theta0)
+        mu = float(normal @ grad) / float(normal @ normal)
+        resid = float(np.linalg.norm(grad - mu * normal)) / max(1.0, float(np.linalg.norm(grad)))
+        assert resid <= 1e-8
+        assert mu >= -1e-12
+        assert np.linalg.norm(sol.theta_prime + inst.theta0) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_po_dominates_interpolator_projection():
@@ -179,7 +188,7 @@ def test_po_dominates_interpolator_projection():
         data = sample_dataset(model, 3, seed)
         fit = min_norm_interpolator(data.X, data.Y)
         radius = max(fit.norm_l2, float(np.linalg.norm(model.true_coef))) + 1.0
-        value = max_projected_error(data.X, data.xi, radius, model.true_coef, sig)
+        value = max_projected_error(data.X, data.xi, radius, model.true_coef, sig).value
         direct = projected_rmse(fit.theta_hat, model.true_coef, sig)
         assert value >= direct - 1e-8 * max(1.0, direct)
 
@@ -205,11 +214,11 @@ def test_po_distribution_matches_sampled_route():
     direct = np.empty(reps)
     for r in range(reps):
         data = sample_dataset(model, 3, 111_000 + r)
-        direct[r] = max_projected_error(data.X, data.xi, radius, model.true_coef, sig)
+        direct[r] = max_projected_error(data.X, data.xi, radius, model.true_coef, sig).value
     surrogate = np.empty(reps)
     for r in range(reps):
         inst, _, _ = draw_instance(model, 3, np.random.default_rng(222_000 + r))
-        surrogate[r] = solve_po(inst)
+        surrogate[r] = solve_po(inst).value
     ks = ks_2samp(direct, surrogate).statistic
     assert ks <= 0.05
 
@@ -220,21 +229,21 @@ def test_po_distribution_matches_sampled_route():
 def test_ao_grid_reference_two_dims():
     for trial in COMPARABLE_TRIALS:
         inst, big_g, big_h = ao_instance(trial)
-        value, sol = solve_ao(inst, big_g, big_h, details=True)
+        sol = solve_ao(inst, big_g, big_h)
         assert not sol.feasible_empty
         assert sol.starts_feasible > 0
         ref = ao_grid_value(inst, big_g, big_h, points_per_axis=2001)
         assert ref is not None
-        assert abs(value - ref) <= 1e-2 * max(1.0, ref)
+        assert abs(sol.value - ref) <= 1e-2 * max(1.0, ref)
 
 
 def test_ao_and_grid_agree_on_empty():
     for trial in EMPTY_TRIALS:
         inst, big_g, big_h = ao_instance(trial)
-        value, sol = solve_ao(inst, big_g, big_h, details=True)
+        sol = solve_ao(inst, big_g, big_h)
         assert ao_grid_value(inst, big_g, big_h) is None
         assert sol.feasible_empty
-        assert value == 0.0
+        assert sol.value == 0.0
 
 
 def test_ao_zero_signal_probe_exact():
@@ -245,8 +254,8 @@ def test_ao_zero_signal_probe_exact():
         ball_radius=2.0, theta0=np.array([0.1, 0.0]),
         signal_eigs=np.array([1.0, 0.0]), endo_eigs=np.array([0.0, 1.0]),
     )
-    value, sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]), details=True)
-    assert value == 0.0
+    sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]))
+    assert sol.value == 0.0
     assert not sol.feasible_empty
     np.testing.assert_allclose(sol.point, [0.0, 0.7], atol=1e-9)
 
@@ -259,8 +268,8 @@ def test_ao_zero_signal_probe_infeasible():
         ball_radius=2.0, theta0=np.array([0.1, 0.0]),
         signal_eigs=np.array([1.0, 0.0]), endo_eigs=np.array([0.0, 1.0]),
     )
-    value, sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]), details=True)
-    assert value == 0.0
+    sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]))
+    assert sol.value == 0.0
     assert sol.feasible_empty
     assert sol.point is None
     assert sol.starts_feasible == 0
@@ -269,7 +278,7 @@ def test_ao_zero_signal_probe_infeasible():
 def test_ao_deterministic_under_fixed_seed():
     # the solver draws no random numbers: one instance, one answer
     inst, big_g, big_h = ao_instance(11)
-    assert solve_ao(inst, big_g, big_h) == solve_ao(inst, big_g, big_h)
+    assert solve_ao(inst, big_g, big_h).value == solve_ao(inst, big_g, big_h).value
 
 
 def _ao_checks(inst, big_g, big_h, x):
@@ -291,7 +300,7 @@ def test_ao_beats_random_search_in_four_signal_dims(p, endo_count):
     feasible = 0
     for seed in range(4):
         inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([p, seed]))
-        value, sol = solve_ao(inst, big_g, big_h, details=True)
+        sol = solve_ao(inst, big_g, big_h)
         rng = np.random.default_rng([p, seed, 1])
         radius = inst.ball_radius
         dirs = rng.standard_normal((100_000, p))
@@ -301,14 +310,14 @@ def test_ao_beats_random_search_in_four_signal_dims(p, endo_count):
             feasible += 1
             gap, slack = _ao_checks(inst, big_g, big_h, sol.point[None])
             assert gap[0] <= 1e-9 * (1 + np.linalg.norm(inst.xi)) and slack[0] <= 1e-12 * radius
-            assert value == pytest.approx(float(sol.point @ (sig * sol.point)), rel=1e-12)
+            assert sol.value == pytest.approx(float(sol.point @ (sig * sol.point)), rel=1e-12)
             scales = radius * 10.0 ** rng.uniform(-6, -1, (dirs.shape[0], 1))
             pts.append(sol.point + dirs[rng.permutation(dirs.shape[0])] * scales)
         pts = np.vstack(pts)
         gap, slack = _ao_checks(inst, big_g, big_h, pts)
         ok = (gap <= 0) & (slack <= 0)
         found = np.einsum("ij,j,ij->i", pts[ok], sig, pts[ok])
-        assert found.size == 0 or found.max() <= value * (1 + 1e-9)
+        assert found.size == 0 or found.max() <= sol.value * (1 + 1e-9)
     assert feasible >= 2
 
 
@@ -330,8 +339,8 @@ def test_ao_closed_form_when_ball_inactive():
     a2 = pg @ pg - big_h[sig_j] @ big_h[sig_j]
     assert a2 > 0 and px @ pg > 0
     root = (px @ pg + math.sqrt((px @ pg) ** 2 - (px @ px) * a2)) / a2
-    value, sol = solve_ao(inst, big_g, big_h, details=True)
-    assert value == pytest.approx(root**2, rel=1e-7)
+    sol = solve_ao(inst, big_g, big_h)
+    assert sol.value == pytest.approx(root**2, rel=1e-7)
     _, slack = _ao_checks(inst, big_g, big_h, sol.point[None])
     assert slack[0] < -0.5 * inst.ball_radius
 
@@ -389,7 +398,7 @@ def test_instance_validation():
     # xi, or a mis-shaped xi or theta0, never reaches the SVD
     design = inst.design()
     args = (design, design @ np.array([0.1, 0.1]), 5.0, kw["theta0"], kw["signal_eigs"])
-    assert max_projected_error(*args) == pytest.approx(0.02)
+    assert max_projected_error(*args).value == pytest.approx(0.02)
     for pos, bad in (
         (0, np.where(np.eye(3, 2) > 0, np.nan, design)),
         (0, np.where(np.eye(3, 2) > 0, np.inf, design)),
@@ -493,8 +502,8 @@ def test_tail_chunk_matches_single_instance_solver():
     empties = 0
     for r in range(64):
         inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([7, r]))
-        value, sol = solve_ao(inst, big_g, big_h, details=True)
-        assert abs(value - report.phi_ao[r]) <= 1e-12 * abs(report.phi_ao[r])
+        sol = solve_ao(inst, big_g, big_h)
+        assert abs(sol.value - report.phi_ao[r]) <= 1e-12 * abs(report.phi_ao[r])
         if sol.feasible_empty:
             empties += 1
             assert report.phi_ao[r] == 0.0

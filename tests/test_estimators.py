@@ -291,7 +291,10 @@ def test_lasso_iv_singular_second_stage():
     y = x[:, 2] + xi
     from ridgeless_iv.sampling import Dataset
 
-    data = Dataset(X=x, Y=y, xi=xi, W1=w1, W2=np.zeros((n, p)), seed=5, model=model)
+    data = Dataset(
+        X=x, Y=y, xi=xi, W1=w1, W2=np.zeros((n, p)), seed=5, model=model,
+        true_coef=model.true_coef, signal_eigs=model.cov.signal_eigs,
+    )
     with pytest.raises(SingularDesign):
         split_sample_lasso_iv(data, endo_idx=[0, 1])
 
@@ -313,7 +316,10 @@ def shared_instrument_dataset(eigs, seed=3, n=60):
     x[:, 1] = w1[:, 0] + 0.3 * rng.standard_normal(n)
     xi = rng.standard_normal(n)
     y = x[:, 0] - x[:, 1] + xi
-    return Dataset(X=x, Y=y, xi=xi, W1=w1, W2=np.zeros((n, p)), seed=5, model=model)
+    return Dataset(
+        X=x, Y=y, xi=xi, W1=w1, W2=np.zeros((n, p)), seed=5, model=model,
+        true_coef=model.true_coef, signal_eigs=model.cov.signal_eigs,
+    )
 
 
 def test_lasso_iv_shared_instrument_repairs():

@@ -28,9 +28,9 @@ from ridgeless_iv.harness import (
     emit_outputs,
     repetition_seed,
     run_setup,
-    setup_mode,
     setup_model,
 )
+from ridgeless_iv.metrics import evaluate_conditions
 from ridgeless_iv.sampling import sample_dataset
 
 TINY = ExperimentConfig(setup="i", n_grid=(100, 150), repetitions=2)
@@ -96,10 +96,8 @@ def test_setup_window_small_n_rejected():
 
 
 def test_setup_modes_and_grids():
-    assert setup_mode("i") == "orthogonal"
-    assert setup_mode("vi") == "nonorthogonal"
-    with pytest.raises(UnknownSetup):
-        setup_mode("x")
+    assert setup_model("i", 100)[0].cov.split_kind == "orthogonal"
+    assert setup_model("vi", 100)[0].cov.split_kind == "nonorthogonal"
     with pytest.raises(UnknownSetup):
         setup_model("zero", 100)
     assert default_grid("i") == (100, 200, 300, 400)
@@ -161,7 +159,7 @@ def test_config_json_round_trip():
     assert config_from_json(config_to_json(custom)) == custom
 
 
-def test_config_json_defaults_and_rejects():
+def test_config_json_defaults_and_rejects(tmp_path):
     cfg = config_from_json('{"setup": "iii"}')
     assert cfg.n_grid == default_grid("iii")
     assert cfg.repetitions == 30
@@ -200,6 +198,28 @@ def test_config_json_defaults_and_rejects():
     ):
         with pytest.raises(InvalidConfig):
             config_from_json(doc)
+    # every value is type-checked before a model is built: strings, bools
+    # and maps where numbers belong, a non-finite dof (1e309 parses as inf)
+    custom = '{"setup": "custom", "n_grid": [100], "profile": %s}'
+    log_poly = custom % '{"family": "log_poly", "beta": 2, %s}'
+    for doc in (
+        '{"setup": "i", "output_dir": 5}',
+        '{"setup": "i", "instrument_dist": "student_t", "dof": 1e309}',
+        log_poly % '"scale": "300"',
+        log_poly % '"scale": true',
+        log_poly % '"scale": 300, "dim": 5',
+        log_poly % '"scale": 300, "noise_sd": "1"',
+        log_poly % '"scale": 300, "coef": {"kind": "inverse_sqrt", "scale": "2"}',
+        log_poly % '"scale": 300, "split": ["orthogonal"]',
+        custom % '{"family": "explicit", "values": [1, "0"]}',
+        custom % '[1]',
+    ):
+        with pytest.raises(InvalidConfig):
+            config_from_json(doc)
+    path = tmp_path / "typed.json"
+    path.write_text('{"setup": "i", "n_grid": [100], "output_dir": 5}')
+    res = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+    assert res.exit_code == 2 and "output_dir" in res.output
     cfg = config_from_json('{"setup": "i", "n_grid": [100.0], "repetitions": 2.0}')
     assert (cfg.n_grid, cfg.repetitions) == ((100,), 2)
     cfg = ExperimentConfig(
@@ -424,13 +444,12 @@ def test_emit_env_var_default(tmp_path, monkeypatch):
 
 
 def test_condition_family_lookup():
-    factory, mode = condition_family("fixed_p_identity")
-    assert mode == "exogenous"
-    model = factory(100)
+    model = condition_family("fixed_p_identity")(100)
     assert model.p == 50 and model.cov.endo_rank() == 0
-    factory_i, mode_i = condition_family("i")
-    assert mode_i == "orthogonal"
-    assert factory_i(100).p == 500
+    assert model.cov.split_kind == "exogenous"
+    model_i = condition_family("i")(100)
+    assert model_i.cov.split_kind == "orthogonal"
+    assert model_i.p == 500
     with pytest.raises(UnknownSetup):
         condition_family("sideways")
     assert set(CONDITION_FAMILIES) == {
@@ -439,6 +458,19 @@ def test_condition_family_lookup():
         "logpoly_nonorthogonal",
         "fixed_p_identity",
     }
+
+
+def test_condition_families_keep_their_modes():
+    # each family's mode is its models' split kind, the same at every n
+    expect = {
+        "logpoly_orthogonal": "orthogonal",
+        "expnoise_orthogonal": "orthogonal",
+        "logpoly_nonorthogonal": "nonorthogonal",
+        "fixed_p_identity": "exogenous",
+    }
+    for name, mode in expect.items():
+        report = evaluate_conditions(CONDITION_FAMILIES[name], (100, 150, 200))
+        assert report.mode == mode, name
 
 
 # ---------------------------------------------------------------------- cli

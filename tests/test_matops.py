@@ -12,7 +12,6 @@ from ridgeless_iv.matops import (
     cholesky_solve,
     pseudoinverse,
     psd_eigvals,
-    psd_sqrt,
 )
 
 
@@ -22,8 +21,8 @@ def random_psd(rng, dim, rank=None):
     return g @ g.T
 
 
-def test_pseudoinverse_and_psd_sqrt_reject_invalid():
-    for fn in (pseudoinverse, psd_sqrt, psd_eigvals):
+def test_pseudoinverse_and_psd_eigvals_reject_invalid():
+    for fn in (pseudoinverse, psd_eigvals):
         with pytest.raises(InvalidMatrix):
             fn(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(InvalidMatrix):
@@ -58,21 +57,6 @@ def test_pseudoinverse_rejects_indefinite():
         pseudoinverse(a)
     with pytest.raises(NotPSD):
         psd_eigvals(a)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        dim = int(rng.integers(2, 40))
-        a = random_psd(rng, dim, int(rng.integers(1, dim + 1)))
-        r = psd_sqrt(a)
-        assert np.linalg.norm(r @ r - a) <= 1e-7 * (1.0 + np.linalg.norm(a))
-        # sqrt and pseudoinverse commute through the shared eigenbasis; the
-        # square-rooted spectrum needs a sqrt-scaled rank cutoff
-        rp = pseudoinverse(r, rel_tol=1e-7)
-        assert np.linalg.norm(psd_sqrt(pseudoinverse(a)) - rp) <= 1e-6 * (
-            1.0 + np.linalg.norm(rp)
-        )
 
 
 def test_cholesky_matches_scipy_bit_for_bit():

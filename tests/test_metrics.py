@@ -161,16 +161,14 @@ def test_effective_ranks_zero_matrix_rejected():
 
 
 def test_l2_rank_identity_matches_chi_mean():
-    est = norm_effective_ranks(np.eye(40), norm="l2", mc_samples=20_000, seed=5)
+    est = norm_effective_ranks(np.ones(40), norm="l2", mc_samples=20_000, seed=5)
     assert est.projection_checked
     # (E|H|)^2 lives in [p-1, p]; allow Monte Carlo slack on both edges
     assert 39.0 - 3 * est.stderr_r <= est.r_norm <= 40.0 + 3 * est.stderr_r
 
 
 def test_l2_rank_one_matrix_half_normal_oracle():
-    sigma = np.zeros((3, 3))
-    sigma[0, 0] = 1.0
-    est = norm_effective_ranks(sigma, norm="l2", mc_samples=40_000, seed=9)
+    est = norm_effective_ranks(np.array([1.0, 0.0, 0.0]), norm="l2", mc_samples=40_000, seed=9)
     assert abs(est.r_norm - 2.0 / math.pi) <= 3 * est.stderr_r
     assert abs(est.R_norm - 2.0 / math.pi) <= 3 * est.stderr_R
 
@@ -180,14 +178,15 @@ def test_l2_sandwich_between_scalar_ranks():
     m = rng.standard_normal((12, 12))
     s = m @ m.T
     r, _ = effective_ranks(s)
-    est = norm_effective_ranks(s, norm="l2", mc_samples=10_000, seed=2)
+    # the law of the l2 ranks depends on the spectrum only
+    est = norm_effective_ranks(np.linalg.eigvalsh(s), norm="l2", mc_samples=10_000, seed=2)
     assert r - 1.0 - 3 * est.stderr_r <= est.r_norm <= r + 3 * est.stderr_r
 
 
 def test_norm_ranks_scale_invariance_same_seed():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((8, 8))
-    s = m @ m.T
+    s = np.linalg.eigvalsh(m @ m.T)
     a = norm_effective_ranks(s, norm="l2", mc_samples=2_000, seed=4)
     b = norm_effective_ranks(7.0 * s, norm="l2", mc_samples=2_000, seed=4)
     assert a.r_norm == pytest.approx(b.r_norm, rel=1e-10)
@@ -195,29 +194,29 @@ def test_norm_ranks_scale_invariance_same_seed():
 
 
 def test_l1_rank_scalar_case_and_projection_flag():
-    est = norm_effective_ranks(np.array([[1.0]]), norm="l1", mc_samples=40_000, seed=13)
+    est = norm_effective_ranks(np.array([1.0]), norm="l1", mc_samples=40_000, seed=13)
     # in one dimension the sup-norm dual collapses to the scalar half-normal
     assert abs(est.r_norm - 2.0 / math.pi) <= 3 * est.stderr_r
     assert not est.projection_checked
 
 
 def test_l1_rank_diagonal_finite():
-    est = norm_effective_ranks(np.diag([4.0, 1.0, 0.25]), norm="l1", mc_samples=5_000, seed=1)
+    est = norm_effective_ranks(np.array([4.0, 1.0, 0.25]), norm="l1", mc_samples=5_000, seed=1)
     assert np.isfinite(est.r_norm) and np.isfinite(est.R_norm)
     assert est.r_norm > 0 and est.R_norm > 0
 
 
 def test_custom_norm_requires_all_pieces():
     with pytest.raises(MissingSelector):
-        norm_effective_ranks(np.eye(3), norm="custom", dual_fn=np.linalg.norm)
+        norm_effective_ranks(np.ones(3), norm="custom", dual_fn=np.linalg.norm)
 
 
 def test_custom_norm_replicates_builtin_l2():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((5, 5))
-    s = m @ m.T
+    s = np.linalg.eigvalsh(m @ m.T)
     builtin = norm_effective_ranks(s, norm="l2", mc_samples=1_000, seed=8)
-    lam = np.linalg.eigvalsh(s).max()
+    lam = s.max()
     custom = norm_effective_ranks(
         s,
         norm="custom",
@@ -233,7 +232,20 @@ def test_custom_norm_replicates_builtin_l2():
 
 def test_unknown_norm_rejected():
     with pytest.raises(ValueError):
-        norm_effective_ranks(np.eye(2), norm="linf")
+        norm_effective_ranks(np.ones(2), norm="linf")
+
+
+def test_norm_ranks_take_a_diagonal():
+    # a dense matrix is no diagonal, even a diagonal one
+    for bad in (np.eye(3), np.array([[1.0]])):
+        with pytest.raises(ValueError, match="diagonal"):
+            norm_effective_ranks(bad)
+    for bad in (np.array([1.0, -0.5]), np.array([1.0, np.nan])):
+        with pytest.raises(NotPSD):
+            norm_effective_ranks(bad)
+    for zero in (np.zeros(3), np.zeros(0)):
+        with pytest.raises(ZeroMatrix):
+            norm_effective_ranks(zero)
 
 
 # -------------------------------------------------------- model functionals
@@ -441,6 +453,9 @@ def test_norm_bound_regression_constants_orthogonal():
     assert report.constants_used["C2"] == 56.0
     assert report.norm_bound == pytest.approx(945.3840132938518, rel=1e-12)
     assert report.norm_principal == pytest.approx(151.99384036691308, rel=1e-12)
+    # an exogenous model leaks nothing either
+    exogenous = norm_upper_bound(fixed_p_identity_family(100), 100, 0.1)
+    assert exogenous.constants_used["C2"] == 56.0
 
 
 # --------------------------------------------------------------- conditions
@@ -468,13 +483,13 @@ def logpoly_nonorthogonal_family(n, alpha=2.0):
     return assemble_model(cov, 20.0 / np.sqrt(idx), cross_cov=omega)
 
 
-def fixed_p_identity_family(n, p=50):
+def fixed_p_identity_family(n, p=50, split_kind="exogenous"):
     cov = CovarianceModel(
         p=p,
         endo_eigs=np.zeros(p),
         signal_eigs=np.ones(p),
         trunc_level=0,
-        split_kind="orthogonal",
+        split_kind=split_kind,
     )
     return assemble_model(cov, np.ones(p) / p, noise_sd=1.0)
 
@@ -484,15 +499,24 @@ GRID = tuple(range(100, 801, 100))
 
 def test_conditions_grid_validation():
     with pytest.raises(ValueError):
-        evaluate_conditions(logpoly_orthogonal_family, (100, 200), mode="orthogonal")
+        evaluate_conditions(logpoly_orthogonal_family, (100, 200))
     with pytest.raises(ValueError):
-        evaluate_conditions(logpoly_orthogonal_family, (300, 200, 100), mode="orthogonal")
-    with pytest.raises(ValueError):
-        evaluate_conditions(logpoly_orthogonal_family, GRID, mode="sideways")
+        evaluate_conditions(logpoly_orthogonal_family, (300, 200, 100))
+
+
+def test_conditions_mode_is_the_models_split_kind():
+    grid = (100, 200, 300)
+    assert evaluate_conditions(fixed_p_identity_family, grid).mode == "exogenous"
+    with pytest.raises(ValueError, match="split kind"):
+        evaluate_conditions(lambda n: fixed_p_identity_family(n, split_kind="sideways"), grid)
+    # one grid, one mode: a factory whose split kind changes with n is rejected
+    mixed = {100: "exogenous", 200: "exogenous", 300: "orthogonal"}
+    with pytest.raises(ValueError, match="split kind"):
+        evaluate_conditions(lambda n: fixed_p_identity_family(n, split_kind=mixed[n]), grid)
 
 
 def test_conditions_orthogonal_family_all_decreasing():
-    report = evaluate_conditions(logpoly_orthogonal_family, GRID, mode="orthogonal")
+    report = evaluate_conditions(logpoly_orthogonal_family, GRID)
     assert set(report.sequences) == {"rank_ratio", "eff_dim", "aliasing", "endo"}
     for name, verdict in report.verdicts.items():
         assert verdict.decreasing, name
@@ -500,7 +524,7 @@ def test_conditions_orthogonal_family_all_decreasing():
 
 
 def test_conditions_nonorthogonal_family_all_decreasing():
-    report = evaluate_conditions(logpoly_nonorthogonal_family, GRID, mode="nonorthogonal")
+    report = evaluate_conditions(logpoly_nonorthogonal_family, GRID)
     assert set(report.sequences) == {
         "rank_ratio",
         "eff_dim",
@@ -514,7 +538,7 @@ def test_conditions_nonorthogonal_family_all_decreasing():
 
 
 def test_conditions_fixed_p_anti_example():
-    report = evaluate_conditions(fixed_p_identity_family, (100, 200, 300), mode="exogenous")
+    report = evaluate_conditions(fixed_p_identity_family, (100, 200, 300))
     assert not report.verdicts["eff_dim"].decreasing
     # n/p grows linearly while the latent-noise block stays empty
     assert report.sequences["eff_dim"][0] == pytest.approx(2.0, rel=1e-14)
@@ -523,7 +547,7 @@ def test_conditions_fixed_p_anti_example():
 
 
 def test_conditions_rows_layout():
-    report = evaluate_conditions(fixed_p_identity_family, (100, 200, 300), mode="exogenous")
+    report = evaluate_conditions(fixed_p_identity_family, (100, 200, 300))
     rows = report.rows()
     assert [row["n"] for row in rows] == [100, 200, 300]
     assert all("eff_dim" in row and "aliasing" in row for row in rows)
