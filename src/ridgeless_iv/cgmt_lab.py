@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import CovarianceModel, EndogenousModel, assemble_model
 from .matops import default_rank_tol
@@ -210,7 +209,7 @@ def max_projected_error(
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(xi))):
         raise ValueError("design and xi must be finite")
 
-    left, sv, vt = scipy.linalg.svd(design)
+    left, sv, vt = np.linalg.svd(design)
     rank = int(np.count_nonzero(sv > default_rank_tol(max(n, p)) * np.max(sv, initial=0.0)))
     part = vt[:rank].T @ ((left[:, :rank].T @ xi) / sv[:rank])
     gap = float(np.linalg.norm(design @ part - xi))
@@ -236,7 +235,7 @@ def max_projected_error(
     a = 0.5 * (a + a.T)
     anchor = part + basis @ center
     b = basis.T @ (sig * anchor)
-    lam, vec = scipy.linalg.eigh(a)
+    lam, vec = np.linalg.eigh(a)
     w = _sphere_min(-lam[None, ::-1], -(b @ vec)[None, ::-1], np.array([radius]))
     theta_prime = anchor + basis @ (vec @ w[0, ::-1])
     return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, radius, m)

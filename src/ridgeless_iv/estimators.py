@@ -7,9 +7,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .matops import cholesky_lower, cholesky_solve, default_rank_tol
+from .matops import cholesky_lower, cholesky_solve, default_rank_tol, gelsy_lstsq
 # the benchmark's tracer looks this name up here (ROADMAP item 4)
 from .matops import pseudoinverse  # noqa: F401
 from .sampling import Dataset
@@ -83,10 +82,11 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     not queue behind one another's.  When the factorization fails, its
     smallest squared pivot ratio is at or below default_rank_tol(n), or the
     refined answer's relative residual is above 1e-12, X itself is solved
-    by a rank-revealing QR (LAPACK gelsy, singular values below
-    default_rank_tol(max(n, p)) times the largest treated as zero).  That
-    gives the min-norm least-squares answer for any rank without squaring
-    the condition number, as a pseudoinverse of the Gram would.
+    by a rank-revealing QR (matops.gelsy_lstsq, singular values below
+    default_rank_tol(max(n, p)) times the largest treated as zero), again
+    without the GIL.  That gives the min-norm least-squares answer for any
+    rank without squaring the condition number, as a pseudoinverse of the
+    Gram would.
     """
     x, y = _check_xy(x, y)
     factor, full_rank = cholesky_lower(x @ x.T)
@@ -102,20 +102,23 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
         fit = _result(x, y, theta, "min_norm")
         if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
             return fit
-    theta = scipy.linalg.lstsq(
-        x, y, cond=default_rank_tol(max(x.shape)), check_finite=False, lapack_driver="gelsy"
-    )[0]
+    theta = gelsy_lstsq(x, y, default_rank_tol(max(x.shape)))
     return _result(x, y, theta, "min_norm")
 
 
 def ridge(x: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
-    """theta = X^T (X X^T + n lam I)^{-1} Y, the dual form of ridge."""
+    """theta = X^T (X X^T + n lam I)^{-1} Y, the dual form of ridge.
+
+    A Gram whose Cholesky factorization fails raises np.linalg.LinAlgError.
+    """
     if lam <= 0:
         raise InvalidLambda(f"need lam > 0, got {lam}")
     x, y = _check_xy(x, y)
     n = x.shape[0]
-    gram = x @ x.T + n * lam * np.eye(n)
-    theta = x.T @ scipy.linalg.solve(gram, y, assume_a="pos")
+    factor, ok = cholesky_lower(x @ x.T + n * lam * np.eye(n))
+    if not ok:
+        raise np.linalg.LinAlgError("ridge Gram is not positive definite")
+    theta = x.T @ cholesky_solve(factor, y)
     return _result(x, y, theta, "ridge")
 
 
@@ -151,6 +154,8 @@ def lasso_cd(
     lam: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
+    *,
+    _checked: bool = False,
 ) -> FitResult:
     """Coordinate descent for (1/2n)||Y - X theta||^2 + lam ||theta||_1.
 
@@ -158,10 +163,17 @@ def lasso_cd(
     declared on the KKT residual, checked after every full pass.  When
     X^T y / n already certifies theta = 0 (see _zero_is_optimal) no pass
     runs and the zero fit comes back with iterations=0.
+
+    _checked is private to split_sample_lasso_iv: its second stage passes
+    float slices of a sample it has checked already, so the shape and
+    finiteness scan is skipped.  It is a keyword here rather than a
+    separate core function so that every lasso fit still goes through the
+    module name lasso_cd, which the benchmark tracer rebinds.
     """
     if lam < 0:
         raise InvalidLambda(f"need lam >= 0, got {lam}")
-    x, y = _check_xy(x, y)
+    if not _checked:
+        x, y = _check_xy(x, y)
     n, p = x.shape
     if _zero_is_optimal(x.T @ y / n, lam):
         return _result(x, y, np.zeros(p), "lasso", iterations=0)
@@ -220,9 +232,10 @@ def plugin_lambda(sigma_hat: float, n: int, p: int) -> float:
     return 1.1 * sigma_hat * math.sqrt(2.0 * math.log(2.0 * max(p, 1)) / n)
 
 
-def _lasso_theta(x, y, lam, tol, max_iter) -> np.ndarray:
+def _lasso_theta(x, y, lam, config, checked=False) -> np.ndarray:
     try:
-        return lasso_cd(x, y, lam, tol=tol, max_iter=max_iter).theta_hat
+        fit = lasso_cd(x, y, lam, tol=config.tol, max_iter=config.max_iter, _checked=checked)
+        return fit.theta_hat
     except ConvergenceFailure as fail:  # keep the best iterate
         return fail.result.theta_hat
 
@@ -324,7 +337,7 @@ def split_sample_lasso_iv(
             lam = config.penalty(float(target.std()), half1.size, f1.shape[1])
             cand = None
             if not _zero_is_optimal(corr[:, j] / half1.size, lam):
-                coef = _lasso_theta(f1, target, lam, config.tol, config.max_iter)
+                coef = _lasso_theta(f1, target, lam, config)
                 cand = f1 @ coef if np.any(coef) else None
             unit = fresh_direction(cand) if cand is not None else None
             if unit is None:
@@ -354,5 +367,5 @@ def split_sample_lasso_iv(
 
     v2 = x[np.ix_(half2, exo_idx)]
     lam = config.penalty(float(y2.std()), half2.size, exo_idx.size)
-    theta[exo_idx] = _lasso_theta(v2, y2, lam, config.tol, config.max_iter)
+    theta[exo_idx] = _lasso_theta(v2, y2, lam, config, checked=True)
     return _result(x, y, theta, "lasso_iv")

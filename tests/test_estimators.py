@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -74,13 +76,13 @@ def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
         x = rng.standard_normal((12, 5))
     y = rng.standard_normal(x.shape[0])
     calls = []
-    lstsq = scipy.linalg.lstsq
+    gelsy_lstsq = estimators.gelsy_lstsq
 
-    def counted(a, b, **kwargs):
-        calls.append(kwargs["lapack_driver"])
-        return lstsq(a, b, **kwargs)
+    def counted(*args):
+        calls.append("gelsy")
+        return gelsy_lstsq(*args)
 
-    monkeypatch.setattr(scipy.linalg, "lstsq", counted)
+    monkeypatch.setattr(estimators, "gelsy_lstsq", counted)
     fit = min_norm_interpolator(x, y)
     assert calls == ["gelsy"]
     ref = scipy.linalg.pinv(x) @ y
@@ -149,6 +151,13 @@ def test_empty_sample_rejected(fit):
 def test_ridge_rejects_bad_lambda():
     with pytest.raises(InvalidLambda):
         ridge(np.eye(2), np.zeros(2), 0.0)
+
+
+def test_ridge_singular_gram_raises_linalg_error():
+    # duplicated rows and a penalty below the Gram's rounding: the factor
+    # hits a zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        ridge(np.array([[2.0, 0.0], [2.0, 0.0]]), np.ones(2), 1e-300)
 
 
 # ------------------------------------------------------------------ lasso
@@ -372,6 +381,15 @@ def test_lasso_iv_certified_columns_skip_lasso(monkeypatch):
     assert calls == [0]
     assert np.all(fit.theta_hat[3:] == 0.0)
     assert np.all(np.isfinite(fit.theta_hat[:3]))
+
+
+def test_lasso_iv_rejects_nonfinite_design():
+    # an exogenous column, whose second-stage slice lasso_cd no longer checks
+    data = sample_dataset(baseline_model(), 90, seed=44)
+    x = data.X.copy()
+    x[:, -1] = np.nan
+    with pytest.raises(InvalidData, match="non-finite"):
+        split_sample_lasso_iv(dataclasses.replace(data, X=x), endo_idx=[0, 1, 2])
 
 
 def test_lasso_iv_rejects_too_many_endo():
