@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CovarianceModel, EndogenousModel, assemble_model
+from .covariance import EndogenousModel, split_eigs
 from .matops import default_rank_tol
 from .sampling import draw_factors
 
@@ -562,42 +562,6 @@ def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray) -> AoSolution:
     return sol
 
 
-def ao_grid_value(
-    inst: PoInstance,
-    G: np.ndarray,
-    H: np.ndarray,
-    points_per_axis: int = 401,
-    slack: float = 1e-6,
-):
-    """Brute-force reference for the comparison optimum, free dimension <= 3.
-
-    Evaluates the cone and ball constraints on a regular grid over the
-    coefficient ball and returns the best feasible objective, or None when
-    no grid point is feasible.  Grid points rarely sit exactly on the cone
-    surface, so membership allows a small positive slack.
-    """
-    p = inst.p
-    if p > 3:
-        raise ValueError("grid reference limited to p <= 3")
-    G = np.asarray(G, dtype=float)
-    H = np.asarray(H, dtype=float)
-    sig = np.asarray(inst.signal_eigs, dtype=float)
-    sig_root = np.sqrt(sig)
-    w2s = inst.W2 * np.sqrt(inst.endo_eigs)
-    hz = sig_root * H
-    radius = float(inst.ball_radius)
-
-    axes = [np.linspace(-radius, radius, points_per_axis)] * p
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = pts[_row_norm(pts) <= radius] - inst.theta0
-    gap = _cone_gap(pts, sig_root, w2s, G, hz, inst.xi)
-    feasible = gap <= slack
-    if not feasible.any():
-        return None
-    return float(_signal_energy(pts[feasible], sig).max())
-
-
 # ------------------------------------------------------------ tail check
 
 
@@ -615,18 +579,8 @@ def slice_model(p: int = 4, endo_count: int | None = None) -> EndogenousModel:
         raise ValueError(f"endogenous count {k} outside [1, {p - 1}]")
     idx = np.arange(1, p + 1, dtype=float)
     eigs = 300.0 / idx / (np.log(idx + 1.0) * math.e / 2.0) ** 2
-    endo = np.zeros(p)
-    endo[:k] = eigs[:k]
-    cov = CovarianceModel(
-        p=p,
-        endo_eigs=endo,
-        signal_eigs=eigs - endo,
-        trunc_level=k,
-        split_kind="orthogonal",
-    )
-    rho = np.zeros(p)
-    rho[:k] = 2.0 / idx[:k]
-    return assemble_model(cov, 20.0 / np.sqrt(idx), whitened_cross=rho)
+    endo, sig = split_eigs(eigs, k)
+    return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), 2.0 / idx)
 
 
 def draw_instance(model: EndogenousModel, n: int, rng, ball_radius: float | None = None):
@@ -654,8 +608,8 @@ def draw_instance(model: EndogenousModel, n: int, rng, ball_radius: float | None
         xi=xi,
         ball_radius=ball_radius,
         theta0=model.true_coef,
-        signal_eigs=model.cov.signal_eigs,
-        endo_eigs=model.cov.endo_eigs,
+        signal_eigs=model.signal_eigs,
+        endo_eigs=model.endo_eigs,
     )
     return inst, big_g, big_h
 

@@ -107,9 +107,9 @@ def ranks(source):
         raise ValueError(f"bad sample size {tail!r} in {source!r}") from None
     model, _ = setup_model(setup_id, n)
     for label, eigs in (
-        ("total", model.cov.total_eigs),
-        ("signal", model.cov.signal_eigs),
-        ("latent", model.cov.endo_eigs),
+        ("total", model.total_eigs),
+        ("signal", model.signal_eigs),
+        ("latent", model.endo_eigs),
     ):
         r, big_r = effective_ranks(eigs)
         click.echo(f"{label}: p={model.p} r={r:.6g} R={big_r:.6g}")

@@ -34,6 +34,11 @@ class EndogeneityTooStrong(ValueError):
     """Covariate-error covariance exceeds what the noise variance allows."""
 
 
+class InvalidModel(ValueError):
+    """Model vector is mis-shaped, negative or non-finite, or the noise
+    level is not finite and positive."""
+
+
 # --------------------------------------------------------------------------
 # dimension rules and spectrum profiles
 
@@ -249,129 +254,159 @@ class PatternRotation:
 
 
 # --------------------------------------------------------------------------
-# covariance splits
+# the covariance split
 
 
-def split_orthogonal_eigs(base_eigs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def split_eigs(base_eigs: np.ndarray, k: int, leak: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(latent-noise, signal) diagonals: the first k base eigenvalues go to
+    the latent-noise block less a share leak, which stays in the signal
+    block.  leak 0 is the orthogonal split."""
     base = np.asarray(base_eigs, dtype=float)
     p = base.size
     if not 0 <= k <= p:
         raise ValueError(f"level {k} outside [0, {p}]")
     endo = np.zeros(p)
-    endo[:k] = base[:k]
+    endo[:k] = (1.0 - leak) * base[:k]
     return endo, base - endo
 
 
-def split_nonorthogonal_eigs(
-    base_eigs: np.ndarray, k: int, alpha: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    if alpha <= 1.0:
+def split_spectrum(profile, n: int, alpha: float | None = None):
+    """Spectrum -> truncation level -> split_eigs at that level.  alpha None
+    is the orthogonal split; otherwise the leak is n^-alpha, alpha > 1."""
+    _, eigs = spectrum(profile, n)
+    k = truncation_level(eigs, n)
+    if k is None:
+        raise InvalidSpectrum("no truncation level within the spectrum")
+    if alpha is None:
+        return split_eigs(eigs, k)
+    if not alpha > 1.0:
         raise InvalidAlpha(f"leakage exponent must exceed 1, got {alpha}")
-    base = np.asarray(base_eigs, dtype=float)
-    p = base.size
-    if not 0 <= k <= p:
-        raise ValueError(f"level {k} outside [0, {p}]")
-    endo = np.zeros(p)
-    endo[:k] = (1.0 - float(n) ** (-alpha)) * base[:k]
-    return endo, base - endo
+    return split_eigs(eigs, k, float(n) ** (-alpha))
 
 
 # --------------------------------------------------------------------------
-# assembled models
+# the model
+
+
+_SPLIT_KINDS = ("orthogonal", "nonorthogonal", "exogenous")
+
+
+def latent_support(endo_eigs: np.ndarray) -> np.ndarray:
+    """Mask of the latent-noise eigenvalues above the rank cutoff."""
+    top = endo_eigs.max(initial=0.0)
+    p = endo_eigs.size
+    return endo_eigs > default_rank_tol(p) * top if top > 0 else np.zeros(p, bool)
 
 
 @dataclass(frozen=True)
-class CovarianceModel:
-    """Split covariate covariance, diagonal in the coordinate basis.
+class EndogenousModel:
+    """The endogenous linear model, diagonal in one coordinate basis.
 
-    endo_eigs / signal_eigs are the diagonals of the latent-noise and
-    instrumented-signal blocks.  rotation (a PatternRotation or None) only
-    affects how whitened endogeneity vectors are mapped in.
+    signal_eigs and endo_eigs are the diagonals of the instrumented-signal
+    and latent-noise blocks, true_coef the coefficient vector.
+    whitened_cross is the (latent block)^(-1/2) covariate-error covariance;
+    it vanishes off the block's support (endo_support).  noise_var is the
+    error variance.  split_kind ("orthogonal", "nonorthogonal" or
+    "exogenous") names how the blocks were split; it selects the condition
+    mode and the norm bound's constant.
+
+    Construction validates the model: the vectors must be finite and of one
+    length, the eigenvalues nonnegative, noise_var finite and positive, and
+    the joint factor-and-error covariance positive semidefinite.  build
+    takes a noise level instead of a variance and projects a whitened
+    request onto the support.
     """
 
-    p: int
-    endo_eigs: np.ndarray
     signal_eigs: np.ndarray
-    trunc_level: int
+    endo_eigs: np.ndarray
+    true_coef: np.ndarray
+    whitened_cross: np.ndarray
+    noise_var: float
     split_kind: str
-    alpha: float | None = None
-    rotation: PatternRotation | None = None
+
+    def __post_init__(self):
+        shape = np.shape(self.signal_eigs)
+        for name in ("signal_eigs", "endo_eigs", "true_coef", "whitened_cross"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.ndim != 1 or v.size == 0 or v.shape != shape:
+                raise InvalidModel(f"{name} must be a nonempty vector shaped {shape}, got {v.shape}")
+            if not np.all(np.isfinite(v)):
+                raise InvalidModel(f"{name} has non-finite entries")
+            if name.endswith("_eigs") and np.any(v < 0):
+                raise InvalidModel(f"{name} has negative entries")
+            object.__setattr__(self, name, v)
+        if self.split_kind not in _SPLIT_KINDS:
+            raise InvalidModel(f"unknown split kind {self.split_kind!r}")
+        if np.any(self.whitened_cross[~self.endo_support] != 0.0):
+            raise InvalidModel("whitened_cross is nonzero off the latent-noise support")
+        noise_var = float(self.noise_var)
+        if not (math.isfinite(noise_var) and noise_var > 0):
+            raise InvalidModel(f"noise variance must be finite and positive, got {noise_var}")
+        object.__setattr__(self, "noise_var", noise_var)
+        energy = float(self.whitened_cross @ self.whitened_cross)
+        if energy > noise_var * (1.0 + 1e-12):
+            raise EndogeneityTooStrong(
+                f"covariate-error energy {energy:g} exceeds noise variance {noise_var:g}"
+            )
+        if self.joint_min_eigenvalue() < -1e-8:
+            raise EndogeneityTooStrong("joint factor covariance not positive semidefinite")
+
+    @classmethod
+    def build(
+        cls,
+        signal_eigs,
+        endo_eigs,
+        true_coef,
+        whitened_cross=None,
+        noise_sd: float | None = None,
+        split_kind: str = "orthogonal",
+    ) -> "EndogenousModel":
+        """Model from a whitened endogeneity request and a noise level.
+
+        whitened_cross is restricted to the latent block's support; None
+        means an exogenous model.  noise_sd defaults to twice the realized
+        whitened norm, which leaves three quarters of the error variance
+        unexplained by the covariates.
+        """
+        endo = np.asarray(endo_eigs, dtype=float)
+        if whitened_cross is None:
+            realized = np.zeros(endo.shape)
+        elif np.shape(whitened_cross) != endo.shape:
+            raise InvalidModel(f"whitened_cross must be shaped {endo.shape}")
+        else:
+            realized = np.where(latent_support(endo), whitened_cross, 0.0)
+        if noise_sd is None:
+            energy = float(realized @ realized)
+            noise_sd = 2.0 * math.sqrt(energy) if energy > 0 else 1.0
+        if not noise_sd > 0:
+            raise InvalidModel(f"noise_sd must be positive, got {noise_sd}")
+        return cls(signal_eigs, endo, true_coef, realized, float(noise_sd) ** 2, split_kind)
+
+    @property
+    def p(self) -> int:
+        return self.true_coef.size
 
     @property
     def total_eigs(self) -> np.ndarray:
         return self.endo_eigs + self.signal_eigs
 
-    def rotate(self, v: np.ndarray) -> np.ndarray:
-        if self.rotation is None:
-            return np.asarray(v, dtype=float).copy()
-        return self.rotation.matvec(v)
-
     @property
     def endo_support(self) -> np.ndarray:
-        """Mask of the latent-noise eigenvalues above the rank cutoff."""
-        e = self.endo_eigs
-        top = e.max(initial=0.0)
-        return e > default_rank_tol(self.p) * top if top > 0 else np.zeros(self.p, bool)
+        return latent_support(self.endo_eigs)
 
     def endo_rank(self) -> int:
         return int(np.count_nonzero(self.endo_support))
 
-
-def build_covariance(
-    profile,
-    n: int,
-    split_kind: str = "orthogonal",
-    alpha: float | None = None,
-    rotation: str | None = "pattern",
-) -> CovarianceModel:
-    """Spectrum -> truncation level -> split, with the standard rotation."""
-    p, eigs = spectrum(profile, n)
-    k = truncation_level(eigs, n)
-    if k is None:
-        raise InvalidSpectrum("no truncation level within the spectrum")
-    if split_kind == "orthogonal":
-        endo, sig = split_orthogonal_eigs(eigs, k)
-        alpha_out = None
-    elif split_kind == "nonorthogonal":
-        if alpha is None:
-            raise InvalidAlpha("nonorthogonal split needs alpha")
-        endo, sig = split_nonorthogonal_eigs(eigs, k, alpha, n)
-        alpha_out = float(alpha)
-    else:
-        raise ValueError(f"unknown split kind {split_kind!r}")
-    rot = PatternRotation(p) if rotation == "pattern" else None
-    return CovarianceModel(
-        p=p,
-        endo_eigs=endo,
-        signal_eigs=sig,
-        trunc_level=k,
-        split_kind=split_kind,
-        alpha=alpha_out,
-        rotation=rot,
-    )
-
-
-@dataclass(frozen=True)
-class EndogenousModel:
-    """Covariance split plus coefficients, endogeneity, and noise levels.
-
-    whitened_cross holds the realized (endo block)^(-1/2) covariate-error
-    covariance: the requested vector restricted to the support of the
-    latent-noise block.  cross_cov is the covariate-error covariance itself,
-    cross_cov = sqrt(endo_eigs) * whitened_cross.
-    """
-
-    cov: CovarianceModel
-    true_coef: np.ndarray
-    cross_cov: np.ndarray
-    whitened_cross: np.ndarray
-    noise_var: float
-    resid_noise_var: float
-    requested_whitened: np.ndarray | None = None
+    @property
+    def cross_cov(self) -> np.ndarray:
+        """The covariate-error covariance, sqrt(endo_eigs) * whitened_cross."""
+        return np.sqrt(np.where(self.endo_support, self.endo_eigs, 0.0)) * self.whitened_cross
 
     @property
-    def p(self) -> int:
-        return self.cov.p
+    def resid_noise_var(self) -> float:
+        """Error variance left after the covariate-explained part."""
+        w = self.whitened_cross
+        return max(self.noise_var - float(w @ w), 0.0)
 
     def joint_min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the joint factor-and-error covariance.
@@ -384,70 +419,3 @@ class EndogenousModel:
         r2 = float(self.whitened_cross @ self.whitened_cross)
         lo = 0.5 * (1.0 + s2 - math.sqrt((1.0 - s2) ** 2 + 4.0 * r2))
         return min(1.0, lo)
-
-
-def _as_vector(rule, p: int) -> np.ndarray:
-    v = rule(p) if callable(rule) else rule
-    v = np.asarray(v, dtype=float)
-    if v.shape != (p,):
-        raise ValueError(f"expected a length-{p} vector, got shape {v.shape}")
-    return v
-
-
-def assemble_model(
-    cov: CovarianceModel,
-    true_coef,
-    whitened_cross=None,
-    cross_cov=None,
-    noise_sd: float | None = None,
-) -> EndogenousModel:
-    """Validated model from a covariance split and an endogeneity request.
-
-    Exactly one of whitened_cross (run through the rotation) or cross_cov
-    (natural coordinates) may be given; neither means an exogenous model.
-    noise_sd defaults to twice the realized whitened norm, which leaves
-    three quarters of the error variance unexplained by the covariates.
-    """
-    p = cov.p
-    theta = _as_vector(true_coef, p)
-    if whitened_cross is not None and cross_cov is not None:
-        raise ValueError("give whitened_cross or cross_cov, not both")
-
-    support = cov.endo_support
-    root = np.sqrt(np.where(support, cov.endo_eigs, 0.0))
-
-    requested = None
-    if whitened_cross is not None:
-        requested = cov.rotate(_as_vector(whitened_cross, p))
-    elif cross_cov is not None:
-        w = _as_vector(cross_cov, p)
-        requested = np.where(support, w / np.where(support, root, 1.0), 0.0)
-    realized = np.where(support, requested, 0.0) if requested is not None else np.zeros(p)
-    cross = root * realized
-
-    endo_energy = float(realized @ realized)
-    if noise_sd is None:
-        noise_sd = 2.0 * math.sqrt(endo_energy) if endo_energy > 0 else 1.0
-    if noise_sd <= 0:
-        raise ValueError("noise_sd must be positive")
-    noise_var = float(noise_sd) ** 2
-    if endo_energy > noise_var * (1.0 + 1e-12):
-        raise EndogeneityTooStrong(
-            f"covariate-error energy {endo_energy:g} exceeds noise variance {noise_var:g}"
-        )
-    resid = noise_var - endo_energy
-    if resid < 0.0:  # only roundoff away from zero after the check above
-        resid = 0.0
-
-    model = EndogenousModel(
-        cov=cov,
-        true_coef=theta,
-        cross_cov=cross,
-        whitened_cross=realized,
-        noise_var=noise_var,
-        resid_noise_var=resid,
-        requested_whitened=requested,
-    )
-    if model.joint_min_eigenvalue() < -1e-8:
-        raise EndogeneityTooStrong("joint factor covariance not positive semidefinite")
-    return model

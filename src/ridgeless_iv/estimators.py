@@ -1,5 +1,5 @@
-"""Estimators: the ridgeless interpolator, its ridge oracle, and a
-split-sample lasso instrumental-variable baseline."""
+"""Estimators: the ridgeless interpolator and a split-sample lasso
+instrumental-variable baseline."""
 
 from __future__ import annotations
 
@@ -16,10 +16,6 @@ from .sampling import Dataset
 
 class InvalidData(ValueError):
     """Design or response is empty, mis-shaped or contains non-finite entries."""
-
-
-class InvalidLambda(ValueError):
-    """Ridge penalty must be strictly positive."""
 
 
 class SingularDesign(ValueError):
@@ -106,22 +102,6 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     return _result(x, y, theta, "min_norm")
 
 
-def ridge(x: np.ndarray, y: np.ndarray, lam: float) -> FitResult:
-    """theta = X^T (X X^T + n lam I)^{-1} Y, the dual form of ridge.
-
-    A Gram whose Cholesky factorization fails raises np.linalg.LinAlgError.
-    """
-    if lam <= 0:
-        raise InvalidLambda(f"need lam > 0, got {lam}")
-    x, y = _check_xy(x, y)
-    n = x.shape[0]
-    factor, ok = cholesky_lower(x @ x.T + n * lam * np.eye(n))
-    if not ok:
-        raise np.linalg.LinAlgError("ridge Gram is not positive definite")
-    theta = x.T @ cholesky_solve(factor, y)
-    return _result(x, y, theta, "ridge")
-
-
 # Relative slack of the zero certificate.  The screen takes X^T y from one
 # gemv or gemm, the sweep each entry from its own dot product; the two
 # differ by at most eps * sum_i |x_ij y_i|, far below this share of lam at
@@ -171,7 +151,7 @@ def lasso_cd(
     module name lasso_cd, which the benchmark tracer rebinds.
     """
     if lam < 0:
-        raise InvalidLambda(f"need lam >= 0, got {lam}")
+        raise ValueError(f"need lam >= 0, got {lam}")
     if not _checked:
         x, y = _check_xy(x, y)
     n, p = x.shape
@@ -259,7 +239,7 @@ def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
     The signal block factors as A A^T with A its square root, so the
     instrument columns are W1 A restricted to the block's support.
     """
-    sig = data.model.cov.signal_eigs
+    sig = data.model.signal_eigs
     top = sig.max(initial=0.0)
     if top <= 0.0:
         return np.empty((rows.size, 0))

@@ -25,15 +25,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .covariance import (
-    CovarianceModel,
     DimensionRule,
     EndogenousModel,
     ExpPlusNoiseSpectrum,
     ExplicitSpectrum,
+    InvalidAlpha,
     LogPolySpectrum,
-    assemble_model,
-    build_covariance,
+    PatternRotation,
+    latent_support,
     spectrum,
+    split_eigs,
+    split_spectrum,
     truncation_level,
 )
 from .estimators import min_norm_interpolator, split_sample_lasso_iv
@@ -98,20 +100,18 @@ def _spectrum_setup(profile, split_kind, alpha, coef_rule, rho_rule):
     the pattern rotation, diagonal split."""
 
     def build(n: int):
-        cov = build_covariance(
-            profile, n, split_kind=split_kind, alpha=alpha, rotation="pattern"
-        )
-        i = np.arange(1, cov.p + 1, dtype=float)
-        model = assemble_model(cov, coef_rule(i), whitened_cross=rho_rule(i))
-        return model, None
+        endo, sig = split_spectrum(profile, n, alpha)
+        i = np.arange(1, endo.size + 1, dtype=float)
+        rho = PatternRotation(endo.size).matvec(rho_rule(i))
+        return EndogenousModel.build(sig, endo, coef_rule(i), rho, split_kind=split_kind), None
 
     return build
 
 
 def _window_setup(head_coef: bool = False, shifted: bool = False):
     """Factory for the comparison setups: an n/10-wide window of coordinates
-    carries covariate-error correlation 2/i, given directly in natural
-    coordinates (no rotation).
+    carries covariate-error correlation 2/i, given in natural coordinates
+    (no rotation) and whitened by the latent block for the model.
 
     The shifted variant moves the first fifth of the window past the
     truncation level; the latent block is extended to cover it, since a
@@ -128,18 +128,7 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
         kstar = truncation_level(eigs, n)
         if kstar is None or k > kstar:
             raise InvalidConfig(f"endogenous window exceeds the latent block at n={n}")
-        block = kstar + shift
-        scale = 1.0 - float(n) ** (-_LEAK_ALPHA)
-        endo = np.zeros(p)
-        endo[:block] = scale * eigs[:block]
-        cov = CovarianceModel(
-            p=p,
-            endo_eigs=endo,
-            signal_eigs=eigs - endo,
-            trunc_level=kstar,
-            split_kind="nonorthogonal",
-            alpha=_LEAK_ALPHA,
-        )
+        endo, sig = split_eigs(eigs, kstar + shift, float(n) ** (-_LEAK_ALPHA))
         i = np.arange(1, p + 1, dtype=float)
         theta = _coef_dense(i)
         if head_coef:
@@ -148,7 +137,9 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
         window[shift:k] = True
         window[kstar : kstar + shift] = True
         omega = np.where(window, 2.0 / i, 0.0)
-        model = assemble_model(cov, theta, cross_cov=omega)
+        support = latent_support(endo)
+        rho = np.where(support, omega / np.sqrt(np.where(support, endo, 1.0)), 0.0)
+        model = EndogenousModel.build(sig, endo, theta, rho, split_kind="nonorthogonal")
         return model, np.flatnonzero(window)
 
     return build
@@ -282,17 +273,23 @@ def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
     rotation = profile.get("rotation", "pattern")
     if rotation not in ("pattern", None):
         raise InvalidConfig(f"unknown rotation {rotation!r}")
-    cov = build_covariance(
-        prof, n, split_kind=split, alpha=profile.get("alpha"), rotation=rotation
-    )
-    theta = _profile_vector(profile.get("coef"), _COEF_KINDS, "inverse_sqrt", cov.p)
-    rho = _profile_vector(profile.get("cross"), _CROSS_KINDS, "none", cov.p)
+    alpha = profile.get("alpha")
+    if split == "nonorthogonal" and alpha is None:
+        raise InvalidAlpha("nonorthogonal split needs alpha")
+    endo, sig = split_spectrum(prof, n, alpha if split == "nonorthogonal" else None)
+    p = endo.size
+    theta = _profile_vector(profile.get("coef"), _COEF_KINDS, "inverse_sqrt", p)
+    rho = _profile_vector(profile.get("cross"), _CROSS_KINDS, "none", p)
+    if rho is not None and rotation == "pattern":
+        rho = PatternRotation(p).matvec(rho)
     noise_sd = profile.get("noise_sd")
-    model = assemble_model(
-        cov,
+    model = EndogenousModel.build(
+        sig,
+        endo,
         theta,
-        whitened_cross=rho,
+        rho,
         noise_sd=float(noise_sd) if noise_sd is not None else None,
+        split_kind=split,
     )
     return model, None
 
@@ -734,21 +731,16 @@ def _named_family(setup_id: str):
 
 def _family_logpoly_nonorthogonal(n: int) -> EndogenousModel:
     # steeper leakage than the simulation setups: n^-2 per top eigenvalue
-    cov = build_covariance(_LOG_POLY, n, split_kind="nonorthogonal", alpha=2.0)
-    i = np.arange(1, cov.p + 1, dtype=float)
-    return assemble_model(cov, _coef_dense(i), whitened_cross=_rho_inverse(i))
+    endo, sig = split_spectrum(_LOG_POLY, n, alpha=2.0)
+    i = np.arange(1, endo.size + 1, dtype=float)
+    rho = PatternRotation(endo.size).matvec(_rho_inverse(i))
+    return EndogenousModel.build(sig, endo, _coef_dense(i), rho, split_kind="nonorthogonal")
 
 
 def _family_fixed_p_identity(n: int) -> EndogenousModel:
     # fixed dimension: the signal block cannot absorb a growing sample
-    cov = CovarianceModel(
-        p=50,
-        endo_eigs=np.zeros(50),
-        signal_eigs=np.ones(50),
-        trunc_level=0,
-        split_kind="exogenous",
-    )
-    return assemble_model(cov, np.full(50, 0.5), noise_sd=1.0)
+    endo, sig = split_eigs(np.ones(50), 0)
+    return EndogenousModel.build(sig, endo, np.full(50, 0.5), noise_sd=1.0, split_kind="exogenous")
 
 
 # the condition mode of each family is its models' split kind

@@ -27,7 +27,7 @@ class MissingSelector(ValueError):
 
 
 class ModelInconsistent(ValueError):
-    """Stored and recomputed noise quantities disagree beyond tolerance."""
+    """A condition sequence has a negative or non-finite entry."""
 
 
 class DegenerateNoise(ValueError):
@@ -82,7 +82,7 @@ def _delta_method(num, den, num_scale_sq):
     a, d = float(num.mean()), float(den.mean())
     va = float(num.var(ddof=1)) / m
     vd = float(den.var(ddof=1)) / m
-    cad = float(np.cov(num, den, ddof=1)[0, 1]) / m
+    cad = float((num - a) @ (den - d)) / ((m - 1) * m)
     r = a * a / num_scale_sq
     se_r = 2.0 * a / num_scale_sq * math.sqrt(va)
     big_r = (a / d) ** 2
@@ -105,9 +105,12 @@ def norm_effective_ranks(
     Draws H ~ N(0, I), evaluates the dual norm of Sigma^{1/2}H and the
     Sigma-weighted length of the minimal dual subgradient, and returns
     delta-method standard errors for both rank estimates.  sigma_diag is
-    the diagonal of Sigma; a 2-d input raises ValueError, and a negative or
-    non-finite entry NotPSD.
+    the diagonal of Sigma; a 2-d input or fewer than 2 samples (no
+    standard error) raises ValueError, and a negative or non-finite entry
+    NotPSD.
     """
+    if mc_samples < 2:
+        raise ValueError(f"standard errors need mc_samples >= 2, got {mc_samples}")
     sigma = np.asarray(sigma_diag, dtype=float)
     if sigma.ndim != 1:
         raise ValueError("norm effective ranks take the covariance's diagonal as a vector")
@@ -157,30 +160,12 @@ def norm_effective_ranks(
 # --------------------------------------------------------- model functionals
 
 
-def _whitened_cross(model: EndogenousModel) -> np.ndarray:
-    """Recompute (endo block)^{-1/2} cross covariance from stored pieces."""
-    sup = model.cov.endo_support
-    root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
-    return np.where(sup, model.cross_cov / root, 0.0)
-
-
-def sigma_tilde2(model: EndogenousModel) -> float:
-    """Noise variance left after removing the covariate-explained part."""
-    white = _whitened_cross(model)
-    val = model.noise_var - float(white @ white)
-    if val < -1e-10 * max(1.0, model.noise_var):
-        raise ModelInconsistent(f"residual noise variance {val:g} is negative")
-    if abs(val - model.resid_noise_var) > 1e-10 * max(1.0, model.noise_var):
-        raise ModelInconsistent("stored residual noise variance disagrees")
-    return max(val, 0.0)
-
-
 def _amplified_cross(model: EndogenousModel) -> np.ndarray:
     """(latent-noise block)^+ applied to the cross covariance, through the
     whitened form."""
-    sup = model.cov.endo_support
-    root = np.sqrt(np.where(sup, model.cov.endo_eigs, 1.0))
-    return np.where(sup, _whitened_cross(model) / root, 0.0)
+    sup = model.endo_support
+    root = np.sqrt(np.where(sup, model.endo_eigs, 1.0))
+    return np.where(sup, model.whitened_cross / root, 0.0)
 
 
 def pinv_cross_norm(model: EndogenousModel) -> float:
@@ -192,15 +177,15 @@ def cross_signal_energy(model: EndogenousModel) -> float:
     """Signal-weighted energy of the amplified cross covariance:
     cross^T (endo^+) signal (endo^+) cross."""
     amp = _amplified_cross(model)
-    return float(amp @ (model.cov.signal_eigs * amp))
+    return float(amp @ (model.signal_eigs * amp))
 
 
 def eta_delta(model: EndogenousModel, n: int, delta: float) -> float:
     """Deviation factor sqrt(log(1/delta)) * (1/sqrt(r) + sqrt(rank/n) + n/R)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    r, big_r = effective_ranks(model.cov.signal_eigs)
-    rank_u = model.cov.endo_rank()
+    r, big_r = effective_ranks(model.signal_eigs)
+    rank_u = model.endo_rank()
     return math.sqrt(math.log(1.0 / delta)) * (
         1.0 / math.sqrt(r) + math.sqrt(rank_u / n) + n / big_r
     )
@@ -251,14 +236,14 @@ def rmse_upper_bound(
     theta_norm = float(np.linalg.norm(model.true_coef))
     if B < theta_norm:
         raise ValueError(f"ball radius {B:g} below |theta0| = {theta_norm:g}")
-    r, _ = effective_ranks(model.cov.signal_eigs)
-    rank_u = model.cov.endo_rank()
+    r, _ = effective_ranks(model.signal_eigs)
+    rank_u = model.endo_rank()
     log_term = math.log(1.0 / delta)
     gamma = C1 * (
         math.sqrt(log_term / r) + math.sqrt(log_term / n) + math.sqrt(rank_u / n)
     )
-    tr_sig = float(model.cov.signal_eigs.sum())
-    s_tilde2 = sigma_tilde2(model)
+    tr_sig = float(model.signal_eigs.sum())
+    s_tilde2 = model.resid_noise_var
     literal = (1.0 + gamma) * B * B * tr_sig / n - s_tilde2
 
     eta = eta_delta(model, n, delta)
@@ -286,16 +271,16 @@ def norm_upper_bound(model: EndogenousModel, n: int, delta: float) -> BoundRepor
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    s_tilde2 = sigma_tilde2(model)
+    s_tilde2 = model.resid_noise_var
     if s_tilde2 <= 0.0:
         raise DegenerateNoise("norm bound needs positive leftover noise variance")
     s_tilde = math.sqrt(s_tilde2)
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     r, big_r = effective_ranks(sig)
     tr_sig = float(sig.sum())
     tr_sq = float(sig @ sig)
-    cross_tr = float(model.cov.endo_eigs @ sig)
-    rank_u = model.cov.endo_rank()
+    cross_tr = float(model.endo_eigs @ sig)
+    rank_u = model.endo_rank()
     log_term = math.log(1.0 / delta)
 
     pc = pinv_cross_norm(model)
@@ -310,7 +295,7 @@ def norm_upper_bound(model: EndogenousModel, n: int, delta: float) -> BoundRepor
         + (1.0 + cross_tr / tr_sq) * (n / big_r)
         + (pc / s_tilde) * math.sqrt(tr_sig / n)
     )
-    ceiling = 160.0 if model.cov.split_kind == "nonorthogonal" else 56.0
+    ceiling = 160.0 if model.split_kind == "nonorthogonal" else 56.0
     eps_lit = ceiling * eps_raw
 
     theta_norm = float(np.linalg.norm(model.true_coef))
@@ -365,9 +350,6 @@ def _is_decreasing(values: np.ndarray) -> bool:
     )
 
 
-_MODES = ("orthogonal", "nonorthogonal", "exogenous")
-
-
 def evaluate_conditions(model_factory, n_grid) -> ConditionReport:
     """Tabulate the sufficient-condition sequences over a sample-size grid.
 
@@ -376,16 +358,16 @@ def evaluate_conditions(model_factory, n_grid) -> ConditionReport:
     modes report the basic trio (rank_ratio, eff_dim, aliasing); the
     orthogonal mode adds the endogeneity sequence, the non-orthogonal mode
     adds its scaled variant plus the block-overlap sequences, and the
-    exogenous mode adds only the block-overlap rank sequence.  An unknown or
-    mixed split kind raises ValueError.
+    exogenous mode adds only the block-overlap rank sequence.  Mixed split
+    kinds raise ValueError.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 3 or any(b < a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("need a nondecreasing grid with at least 3 points")
     models = [model_factory(n) for n in n_grid]
-    kinds = {model.cov.split_kind for model in models}
-    if len(kinds) != 1 or not kinds <= set(_MODES):
-        raise ValueError(f"models need one split kind out of {_MODES}, got {sorted(kinds)}")
+    kinds = {model.split_kind for model in models}
+    if len(kinds) != 1:
+        raise ValueError(f"models need one split kind, got {sorted(kinds)}")
     (mode,) = kinds
 
     names = ["rank_ratio", "eff_dim", "aliasing"]
@@ -398,26 +380,26 @@ def evaluate_conditions(model_factory, n_grid) -> ConditionReport:
     seq = {name: np.empty(len(n_grid)) for name in names}
 
     for i, (n, model) in enumerate(zip(n_grid, models)):
-        sig = model.cov.signal_eigs
+        sig = model.signal_eigs
         _, big_r = effective_ranks(sig)
         tr_sig = float(sig.sum())
         tr_sq = float(sig @ sig)
-        seq["rank_ratio"][i] = model.cov.endo_rank() / n
+        seq["rank_ratio"][i] = model.endo_rank() / n
         seq["eff_dim"][i] = n / big_r
         seq["aliasing"][i] = float(np.linalg.norm(model.true_coef)) * math.sqrt(tr_sig / n)
         if mode == "orthogonal":
             seq["endo"][i] = pinv_cross_norm(model) * math.sqrt(tr_sig / n)
         elif mode == "nonorthogonal":
-            s_tilde = math.sqrt(sigma_tilde2(model))
+            s_tilde = math.sqrt(model.resid_noise_var)
             seq["endo_nonortho"][i] = (
                 pinv_cross_norm(model) / s_tilde * math.sqrt(tr_sig / n)
                 if s_tilde > 0
                 else math.inf
             )
-            seq["cross_rank"][i] = (n / big_r) * (float(model.cov.endo_eigs @ sig) / tr_sq)
+            seq["cross_rank"][i] = (n / big_r) * (float(model.endo_eigs @ sig) / tr_sq)
             seq["mixed"][i] = cross_signal_energy(model)
         else:
-            seq["cross_rank"][i] = (n / big_r) * (float(model.cov.endo_eigs @ sig) / tr_sq)
+            seq["cross_rank"][i] = (n / big_r) * (float(model.endo_eigs @ sig) / tr_sq)
 
     for name, values in seq.items():
         if not np.all(np.isfinite(values)) or np.any(values < 0):

@@ -51,7 +51,7 @@ class Dataset:
 
 def _latent_width(model: EndogenousModel) -> int:
     # 1 + the last index where the latent-noise block is nonzero, 0 if none
-    nz = np.flatnonzero(model.cov.endo_eigs)
+    nz = np.flatnonzero(model.endo_eigs)
     return int(nz[-1]) + 1 if nz.size else 0
 
 
@@ -88,7 +88,7 @@ def _flat_tail_start(model: EndogenousModel, n: int) -> int | None:
     theta0's tail (the Bartlett factor needs that many degrees of freedom)
     and lie past the latent block, so it carries no W2 term.
     """
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     differs = np.flatnonzero(sig != sig[-1])
     m = int(differs[-1]) + 1 if differs.size else 0
     if model.p - m - 1 >= n and _latent_width(model) <= m:
@@ -106,7 +106,7 @@ def _compressed_factors(model: EndogenousModel, n: int, m: int, rng: np.random.G
     # a boolean mask assigns in row-major order: row by row below the diagonal
     lower[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
     lower[np.diag_indices(n)] = np.sqrt(rng.chisquare(model.p - m - 1 - np.arange(n)))
-    sig, theta = model.cov.signal_eigs, model.true_coef
+    sig, theta = model.signal_eigs, model.true_coef
     metric = np.concatenate([sig[:m], np.full(n + 1, sig[-1])])
     coef = np.concatenate([theta[:m], [np.linalg.norm(theta[m:])], np.zeros(n)])
     return w1, w2, xi, metric, coef
@@ -118,14 +118,14 @@ def _sample(model: EndogenousModel, n: int, seed: int, dof: float | None, m: int
     rng = np.random.default_rng(seed)
     if m is None:
         w1, w2, xi = draw_factors(model, n, rng)
-        metric, coef = model.cov.signal_eigs, model.true_coef
+        metric, coef = model.signal_eigs, model.true_coef
     else:
         w1, w2, xi, metric, coef = _compressed_factors(model, n, m, rng)
     if dof is not None:
         w1 *= np.sqrt((dof - 2.0) / rng.chisquare(dof, size=n))[:, None]
     k = w2.shape[1]
     x = w1 * np.sqrt(metric)
-    x[:, :k] += w2 * np.sqrt(model.cov.endo_eigs[:k])
+    x[:, :k] += w2 * np.sqrt(model.endo_eigs[:k])
     y = x @ coef + xi
     return Dataset(
         X=x, Y=y, xi=xi, W1=w1, W2=w2, seed=int(seed), model=model,

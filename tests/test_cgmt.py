@@ -14,7 +14,8 @@ from ridgeless_iv.cgmt_lab import (
     NoFeasiblePoint,
     PoInstance,
     _cone_gap,
-    ao_grid_value,
+    _row_norm,
+    _signal_energy,
     draw_instance,
     max_projected_error,
     slice_model,
@@ -34,6 +35,32 @@ AO_ENDO = np.array([0.0, 4.0])
 # points, and ones where both report an empty feasible set
 COMPARABLE_TRIALS = (1, 5, 11, 14, 15, 16)
 EMPTY_TRIALS = (0, 2, 3, 4)
+
+
+def ao_grid_value(inst, G, H, points_per_axis=401, slack=1e-6):
+    """Brute-force reference for the comparison optimum, free dimension <= 3.
+
+    Evaluates the cone and ball constraints on a regular grid over the
+    coefficient ball and returns the best feasible objective, or None when
+    no grid point is feasible.  Grid points rarely sit exactly on the cone
+    surface, so membership allows a small positive slack.
+    """
+    p = inst.p
+    if p > 3:
+        raise ValueError("grid reference limited to p <= 3")
+    sig = np.asarray(inst.signal_eigs, dtype=float)
+    sig_root = np.sqrt(sig)
+    w2s = inst.W2 * np.sqrt(inst.endo_eigs)
+    radius = float(inst.ball_radius)
+    axes = [np.linspace(-radius, radius, points_per_axis)] * p
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = pts[_row_norm(pts) <= radius] - inst.theta0
+    gap = _cone_gap(pts, sig_root, w2s, np.asarray(G, float), sig_root * H, inst.xi)
+    feasible = gap <= slack
+    if not feasible.any():
+        return None
+    return float(_signal_energy(pts[feasible], sig).max())
 
 
 def ao_instance(trial):
@@ -122,7 +149,7 @@ def test_po_single_row_hand_geometry():
     # and 9380, which a multiplier solved to a loose tolerance misses by up
     # to 3e-10
     model = slice_model(4)
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     for r in (*range(200), 476, 9380):
         inst, _, _ = draw_instance(model, 3, np.random.default_rng([0, r]))
         part, null, lo, hi = chord(inst.design(), inst.xi, inst.ball_radius, inst.theta0)
@@ -183,7 +210,7 @@ def test_po_dominates_interpolator_projection():
     # the min-norm interpolant is feasible for the maximization, so its
     # signal-weighted error can never exceed the reported optimum
     model = slice_model(4)
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     for seed in range(5):
         data = sample_dataset(model, 3, seed)
         fit = min_norm_interpolator(data.X, data.Y)
@@ -208,7 +235,7 @@ def test_po_distribution_matches_sampled_route():
     # independent streams through the sampler and through the surrogate
     # factors must give the same law of the maximum
     model = slice_model(4)
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     radius = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
     reps = 10_000
     direct = np.empty(reps)
@@ -296,7 +323,7 @@ def test_ao_beats_random_search_in_four_signal_dims(p, endo_count):
     # reported point at scales 1e-6..1e-1 of the radius) that satisfies the
     # exact cone and the ball has a larger objective
     model = slice_model(p, endo_count)
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     feasible = 0
     for seed in range(4):
         inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([p, seed]))
@@ -329,8 +356,8 @@ def test_ao_closed_form_when_ball_inactive():
     # |P_perp xi|^2 = 0
     model = slice_model(4)
     inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng(8), ball_radius=1e4)
-    lat, sig_j = model.cov.endo_eigs > 0, model.cov.signal_eigs > 0
-    a_mat = inst.W2[:, lat] * np.sqrt(model.cov.endo_eigs[lat])
+    lat, sig_j = model.endo_eigs > 0, model.signal_eigs > 0
+    a_mat = inst.W2[:, lat] * np.sqrt(model.endo_eigs[lat])
 
     def perp(v):
         return v - a_mat @ np.linalg.lstsq(a_mat, v, rcond=None)[0]
@@ -414,14 +441,13 @@ def test_instance_validation():
 
 def test_slice_model_structure():
     model = slice_model(6, endo_count=2)
-    cov = model.cov
-    assert cov.p == 6
-    assert cov.trunc_level == 2
+    assert model.p == 6
+    assert model.endo_rank() == 2
     idx = np.arange(1.0, 7.0)
     eigs = 300.0 / idx / (np.log(idx + 1.0) * math.e / 2.0) ** 2
-    np.testing.assert_allclose(cov.endo_eigs[:2], eigs[:2])
-    assert np.all(cov.endo_eigs[2:] == 0.0)
-    np.testing.assert_allclose(cov.signal_eigs + cov.endo_eigs, eigs)
+    np.testing.assert_allclose(model.endo_eigs[:2], eigs[:2])
+    assert np.all(model.endo_eigs[2:] == 0.0)
+    np.testing.assert_allclose(model.signal_eigs + model.endo_eigs, eigs)
     np.testing.assert_allclose(model.true_coef, 20.0 / np.sqrt(idx))
     np.testing.assert_allclose(model.whitened_cross[:2], 2.0 / idx[:2])
     assert np.all(model.whitened_cross[2:] == 0.0)

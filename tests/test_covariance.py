@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from ridgeless_iv.covariance import (
-    CovarianceModel,
     DimensionRule,
     EndogeneityTooStrong,
+    EndogenousModel,
     ExplicitSpectrum,
     ExpPlusNoiseSpectrum,
     InvalidAlpha,
+    InvalidModel,
     InvalidProfile,
     InvalidSpectrum,
     LogPolySpectrum,
     PatternRotation,
-    assemble_model,
-    build_covariance,
     spectrum,
-    split_nonorthogonal_eigs,
-    split_orthogonal_eigs,
+    split_eigs,
+    split_spectrum,
     truncation_level,
 )
 
@@ -178,156 +177,154 @@ def test_rotation_matvec_large_p():
 # ------------------------------------------------------------------ splits
 
 
-def split_cov(endo_eigs, signal_eigs, k, split_kind="orthogonal"):
-    cov = CovarianceModel(
-        p=endo_eigs.size, endo_eigs=endo_eigs, signal_eigs=signal_eigs,
-        trunc_level=k, split_kind=split_kind,
-    )
-    return np.diag(cov.endo_eigs), np.diag(cov.signal_eigs), np.diag(cov.total_eigs)
-
-
 def test_split_orthogonal_diag():
     eigs = np.array([3.0, 2.0, 1.0])
-    endo, sig, _ = split_cov(*split_orthogonal_eigs(eigs, 1), 1)
-    assert np.allclose(endo, np.diag([3.0, 0.0, 0.0]))
-    assert np.allclose(sig, np.diag([0.0, 2.0, 1.0]))
-    endo0, sig0 = split_orthogonal_eigs(eigs, 0)
+    endo, sig = split_eigs(eigs, 1)
+    assert np.array_equal(endo, [3.0, 0.0, 0.0])
+    assert np.array_equal(sig, [0.0, 2.0, 1.0])
+    endo0, sig0 = split_eigs(eigs, 0)
     assert np.allclose(endo0, 0) and np.allclose(sig0, eigs)
-    endop, sigp = split_orthogonal_eigs(eigs, 3)
+    endop, sigp = split_eigs(eigs, 3)
     assert np.allclose(sigp, 0) and np.allclose(endop, eigs)
+    with pytest.raises(ValueError):
+        split_eigs(eigs, 4)
 
 
 def test_split_nonorthogonal_example():
-    endo, sig, _ = split_cov(
-        *split_nonorthogonal_eigs(np.array([2.0, 1.0]), 1, 1.01, 10), 1, "nonorthogonal"
-    )
     leak = 10.0 ** (-1.01)
-    assert np.allclose(endo, np.diag([2.0 * (1.0 - leak), 0.0]))
-    assert np.allclose(sig, np.diag([2.0 * leak, 1.0]))
+    endo, sig = split_eigs(np.array([2.0, 1.0]), 1, leak)
+    assert np.allclose(endo, [2.0 * (1.0 - leak), 0.0])
+    assert np.allclose(sig, [2.0 * leak, 1.0])
 
 
 def test_split_nonorthogonal_validation_and_limits():
+    prof = ExplicitSpectrum((4.0, 2.0, 1.0, 1.0, 1.0, 1.0))
     with pytest.raises(InvalidAlpha):
-        split_nonorthogonal_eigs(np.array([1.0]), 1, 1.0, 10)
+        split_spectrum(prof, 2, alpha=1.0)
     eigs = np.array([4.0, 2.0, 1.0])
     for k in (0, 1, 2):
-        endo, sig = split_nonorthogonal_eigs(eigs, k, 1.01, 50)
+        endo, sig = split_eigs(eigs, k, 50.0 ** (-1.01))
         assert float(endo @ sig) > 0 if k >= 1 else float(endo @ sig) == 0
     # huge n recovers the orthogonal split
-    endo, sig = split_nonorthogonal_eigs(eigs, 2, 1.01, 10**9)
+    endo, sig = split_eigs(eigs, 2, 1e9 ** (-1.01))
     assert float(endo @ sig) <= 1e-7
 
 
 def test_split_identities_dense():
     rng = np.random.default_rng(2)
     eigs = np.sort(rng.uniform(0.5, 4.0, 6))[::-1]
-    for split, kind in (
-        (split_orthogonal_eigs(eigs, 2), "orthogonal"),
-        (split_nonorthogonal_eigs(eigs, 2, 1.5, 30), "nonorthogonal"),
-    ):
-        endo, sig, total = split_cov(*split, 2, kind)
-        assert np.abs(total - np.diag(eigs)).max() <= 1e-12 * eigs[0]
-        assert np.abs(endo + sig - total).max() <= 1e-12 * eigs[0]
-    endo, sig, _ = split_cov(*split_orthogonal_eigs(eigs, 2), 2)
-    op_norm = eigs[0]
-    assert np.abs(endo @ sig).max() <= 1e-10 * op_norm
+    for leak in (0.0, 30.0 ** (-1.5)):
+        endo, sig = split_eigs(eigs, 2, leak)
+        assert np.abs(endo + sig - eigs).max() <= 1e-12 * eigs[0]
+    endo, sig = split_eigs(eigs, 2)
+    assert np.array_equal(endo + sig, eigs) and not np.any(endo * sig)
 
 
 # ------------------------------------------------------------------ models
 
 
 def test_build_covariance_setups():
-    cov = build_covariance(setup_i_profile(), 100)
-    assert cov.p == 500 and cov.trunc_level == 75
-    assert cov.split_kind == "orthogonal"
-    assert np.allclose(cov.total_eigs, spectrum(setup_i_profile(), 100)[1])
-    assert cov.endo_rank() == cov.trunc_level
-    cov2 = build_covariance(ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100, "nonorthogonal", 1.01)
-    assert cov2.trunc_level == 24 and cov2.alpha == 1.01
+    endo, sig = split_spectrum(setup_i_profile(), 100)
+    assert endo.size == 500 and np.count_nonzero(endo) == 75
+    assert np.array_equal(endo + sig, spectrum(setup_i_profile(), 100)[1])
+    model = EndogenousModel.build(sig, endo, np.zeros(500))
+    assert model.endo_rank() == 75 and model.split_kind == "orthogonal"
+    endo2, sig2 = split_spectrum(ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100, alpha=1.01)
+    assert np.count_nonzero(endo2) == 24
     # leaked mass keeps the blocks overlapping
-    assert float(cov2.endo_eigs @ cov2.signal_eigs) > 0
+    assert float(endo2 @ sig2) > 0
 
 
 def test_assemble_hand_example():
-    cov = CovarianceModel(
-        p=2,
-        endo_eigs=np.array([1.0, 0.0]),
-        signal_eigs=np.array([0.0, 1.0]),
-        trunc_level=1,
-        split_kind="orthogonal",
+    model = EndogenousModel.build(
+        [0.0, 1.0], [1.0, 0.0], np.zeros(2), whitened_cross=[0.5, 0.0], noise_sd=1.0
     )
-    model = assemble_model(cov, np.zeros(2), whitened_cross=np.array([0.5, 0.0]), noise_sd=1.0)
     assert np.allclose(model.cross_cov, [0.5, 0.0])
     assert model.resid_noise_var == pytest.approx(0.75)
     assert model.joint_min_eigenvalue() >= -1e-8
 
 
 def test_assemble_exogenous():
-    cov = CovarianceModel(
-        p=3,
-        endo_eigs=np.zeros(3),
-        signal_eigs=np.array([3.0, 2.0, 1.0]),
-        trunc_level=0,
-        split_kind="orthogonal",
-    )
-    model = assemble_model(cov, np.ones(3), noise_sd=2.0)
+    model = EndogenousModel.build([3.0, 2.0, 1.0], np.zeros(3), np.ones(3), noise_sd=2.0)
     assert np.allclose(model.cross_cov, 0) and model.resid_noise_var == pytest.approx(4.0)
+    assert model.p == 3 and np.array_equal(model.total_eigs, [3.0, 2.0, 1.0])
 
 
 def test_assemble_rejects_strong_endogeneity():
-    cov = CovarianceModel(
-        p=2,
-        endo_eigs=np.array([1.0, 1.0]),
-        signal_eigs=np.zeros(2),
-        trunc_level=2,
-        split_kind="orthogonal",
-    )
     with pytest.raises(EndogeneityTooStrong):
-        assemble_model(cov, np.zeros(2), whitened_cross=np.array([3.0, 0.0]), noise_sd=1.0)
+        EndogenousModel.build(
+            np.zeros(2), [1.0, 1.0], np.zeros(2), whitened_cross=[3.0, 0.0], noise_sd=1.0
+        )
 
 
 def test_assemble_out_of_range_projection():
     # whitened request has mass outside the rank-1 latent block; it must drop
-    cov = CovarianceModel(
-        p=3,
-        endo_eigs=np.array([4.0, 0.0, 0.0]),
-        signal_eigs=np.array([0.0, 1.0, 1.0]),
-        trunc_level=1,
-        split_kind="orthogonal",
+    model = EndogenousModel.build(
+        [0.0, 1.0, 1.0], [4.0, 0.0, 0.0], np.zeros(3), whitened_cross=np.ones(3), noise_sd=4.0
     )
-    model = assemble_model(cov, np.zeros(3), whitened_cross=np.array([1.0, 1.0, 1.0]), noise_sd=4.0)
     assert np.allclose(model.whitened_cross, [1.0, 0.0, 0.0])
     assert np.allclose(model.cross_cov, [2.0, 0.0, 0.0])
-    assert np.allclose(model.requested_whitened, [1.0, 1.0, 1.0])
     assert model.resid_noise_var == pytest.approx(15.0)
 
 
 def test_default_noise_level():
-    cov = CovarianceModel(
-        p=2,
-        endo_eigs=np.array([1.0, 1.0]),
-        signal_eigs=np.zeros(2),
-        trunc_level=2,
-        split_kind="orthogonal",
-    )
-    model = assemble_model(cov, np.zeros(2), whitened_cross=np.array([0.6, 0.8]))
+    model = EndogenousModel.build(np.zeros(2), [1.0, 1.0], np.zeros(2), whitened_cross=[0.6, 0.8])
     # default noise sd is twice the whitened norm: var 4, leftover 3
     assert model.noise_var == pytest.approx(4.0)
     assert model.resid_noise_var == pytest.approx(3.0)
 
 
+GOOD = {
+    "signal_eigs": [0.0, 1.0, 1.0],
+    "endo_eigs": [4.0, 0.0, 0.0],
+    "true_coef": [1.0, -2.0, 0.5],
+    "whitened_cross": [0.5, 0.0, 0.0],
+    "noise_sd": 1.0,
+    "split_kind": "orthogonal",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise_sd", math.nan),
+        ("noise_sd", math.inf),
+        ("noise_sd", 0.0),
+        ("noise_sd", -1.0),
+        ("endo_eigs", [-1.0, 0.0, 0.0]),
+        ("endo_eigs", [math.nan, 0.0, 0.0]),
+        ("endo_eigs", [4.0, math.inf, 0.0]),
+        ("signal_eigs", [0.0, -1.0, 1.0]),
+        ("signal_eigs", [0.0, 1.0]),
+        ("signal_eigs", [[0.0, 1.0, 1.0]]),
+        ("true_coef", [1.0, math.nan, 0.5]),
+        ("true_coef", [1.0, 2.0]),
+        ("true_coef", 1.0),
+        ("whitened_cross", 0.5),
+        ("split_kind", "diagonal"),
+    ],
+)
+def test_model_rejects_invalid_fields(field, value):
+    EndogenousModel.build(**GOOD)  # the unchanged fields build
+    with pytest.raises(InvalidModel):
+        EndogenousModel.build(**dict(GOOD, **{field: value}))
+
+
+def test_constructor_checks_what_build_derives():
+    fields = dict(GOOD, noise_var=1.0)
+    del fields["noise_sd"]
+    EndogenousModel(**fields)
+    for key, value in (("noise_var", math.nan), ("whitened_cross", [0.5, 0.1, 0.0])):
+        with pytest.raises(InvalidModel):
+            EndogenousModel(**dict(fields, **{key: value}))
+
+
 def test_joint_min_eig_matches_dense():
     rng = np.random.default_rng(9)
     p = 6
-    cov = CovarianceModel(
-        p=p,
-        endo_eigs=np.sort(rng.uniform(0.5, 2.0, p))[::-1],
-        signal_eigs=np.zeros(p),
-        trunc_level=p,
-        split_kind="orthogonal",
-    )
+    endo = np.sort(rng.uniform(0.5, 2.0, p))[::-1]
     w = rng.uniform(-0.3, 0.3, p)
-    model = assemble_model(cov, np.zeros(p), whitened_cross=w, noise_sd=1.3)
+    model = EndogenousModel.build(np.zeros(p), endo, np.zeros(p), whitened_cross=w, noise_sd=1.3)
     rho = model.whitened_cross
     joint = np.zeros((2 * p + 1, 2 * p + 1))
     joint[:p, :p] = np.eye(p)
@@ -340,8 +337,9 @@ def test_joint_min_eig_matches_dense():
 
 
 def test_setup_ii_model_accepts_default_noise():
-    cov = build_covariance(ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100)
-    i = np.arange(1, cov.p + 1, dtype=float)
-    model = assemble_model(cov, 20.0 / np.sqrt(i), whitened_cross=3.0 * np.exp(-i / 4.0))
+    endo, sig = split_spectrum(ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100)
+    i = np.arange(1, endo.size + 1, dtype=float)
+    rho = PatternRotation(endo.size).matvec(3.0 * np.exp(-i / 4.0))
+    model = EndogenousModel.build(sig, endo, 20.0 / np.sqrt(i), whitened_cross=rho)
     assert model.resid_noise_var > 0
     assert float(model.whitened_cross @ model.whitened_cross) <= model.noise_var

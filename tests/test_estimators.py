@@ -5,17 +5,16 @@ import pytest
 import scipy.linalg
 
 from ridgeless_iv import estimators
-from ridgeless_iv.covariance import CovarianceModel, assemble_model
+from references import ridge
+from ridgeless_iv.covariance import EndogenousModel
 from ridgeless_iv.estimators import (
     ConvergenceFailure,
     InvalidData,
-    InvalidLambda,
     LassoIVConfig,
     SingularDesign,
     lasso_cd,
     min_norm_interpolator,
     plugin_lambda,
-    ridge,
     split_sample_lasso_iv,
 )
 from ridgeless_iv.harness import setup_model
@@ -112,21 +111,20 @@ def test_min_norm_rejects_nonfinite():
         min_norm_interpolator(np.array([[np.inf, 1.0]]), np.array([1.0]))
 
 
-# ------------------------------------------------------------------ ridge
+# ------------------------------------------- ridge (the tests' reference)
 
 
 def test_ridge_identity_closed_form():
     y = np.array([2.0, -1.0])
     lam = 0.5
-    fit = ridge(np.eye(2), y, lam)
-    assert np.allclose(fit.theta_hat, y / (1.0 + 2 * lam))
+    assert np.allclose(ridge(np.eye(2), y, lam), y / (1.0 + 2 * lam))
 
 
 def test_ridge_heavy_shrinkage():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 9))
     y = rng.standard_normal(4)
-    assert np.linalg.norm(ridge(x, y, 1e9).theta_hat) <= 1e-6
+    assert np.linalg.norm(ridge(x, y, 1e9)) <= 1e-6
 
 
 def test_ridge_limit_matches_min_norm():
@@ -134,33 +132,26 @@ def test_ridge_limit_matches_min_norm():
     x = rng.standard_normal((5, 12))
     y = rng.standard_normal(5)
     mn = min_norm_interpolator(x, y).theta_hat
-    rd = ridge(x, y, 1e-10).theta_hat
+    rd = ridge(x, y, 1e-10)
     assert np.linalg.norm(rd - mn) <= 1e-6 * np.linalg.norm(mn)
 
 
 @pytest.mark.parametrize(
     "fit",
-    [min_norm_interpolator, lambda x, y: ridge(x, y, 0.5), lambda x, y: lasso_cd(x, y, 0.5)],
-    ids=["min_norm", "ridge", "lasso"],
+    [min_norm_interpolator, lambda x, y: lasso_cd(x, y, 0.5)],
+    ids=["min_norm", "lasso"],
 )
 def test_empty_sample_rejected(fit):
     with pytest.raises(InvalidData, match="empty sample"):
         fit(np.empty((0, 3)), np.empty(0))
 
 
-def test_ridge_rejects_bad_lambda():
-    with pytest.raises(InvalidLambda):
-        ridge(np.eye(2), np.zeros(2), 0.0)
-
-
-def test_ridge_singular_gram_raises_linalg_error():
-    # duplicated rows and a penalty below the Gram's rounding: the factor
-    # hits a zero pivot
-    with pytest.raises(np.linalg.LinAlgError):
-        ridge(np.array([[2.0, 0.0], [2.0, 0.0]]), np.ones(2), 1e-300)
-
-
 # ------------------------------------------------------------------ lasso
+
+
+def test_lasso_rejects_negative_penalty():
+    with pytest.raises(ValueError, match="lam >= 0"):
+        lasso_cd(np.eye(2), np.ones(2), -0.1)
 
 
 def test_lasso_zero_penalty_is_ols():
@@ -252,14 +243,9 @@ def baseline_model(p=30, k=4):
     eigs = 3.0 / np.arange(1, p + 1)
     endo = np.zeros(p)
     endo[:k] = eigs[:k]
-    cov = CovarianceModel(
-        p=p, endo_eigs=endo, signal_eigs=eigs - endo, trunc_level=k, split_kind="orthogonal"
-    )
-    w = np.zeros(p)
-    w[:k] = 0.5
     theta = np.zeros(p)
     theta[: p // 2] = 2.0 / np.sqrt(np.arange(1, p // 2 + 1))
-    return assemble_model(cov, theta, whitened_cross=w)
+    return EndogenousModel.build(eigs - endo, endo, theta, np.full(p, 0.5))
 
 
 def test_lasso_iv_deterministic():
@@ -286,11 +272,7 @@ def test_lasso_iv_singular_second_stage():
     # both endogenous columns are the same covariate, so no instrument set
     # can separate their coefficients
     p, n = 6, 60
-    eigs = np.ones(p)
-    cov = CovarianceModel(
-        p=p, endo_eigs=np.zeros(p), signal_eigs=eigs, trunc_level=0, split_kind="orthogonal"
-    )
-    model = assemble_model(cov, np.zeros(p), noise_sd=1.0)
+    model = EndogenousModel.build(np.ones(p), np.zeros(p), np.zeros(p), noise_sd=1.0)
     rng = np.random.default_rng(3)
     w1 = rng.standard_normal((n, p))
     x = w1.copy()
@@ -302,7 +284,7 @@ def test_lasso_iv_singular_second_stage():
 
     data = Dataset(
         X=x, Y=y, xi=xi, W1=w1, W2=np.zeros((n, p)), seed=5, model=model,
-        true_coef=model.true_coef, signal_eigs=model.cov.signal_eigs,
+        true_coef=model.true_coef, signal_eigs=model.signal_eigs,
     )
     with pytest.raises(SingularDesign):
         split_sample_lasso_iv(data, endo_idx=[0, 1])
@@ -314,10 +296,7 @@ def shared_instrument_dataset(eigs, seed=3, n=60):
     from ridgeless_iv.sampling import Dataset
 
     p = eigs.size
-    cov = CovarianceModel(
-        p=p, endo_eigs=np.zeros(p), signal_eigs=eigs, trunc_level=0, split_kind="orthogonal"
-    )
-    model = assemble_model(cov, np.zeros(p), noise_sd=1.0)
+    model = EndogenousModel.build(eigs, np.zeros(p), np.zeros(p), noise_sd=1.0)
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((n, p))
     x = w1.copy()
@@ -327,7 +306,7 @@ def shared_instrument_dataset(eigs, seed=3, n=60):
     y = x[:, 0] - x[:, 1] + xi
     return Dataset(
         X=x, Y=y, xi=xi, W1=w1, W2=np.zeros((n, p)), seed=5, model=model,
-        true_coef=model.true_coef, signal_eigs=model.cov.signal_eigs,
+        true_coef=model.true_coef, signal_eigs=model.signal_eigs,
     )
 
 
@@ -414,12 +393,11 @@ def test_lasso_iv_rejects_compressed_sample():
     eigs = np.r_[3.0, 2.0, 1.0, np.full(p - 3, 0.1)]
     endo = np.zeros(p)
     endo[:2] = 1.0
-    cov = CovarianceModel(
-        p=p, endo_eigs=endo, signal_eigs=eigs, trunc_level=2, split_kind="nonorthogonal"
-    )
     w = np.zeros(p)
     w[:2] = 0.5
-    model = assemble_model(cov, 1.0 / np.arange(1, p + 1), whitened_cross=w)
+    model = EndogenousModel.build(
+        eigs, endo, 1.0 / np.arange(1, p + 1), w, split_kind="nonorthogonal"
+    )
     data = sample_dataset(model, n, seed=8)
     assert data.X.shape == (n, 3 + 1 + n)
     with pytest.raises(InvalidData, match="compressed"):

@@ -56,7 +56,7 @@ def test_setup_sparse_coefficient_support():
     assert nz.tolist() == list(range(1, 100, 5))
     assert np.allclose(model.true_coef[nz - 1], 20.0 / np.sqrt(nz))
     dense, _ = setup_model("i", 100)
-    assert np.array_equal(dense.cov.endo_eigs, model.cov.endo_eigs)
+    assert np.array_equal(dense.endo_eigs, model.endo_eigs)
 
 
 def test_setup_head_coefficient_truncates():
@@ -64,7 +64,7 @@ def test_setup_head_coefficient_truncates():
     dense, _ = setup_model("vii", 100)
     assert np.array_equal(model.true_coef[:80], dense.true_coef[:80])
     assert np.all(model.true_coef[80:] == 0.0)
-    assert np.array_equal(model.cov.endo_eigs, dense.cov.endo_eigs)
+    assert np.array_equal(model.endo_eigs, dense.endo_eigs)
     assert np.array_equal(model.cross_cov, dense.cross_cov)
 
 
@@ -76,13 +76,11 @@ def test_setup_window_indices():
     assert np.all(model.cross_cov[10:] == 0.0)
 
     shifted, idx9 = setup_model("ix", 100)
-    kstar = shifted.cov.trunc_level
-    assert kstar == 75
+    kstar = 75  # the truncation level at n=100
     assert idx9.tolist() == list(range(2, 10)) + [75, 76]
     # the latent block is extended by the shifted fifth of the window
-    assert int(np.count_nonzero(shifted.cov.endo_eigs)) == kstar + 2
+    assert int(np.count_nonzero(shifted.endo_eigs)) == kstar + 2
     # nothing of the requested correlation is projected away
-    assert np.allclose(shifted.requested_whitened, shifted.whitened_cross)
     want = np.zeros(500)
     want[idx9] = 2.0 / (idx9 + 1.0)
     assert np.allclose(shifted.cross_cov, want)
@@ -96,8 +94,8 @@ def test_setup_window_small_n_rejected():
 
 
 def test_setup_modes_and_grids():
-    assert setup_model("i", 100)[0].cov.split_kind == "orthogonal"
-    assert setup_model("vi", 100)[0].cov.split_kind == "nonorthogonal"
+    assert setup_model("i", 100)[0].split_kind == "orthogonal"
+    assert setup_model("vi", 100)[0].split_kind == "nonorthogonal"
     with pytest.raises(UnknownSetup):
         setup_model("zero", 100)
     assert default_grid("i") == (100, 200, 300, 400)
@@ -229,22 +227,50 @@ def test_config_json_defaults_and_rejects(tmp_path):
     assert all(type(v) is int for v in (*cfg.n_grid, cfg.repetitions, cfg.base_seed))
 
 
-def test_custom_profile_matches_named_setup():
-    profile = {
-        "family": "log_poly",
-        "scale": 300.0,
-        "beta": 2.0,
-        "log_factor": math.e / 2,
-        "dim": {"kind": "multiple", "value": 5.0},
-        "split": "orthogonal",
-        "coef": {"kind": "inverse_sqrt", "scale": 20.0},
-        "cross": {"kind": "inverse", "scale": 2.0},
-    }
-    cfg = ExperimentConfig(setup="custom", n_grid=(100,), profile=profile)
-    result = run_setup(cfg)
-    named = run_setup(ExperimentConfig(setup="i", n_grid=(100,)))
-    ours = [r.projected_rmse for r in result.records]
-    theirs = [r.projected_rmse for r in named.records[: len(ours)]]
+@pytest.mark.parametrize(
+    "setup, profile",
+    [
+        (
+            "i",
+            {
+                "family": "log_poly",
+                "scale": 300.0,
+                "beta": 2.0,
+                "log_factor": math.e / 2,
+                "dim": {"kind": "multiple", "value": 5.0},
+                "split": "orthogonal",
+                "coef": {"kind": "inverse_sqrt", "scale": 20.0},
+                "cross": {"kind": "inverse", "scale": 2.0},
+            },
+        ),
+        (
+            # the nonorthogonal split, and a flat tail sampled compressed
+            "iv",
+            {
+                "family": "exp_plus_noise",
+                "tau": 2.0,
+                "scale": 10.0,
+                "split": "nonorthogonal",
+                "alpha": 1.01,
+                "coef": {"kind": "inverse_sqrt", "scale": 20.0},
+                "cross": {"kind": "exp_decay", "scale": 3.0, "tau": 4.0},
+            },
+        ),
+    ],
+    ids=["i", "iv"],
+)
+def test_custom_profile_matches_named_setup(setup, profile):
+    grid = (100, 400)
+    for n in grid:
+        ours, _ = harness._custom_model(profile, n)
+        theirs, _ = setup_model(setup, n)
+        for name in ("signal_eigs", "endo_eigs", "true_coef", "whitened_cross"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+        assert (ours.noise_var, ours.split_kind) == (theirs.noise_var, theirs.split_kind)
+    result = run_setup(ExperimentConfig(setup="custom", n_grid=grid, profile=profile))
+    named = run_setup(ExperimentConfig(setup=setup, n_grid=grid))
+    ours = [(r.n, r.projected_rmse) for r in result.records]
+    theirs = [(r.n, r.projected_rmse) for r in named.records]
     assert ours == theirs  # same model, same seeds, bitwise-equal runs
 
 
@@ -445,10 +471,10 @@ def test_emit_env_var_default(tmp_path, monkeypatch):
 
 def test_condition_family_lookup():
     model = condition_family("fixed_p_identity")(100)
-    assert model.p == 50 and model.cov.endo_rank() == 0
-    assert model.cov.split_kind == "exogenous"
+    assert model.p == 50 and model.endo_rank() == 0
+    assert model.split_kind == "exogenous"
     model_i = condition_family("i")(100)
-    assert model_i.cov.split_kind == "orthogonal"
+    assert model_i.split_kind == "orthogonal"
     assert model_i.p == 500
     with pytest.raises(UnknownSetup):
         condition_family("sideways")

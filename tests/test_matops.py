@@ -107,12 +107,20 @@ def assert_releases_the_gil(call):
     t1 = time.perf_counter()
     done.set()
     t.join()
+    # the ticker sleeps 1 ms at a time, so a call shorter than 20 ms leaves
+    # too few wakes to tell a released GIL from a held one
+    assert t1 - t0 >= 0.02, f"call took {t1 - t0:.3f} s, too short to judge"
     stamps = [t0] + [w for w in wakes if t0 < w < t1] + [t1]
-    assert t1 - t0 < 0.02 or max(np.diff(stamps)) < 0.5 * (t1 - t0)
+    assert max(np.diff(stamps)) < 0.5 * (t1 - t0)
 
 
 def test_cholesky_releases_the_gil():
-    a = random_psd(np.random.default_rng(5), 1500, 1600)
+    # symmetric, strictly diagonally dominant with a positive diagonal, so
+    # positive definite without an n^3 product
+    dim = 3000
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, (dim, dim))
+    a += a.T
+    a[np.diag_indices(dim)] = 2.0 * dim
     assert_releases_the_gil(lambda: cholesky_lower(a))
 
 

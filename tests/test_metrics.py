@@ -1,23 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ridgeless_iv.covariance import (
-    CovarianceModel,
     DimensionRule,
+    EndogeneityTooStrong,
     EndogenousModel,
     ExpPlusNoiseSpectrum,
     LogPolySpectrum,
-    assemble_model,
-    build_covariance,
+    PatternRotation,
+    split_spectrum,
 )
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.matops import InvalidMatrix, NotPSD
 from ridgeless_iv.metrics import (
     DegenerateNoise,
     MissingSelector,
-    ModelInconsistent,
     ZeroMatrix,
     cross_signal_energy,
     effective_ranks,
@@ -28,7 +28,6 @@ from ridgeless_iv.metrics import (
     pinv_cross_norm,
     projected_rmse,
     rmse_upper_bound,
-    sigma_tilde2,
 )
 from ridgeless_iv.sampling import sample_dataset
 
@@ -37,23 +36,28 @@ def setup_i_model(n, split="orthogonal", alpha=None):
     prof = LogPolySpectrum(
         scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
     )
-    cov = build_covariance(prof, n, split_kind=split, alpha=alpha, rotation="pattern")
-    idx = np.arange(1, cov.p + 1, dtype=float)
-    return assemble_model(cov, 20.0 / np.sqrt(idx), whitened_cross=2.0 / idx)
+    endo, sig = split_spectrum(prof, n, alpha)
+    idx = np.arange(1, endo.size + 1, dtype=float)
+    rho = PatternRotation(endo.size).matvec(2.0 / idx)
+    return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), rho, split_kind=split)
 
 
 def tiny_model(rho=0.5, noise_sd=1.0):
     """p=2 in the identity basis: latent block diag(1,0), signal diag(0,1)."""
-    cov = CovarianceModel(
-        p=2,
-        endo_eigs=np.array([1.0, 0.0]),
-        signal_eigs=np.array([0.0, 1.0]),
-        trunc_level=1,
-        split_kind="orthogonal",
+    return EndogenousModel.build([0.0, 1.0], [1.0, 0.0], np.zeros(2), [rho, 0.0], noise_sd)
+
+
+def exogenous_model(signal_eigs, true_coef, noise_sd, split_kind="orthogonal"):
+    p = np.size(signal_eigs)
+    return EndogenousModel.build(
+        signal_eigs, np.zeros(p), true_coef, noise_sd=noise_sd, split_kind=split_kind
     )
-    return assemble_model(
-        cov, np.zeros(2), cross_cov=np.array([rho, 0.0]), noise_sd=noise_sd
-    )
+
+
+def whitened(cross_cov, endo_eigs):
+    """A covariate-error covariance in whitened form, on the latent support."""
+    support = endo_eigs > 0
+    return np.where(support, cross_cov / np.sqrt(np.where(support, endo_eigs, 1.0)), 0.0)
 
 
 # ----------------------------------------------------------- projected rmse
@@ -248,55 +252,42 @@ def test_norm_ranks_take_a_diagonal():
             norm_effective_ranks(zero)
 
 
+@pytest.mark.parametrize("mc_samples", [0, 1])
+def test_norm_ranks_need_two_samples(mc_samples):
+    # one draw has no sample variance, zero draws no mean
+    with pytest.raises(ValueError, match="mc_samples"):
+        norm_effective_ranks(np.ones(3), mc_samples=mc_samples)
+
+
 # -------------------------------------------------------- model functionals
 
 
+# sigma_tilde2 is the paper's leftover noise variance, model.resid_noise_var
+
+
 def test_sigma_tilde2_exogenous_is_noise_var():
-    cov = CovarianceModel(
-        p=2,
-        endo_eigs=np.array([1.0, 0.0]),
-        signal_eigs=np.array([0.0, 1.0]),
-        trunc_level=1,
-        split_kind="orthogonal",
-    )
-    model = assemble_model(cov, np.zeros(2), noise_sd=1.7)
-    assert sigma_tilde2(model) == pytest.approx(1.7**2, rel=1e-14)
+    model = EndogenousModel.build([0.0, 1.0], [1.0, 0.0], np.zeros(2), noise_sd=1.7)
+    assert model.resid_noise_var == pytest.approx(1.7**2, rel=1e-14)
 
 
 def test_sigma_tilde2_hand_value():
-    assert sigma_tilde2(tiny_model(rho=0.5, noise_sd=1.0)) == pytest.approx(0.75, rel=1e-14)
+    assert tiny_model(rho=0.5, noise_sd=1.0).resid_noise_var == pytest.approx(0.75, rel=1e-14)
 
 
 def test_sigma_tilde2_matches_construction_identity():
     model = setup_i_model(200)
     expected = model.noise_var - float(model.whitened_cross @ model.whitened_cross)
-    assert abs(sigma_tilde2(model) - expected) <= 1e-10
-    assert sigma_tilde2(model) == pytest.approx(7.384979258727258, rel=1e-12)
+    assert model.resid_noise_var == expected
+    assert model.resid_noise_var == pytest.approx(7.384979258727258, rel=1e-12)
     assert model.noise_var == pytest.approx(9.846639011636343, rel=1e-12)
 
 
 def test_sigma_tilde2_rejects_inconsistent_model():
+    # the leftover variance is derived, not stored, so the one inconsistency
+    # left is a noise variance below the explained energy: never built
     good = tiny_model(rho=0.5, noise_sd=1.0)
-    stale = EndogenousModel(
-        cov=good.cov,
-        true_coef=good.true_coef,
-        cross_cov=good.cross_cov,
-        whitened_cross=good.whitened_cross,
-        noise_var=good.noise_var,
-        resid_noise_var=0.9,  # disagrees with 1 - 0.25
-    )
-    with pytest.raises(ModelInconsistent):
-        sigma_tilde2(stale)
-    negative = EndogenousModel(
-        cov=good.cov,
-        true_coef=good.true_coef,
-        cross_cov=good.cross_cov,
-        whitened_cross=good.whitened_cross,
-        noise_var=0.2,  # below the 0.25 explained energy
-        resid_noise_var=0.0,
-    )
-    with pytest.raises(ModelInconsistent):
-        sigma_tilde2(negative)
+    with pytest.raises(EndogeneityTooStrong):
+        dataclasses.replace(good, noise_var=0.2)  # below the 0.25 explained energy
 
 
 def test_pinv_cross_norm_and_energy_hand_values():
@@ -311,14 +302,7 @@ def test_pinv_cross_norm_and_energy_hand_values():
 
 def test_eta_delta_plugin_identity_case():
     p = 16
-    cov = CovarianceModel(
-        p=p,
-        endo_eigs=np.zeros(p),
-        signal_eigs=np.ones(p),
-        trunc_level=0,
-        split_kind="orthogonal",
-    )
-    model = assemble_model(cov, np.zeros(p), noise_sd=1.0)
+    model = exogenous_model(np.ones(p), np.zeros(p), noise_sd=1.0)
     got = eta_delta(model, n=p, delta=1.0 / math.e)
     assert got == pytest.approx(1.0 / math.sqrt(p) + 1.0, rel=1e-14)
 
@@ -349,14 +333,7 @@ def test_rmse_bound_degenerate_noise_hand_value():
 
 def test_rmse_bound_principal_vanishes_without_signal_sources():
     p = 8
-    cov = CovarianceModel(
-        p=p,
-        endo_eigs=np.zeros(p),
-        signal_eigs=np.ones(p),
-        trunc_level=0,
-        split_kind="orthogonal",
-    )
-    model = assemble_model(cov, np.zeros(p), noise_sd=0.5)
+    model = exogenous_model(np.ones(p), np.zeros(p), noise_sd=0.5)
     report = rmse_upper_bound(model, n=p, delta=0.1, B=1.0)
     assert report.rmse_principal == 0.0
 
@@ -385,24 +362,24 @@ def test_rmse_bound_dominates_realized_risk_small_sample():
     for rep in range(5):
         data = sample_dataset(model, 100, seed=900 + rep)
         theta = min_norm_interpolator(data.X, data.Y).theta_hat
-        risk = projected_rmse(theta, model.true_coef, model.cov.signal_eigs)
+        risk = projected_rmse(theta, model.true_coef, model.signal_eigs)
         assert risk <= bound
 
 
 def test_norm_bound_exogenous_reduction():
     prof = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0, p_rule=DimensionRule("power", 1.5))
-    cov = build_covariance(prof, 150, split_kind="orthogonal", rotation=None)
-    idx = np.arange(1, cov.p + 1, dtype=float)
-    model = assemble_model(cov, 5.0 / idx, noise_sd=2.0)
+    endo, sig = split_spectrum(prof, 150)
+    idx = np.arange(1, endo.size + 1, dtype=float)
+    model = EndogenousModel.build(sig, endo, 5.0 / idx, noise_sd=2.0)
     n = 150
     report = norm_upper_bound(model, n, 0.1)
     assert report.eta1 == 0.0
     assert report.eta2 == 0.0
-    sig = model.cov.signal_eigs
+    sig = model.signal_eigs
     r, big_r = effective_ranks(sig)
     tr_sig = float(sig.sum())
     eps = math.sqrt(math.log(10.0)) * (
-        math.sqrt(model.cov.endo_rank() / n) + (n / big_r)
+        math.sqrt(model.endo_rank() / n) + (n / big_r)
     )
     assert report.epsilon_principal == pytest.approx(eps, rel=1e-12)
     assert report.epsilon == pytest.approx(56.0 * eps, rel=1e-12)
@@ -416,16 +393,16 @@ def test_rmse_principal_exogenous_matches_plain_regression_form():
     # with no covariate-error correlation the principal part must coincide,
     # term by term, with the independently composed exogenous bound
     prof = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0, p_rule=DimensionRule("power", 1.5))
-    cov = build_covariance(prof, 120, split_kind="orthogonal", rotation=None)
-    idx = np.arange(1, cov.p + 1, dtype=float)
-    model = assemble_model(cov, 3.0 / idx, noise_sd=2.0)
+    endo, sig = split_spectrum(prof, 120)
+    idx = np.arange(1, endo.size + 1, dtype=float)
+    model = EndogenousModel.build(sig, endo, 3.0 / idx, noise_sd=2.0)
     n = 120
     report = rmse_upper_bound(model, n, 0.05, B=100.0)
     t = float(np.linalg.norm(model.true_coef)) * math.sqrt(
-        float(model.cov.signal_eigs.sum()) / n
+        float(model.signal_eigs.sum()) / n
     )
     eta = eta_delta(model, n, 0.05)
-    sigma = math.sqrt(sigma_tilde2(model))
+    sigma = math.sqrt(model.resid_noise_var)
     assert report.rmse_principal == pytest.approx(
         (1.0 + eta) * max(1.0, sigma) * (t + t * t), rel=1e-13
     )
@@ -465,33 +442,26 @@ def logpoly_orthogonal_family(n):
     prof = LogPolySpectrum(
         scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
     )
-    cov = build_covariance(prof, n, rotation=None)
-    idx = np.arange(1, cov.p + 1, dtype=float)
+    endo, sig = split_spectrum(prof, n)
+    idx = np.arange(1, endo.size + 1, dtype=float)
     omega = 0.5 / idx / (np.log(idx + 1.0) * math.e / 2) ** 2
-    omega[cov.trunc_level :] = 0.0
-    return assemble_model(cov, 20.0 / np.sqrt(idx), cross_cov=omega)
+    return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), whitened(omega, endo))
 
 
 def logpoly_nonorthogonal_family(n, alpha=2.0):
     prof = LogPolySpectrum(
         scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
     )
-    cov = build_covariance(prof, n, split_kind="nonorthogonal", alpha=alpha, rotation=None)
-    idx = np.arange(1, cov.p + 1, dtype=float)
+    endo, sig = split_spectrum(prof, n, alpha)
+    idx = np.arange(1, endo.size + 1, dtype=float)
     omega = 0.5 / idx / (np.log(idx + 1.0) * math.e / 2) ** 2
-    omega[cov.trunc_level :] = 0.0
-    return assemble_model(cov, 20.0 / np.sqrt(idx), cross_cov=omega)
+    return EndogenousModel.build(
+        sig, endo, 20.0 / np.sqrt(idx), whitened(omega, endo), split_kind="nonorthogonal"
+    )
 
 
 def fixed_p_identity_family(n, p=50, split_kind="exogenous"):
-    cov = CovarianceModel(
-        p=p,
-        endo_eigs=np.zeros(p),
-        signal_eigs=np.ones(p),
-        trunc_level=0,
-        split_kind=split_kind,
-    )
-    return assemble_model(cov, np.ones(p) / p, noise_sd=1.0)
+    return exogenous_model(np.ones(p), np.ones(p) / p, 1.0, split_kind)
 
 
 GRID = tuple(range(100, 801, 100))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ridgeless_iv.cgmt_lab import slice_model
-from ridgeless_iv.covariance import CovarianceModel, assemble_model
+from ridgeless_iv.covariance import EndogenousModel
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.harness import repetition_seed, setup_model
 from ridgeless_iv.metrics import projected_rmse
@@ -13,13 +13,10 @@ def small_model(p=6, rho_scale=0.4, noise_sd=1.5, k=3):
     eigs = np.array([4.0, 3.0, 2.5, 2.0, 1.0, 0.5])[:p]
     endo = np.zeros(p)
     endo[:k] = eigs[:k]
-    cov = CovarianceModel(
-        p=p, endo_eigs=endo, signal_eigs=eigs - endo, trunc_level=k, split_kind="orthogonal"
-    )
     w = np.zeros(p)
     w[:k] = rho_scale / np.arange(1, k + 1)
     theta = 1.0 / np.sqrt(np.arange(1, p + 1))
-    return assemble_model(cov, theta, whitened_cross=w, noise_sd=noise_sd)
+    return EndogenousModel.build(eigs - endo, endo, theta, w, noise_sd)
 
 
 def flat_tail_model(p=12, k=2):
@@ -27,28 +24,24 @@ def flat_tail_model(p=12, k=2):
     sig = np.r_[4.0, 3.0, 2.0, np.full(p - 3, 0.5)]
     endo = np.zeros(p)
     endo[:k] = 1.0
-    cov = CovarianceModel(
-        p=p, endo_eigs=endo, signal_eigs=sig, trunc_level=k, split_kind="nonorthogonal"
-    )
     i = np.arange(1, p + 1, dtype=float)
     w = np.zeros(p)
     w[:k] = 0.4 / i[:k]
-    return assemble_model(cov, 1.0 / np.sqrt(i), whitened_cross=w, noise_sd=1.5)
+    return EndogenousModel.build(sig, endo, 1.0 / np.sqrt(i), w, 1.5, "nonorthogonal")
 
 
 def identity_model(p, noise_sd=1.0):
     """Exogenous model with identity covariance: X is the instrument factor."""
-    cov = CovarianceModel(
-        p=p, endo_eigs=np.zeros(p), signal_eigs=np.ones(p), trunc_level=0, split_kind="orthogonal"
-    )
-    return assemble_model(cov, np.zeros(p), noise_sd=noise_sd)
+    return EndogenousModel.build(np.ones(p), np.zeros(p), np.zeros(p), noise_sd=noise_sd)
 
 
 def test_exogenous_special_case():
     p = 4
     model = identity_model(p, noise_sd=2.0)
     data = sample_dataset(model, 50_000, seed=42)
-    assert np.abs(np.cov(data.X.T) - np.eye(p)).max() <= 5.0 * np.sqrt(2.0 / 50_000)
+    centered = data.X - data.X.mean(axis=0)
+    sample_cov = centered.T @ centered / (data.X.shape[0] - 1)
+    assert np.abs(sample_cov - np.eye(p)).max() <= 5.0 * np.sqrt(2.0 / 50_000)
     cross = data.X.T @ data.xi / data.X.shape[0]
     assert np.abs(cross).max() <= 5.0 * 2.0 / np.sqrt(50_000)
     assert abs(data.xi.var() - 4.0) <= 3.0 * 4.0 * np.sqrt(2.0 / 50_000)
@@ -58,7 +51,7 @@ def test_moment_match_endogenous():
     model = small_model()
     n = 100_000
     data = sample_dataset(model, n, seed=7)
-    total = np.diag(model.cov.total_eigs)
+    total = np.diag(model.total_eigs)
     emp = data.X.T @ data.X / n
     se = np.sqrt((np.outer(np.diag(total), np.diag(total)) + total**2) / n)
     assert np.all(np.abs(emp - total) <= 5.0 * se + 1e-12)
@@ -126,10 +119,9 @@ def test_student_instrument_keeps_moments():
 def test_factor_representation_consistency():
     model = small_model()
     data = sample_dataset(model, 100, seed=9)
-    cov = model.cov
     k = data.W2.shape[1]
-    rebuilt = data.W1 * np.sqrt(cov.signal_eigs)
-    rebuilt[:, :k] += data.W2 * np.sqrt(cov.endo_eigs[:k])
+    rebuilt = data.W1 * np.sqrt(model.signal_eigs)
+    rebuilt[:, :k] += data.W2 * np.sqrt(model.endo_eigs[:k])
     assert np.abs(rebuilt - data.X).max() <= 1e-12
 
 
@@ -137,7 +129,7 @@ def test_factor_representation_consistency():
 def test_latent_factor_drawn_on_support_only(which):
     model = slice_model(4) if which == "slice" else setup_model("ii", 400)[0]
     n = 7
-    k = int(np.flatnonzero(model.cov.endo_eigs)[-1]) + 1
+    k = int(np.flatnonzero(model.endo_eigs)[-1]) + 1
     assert k < model.p
     data = sample_dataset(model, n, seed=3)
     assert data.W2.shape == (n, k)
@@ -211,13 +203,13 @@ def test_compressed_draw_order(dof):
     np.testing.assert_array_equal(data.xi, xi)
     # the sample's own columns: metric [s_H, lam, lam 1_n], coefficient
     # [theta_H, |theta_T|, 0_n], and the factor form holds in them
-    sig, theta = model.cov.signal_eigs, model.true_coef
+    sig, theta = model.signal_eigs, model.true_coef
     np.testing.assert_array_equal(data.signal_eigs, np.r_[sig[:m], np.full(n + 1, 0.5)])
     np.testing.assert_array_equal(
         data.true_coef, np.r_[theta[:m], np.linalg.norm(theta[m:]), np.zeros(n)]
     )
     rebuilt = data.W1 * np.sqrt(data.signal_eigs)
-    rebuilt[:, :k] += data.W2 * np.sqrt(model.cov.endo_eigs[:k])
+    rebuilt[:, :k] += data.W2 * np.sqrt(model.endo_eigs[:k])
     np.testing.assert_array_equal(rebuilt, data.X)
     np.testing.assert_array_equal(data.Y, data.X @ data.true_coef + data.xi)
     assert data.compressed
@@ -230,7 +222,7 @@ def test_direct_route_without_room_for_the_tail():
         data = sample_dataset(model, n, seed=5)
         assert data.X.shape == (n, model.p) and not data.compressed
         assert data.true_coef is model.true_coef
-        assert data.signal_eigs is model.cov.signal_eigs
+        assert data.signal_eigs is model.signal_eigs
         direct = _sample(model, n, 5, None, None)
         np.testing.assert_array_equal(data.X, direct.X)
 
