@@ -33,7 +33,6 @@ class ConvergenceFailure(RuntimeError):
 @dataclass(frozen=True)
 class FitResult:
     theta_hat: np.ndarray
-    method: str
     train_loss: float
     norm_l2: float
     iterations: int | None = None
@@ -51,11 +50,10 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _result(x, y, theta, method, iterations=None) -> FitResult:
+def _result(x, y, theta, iterations=None) -> FitResult:
     resid = y - x @ theta
     return FitResult(
         theta_hat=theta,
-        method=method,
         train_loss=float(resid @ resid) / x.shape[0],
         norm_l2=float(np.linalg.norm(theta)),
         iterations=iterations,
@@ -95,11 +93,11 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
         # refine theta itself, not the dual vector: X^T alpha loses digits to
         # cancellation when alpha is large, the small correction does not
         theta += x.T @ cholesky_solve(factor, y - x @ theta)
-        fit = _result(x, y, theta, "min_norm")
+        fit = _result(x, y, theta)
         if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
             return fit
     theta = gelsy_lstsq(x, y, default_rank_tol(max(x.shape)))
-    return _result(x, y, theta, "min_norm")
+    return _result(x, y, theta)
 
 
 # Relative slack of the zero certificate.  The screen takes X^T y from one
@@ -156,7 +154,7 @@ def lasso_cd(
         x, y = _check_xy(x, y)
     n, p = x.shape
     if _zero_is_optimal(x.T @ y / n, lam):
-        return _result(x, y, np.zeros(p), "lasso", iterations=0)
+        return _result(x, y, np.zeros(p), iterations=0)
     col_sq = (x * x).sum(axis=0) / n
     theta = np.zeros(p)
     resid = y.copy()
@@ -189,7 +187,7 @@ def lasso_cd(
         sweep(range(p))
         passes += 1
         if kkt_ok():
-            return _result(x, y, theta, "lasso", iterations=passes)
+            return _result(x, y, theta, iterations=passes)
         # cheap inner sweeps over the current active set
         while passes < max_iter:
             active = np.flatnonzero(theta)
@@ -200,10 +198,10 @@ def lasso_cd(
             if delta <= tol * max(1.0, float(np.abs(theta).max())):
                 break
         if kkt_ok():
-            return _result(x, y, theta, "lasso", iterations=passes)
+            return _result(x, y, theta, iterations=passes)
     raise ConvergenceFailure(
         f"no KKT point within {max_iter} passes",
-        _result(x, y, theta, "lasso", iterations=passes),
+        _result(x, y, theta, iterations=passes),
     )
 
 
@@ -348,4 +346,4 @@ def split_sample_lasso_iv(
     v2 = x[np.ix_(half2, exo_idx)]
     lam = config.penalty(float(y2.std()), half2.size, exo_idx.size)
     theta[exo_idx] = _lasso_theta(v2, y2, lam, config, checked=True)
-    return _result(x, y, theta, "lasso_iv")
+    return _result(x, y, theta)

@@ -2,7 +2,8 @@
 
 Nine named setups cover the simulation study: six projected-RMSE setups on
 two spectrum families (orthogonal, non-orthogonal, and sparse-coefficient
-variants) and three estimator-comparison setups where an explicit window of
+variants), which are custom profiles built by the same code as setup
+"custom", and three estimator-comparison setups where an explicit window of
 coordinates is endogenous.  A config object selects the setup, grid, seeds,
 and estimators; runs are deterministic given the base seed no matter how
 many workers execute the repetitions.
@@ -55,7 +56,6 @@ class OutputError(OSError):
     """Output directory or file cannot be written."""
 
 
-SETUP_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
 ESTIMATOR_NAMES = ("ridgeless", "lasso_iv")
 
 OUTPUT_DIR_ENV = "RIDGELESS_IV_OUTPUT_DIR"
@@ -63,80 +63,180 @@ OUTPUT_DIR_ENV = "RIDGELESS_IV_OUTPUT_DIR"
 RUNS_HEADER = ("setup", "n", "rep", "estimator", "projected_rmse")
 PLOT_HEADER = ("n", "mean", "stderr")
 
-# slowly decaying spectrum, p proportional to n
-_LOG_POLY = LogPolySpectrum(
-    scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
-)
-# fast exponential decay plus an n-dependent floor, p = n^{3/2}
-_EXP_NOISE = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0)
-# leakage exponent shared by every non-orthogonal setup
-_LEAK_ALPHA = 1.01
-
 
 # --------------------------------------------------------------------------
-# coefficient and endogeneity rules
+# custom profiles
 
 
-def _coef_dense(i: np.ndarray, scale: float = 20.0) -> np.ndarray:
-    return scale / np.sqrt(i)
-
-
-def _coef_sparse(i: np.ndarray, scale: float = 20.0) -> np.ndarray:
+def _sparse_inverse_sqrt(i: np.ndarray, scale: float, tau: float) -> np.ndarray:
     # support: every fifth index starting at 1, capped at 100
     keep = (i <= 100) & ((i.astype(int) + 4) % 5 == 0)
     return np.where(keep, scale / np.sqrt(i), 0.0)
 
 
-def _rho_inverse(i: np.ndarray, scale: float = 2.0) -> np.ndarray:
-    return scale / i
+# rule kind -> vector over the 1-based index i, given the rule's scale and
+# tau (only exp_decay reads tau); cross kind "none" is no endogeneity
+_COEF_RULES = {
+    "inverse_sqrt": lambda i, scale, tau: scale / np.sqrt(i),
+    "sparse_inverse_sqrt": _sparse_inverse_sqrt,
+}
+_CROSS_RULES = {
+    "inverse": lambda i, scale, tau: scale / i,
+    "exp_decay": lambda i, scale, tau: scale * np.exp(-i / tau),
+    "none": None,
+}
+_PROFILE_KEYS = {
+    "family",
+    "scale",
+    "beta",
+    "log_factor",
+    "tau",
+    "noise",
+    "values",
+    "dim",
+    "split",
+    "alpha",
+    "rotation",
+    "coef",
+    "cross",
+    "noise_sd",
+}
 
 
-def _rho_exp(i: np.ndarray, scale: float = 3.0, tau: float = 4.0) -> np.ndarray:
-    return scale * np.exp(-i / tau)
+def _profile_spectrum(profile: dict):
+    family = profile.get("family")
+    dim = profile.get("dim")
+    try:
+        kw = {} if dim is None else {"p_rule": DimensionRule(**dim)}
+    except TypeError as err:  # a missing or unknown key
+        raise InvalidConfig(
+            f"dim rule takes exactly the keys kind and value, got {dim!r}"
+        ) from err
+    try:
+        if family == "log_poly":
+            log_factor = profile.get("log_factor", 1.0)
+            return LogPolySpectrum(profile["scale"], profile["beta"], log_factor, **kw)
+        if family == "exp_plus_noise":
+            noise = profile.get("noise", "exp_sqrt_decay")
+            return ExpPlusNoiseSpectrum(profile["tau"], profile["scale"], noise, **kw)
+        if family == "explicit":
+            return ExplicitSpectrum(values=tuple(profile["values"]))
+    except KeyError as err:
+        raise InvalidConfig(f"custom profile missing key {err}") from err
+    raise InvalidConfig(f"unknown profile family {family!r}")
 
 
-def _spectrum_setup(profile, split_kind, alpha, coef_rule, rho_rule):
-    """Factory for the projected-RMSE setups: whitened endogeneity through
-    the pattern rotation, diagonal split."""
+def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
+    rule = dict(rule or {"kind": default_kind})
+    kind = rule.pop("kind", default_kind)
+    if kind not in rules:
+        raise InvalidConfig(f"unknown rule kind {kind!r}; expected one of {tuple(rules)}")
+    scale = float(rule.pop("scale", 1.0))
+    tau = float(rule.pop("tau", 4.0))
+    if rule:
+        raise InvalidConfig(f"unknown rule keys {sorted(rule)}")
+    if rules[kind] is None:
+        return None
+    return rules[kind](np.arange(1, p + 1, dtype=float), scale, tau)
 
-    def build(n: int):
-        endo, sig = split_spectrum(profile, n, alpha)
-        i = np.arange(1, endo.size + 1, dtype=float)
-        rho = PatternRotation(endo.size).matvec(rho_rule(i))
-        return EndogenousModel.build(sig, endo, coef_rule(i), rho, split_kind=split_kind), None
 
-    return build
+def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
+    extra = set(profile) - _PROFILE_KEYS
+    if extra:
+        raise InvalidConfig(f"unknown profile keys {sorted(extra)}")
+    prof = _profile_spectrum(profile)
+    split = profile.get("split", "orthogonal")
+    if split not in ("orthogonal", "nonorthogonal"):
+        raise InvalidConfig(f"unknown split {split!r}")
+    rotation = profile.get("rotation", "pattern")
+    if rotation not in ("pattern", None):
+        raise InvalidConfig(f"unknown rotation {rotation!r}")
+    alpha = profile.get("alpha")
+    if split == "nonorthogonal" and alpha is None:
+        raise InvalidAlpha("nonorthogonal split needs alpha")
+    if split == "orthogonal" and alpha is not None:
+        raise InvalidConfig("alpha applies only to the nonorthogonal split")
+    endo, sig = split_spectrum(prof, n, alpha)
+    p = endo.size
+    theta = _profile_vector(profile.get("coef"), _COEF_RULES, "inverse_sqrt", p)
+    rho = _profile_vector(profile.get("cross"), _CROSS_RULES, "none", p)
+    if rho is not None and rotation == "pattern":
+        rho = PatternRotation(p).matvec(rho)
+    noise_sd = profile.get("noise_sd")
+    model = EndogenousModel.build(
+        sig,
+        endo,
+        theta,
+        rho,
+        noise_sd=float(noise_sd) if noise_sd is not None else None,
+        split_kind=split,
+    )
+    return model, None
+
+
+# --------------------------------------------------------------------------
+# named setups
+
+# the spectrum families with their cross rules: slow log-poly decay with
+# p = 5n, and fast exponential decay plus an n-dependent floor with p = n^{3/2}
+_LOG_POLY_FAMILY = {
+    "family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2,
+    "dim": {"kind": "multiple", "value": 5.0}, "cross": {"kind": "inverse", "scale": 2.0},
+}
+_EXP_NOISE_FAMILY = {
+    "family": "exp_plus_noise", "tau": 2.0, "scale": 10.0, "noise": "exp_sqrt_decay",
+    "dim": {"kind": "power", "value": 1.5},
+    "cross": {"kind": "exp_decay", "scale": 3.0, "tau": 4.0},
+}
+_ORTHOGONAL = {"split": "orthogonal"}
+_LEAKED = {"split": "nonorthogonal", "alpha": 1.01}
+_DENSE = {"coef": {"kind": "inverse_sqrt", "scale": 20.0}}
+_SPARSE = {"coef": {"kind": "sparse_inverse_sqrt", "scale": 20.0}}
+
+# the projected-RMSE setups: whitened endogeneity through the pattern
+# rotation, diagonal split
+_PROFILES = {
+    "i": {**_LOG_POLY_FAMILY, **_ORTHOGONAL, **_DENSE},
+    "ii": {**_EXP_NOISE_FAMILY, **_ORTHOGONAL, **_DENSE},
+    "iii": {**_LOG_POLY_FAMILY, **_LEAKED, **_DENSE},
+    "iv": {**_EXP_NOISE_FAMILY, **_LEAKED, **_DENSE},
+    "v": {**_LOG_POLY_FAMILY, **_ORTHOGONAL, **_SPARSE},
+    "vi": {**_LOG_POLY_FAMILY, **_LEAKED, **_SPARSE},
+}
 
 
 def _window_setup(head_coef: bool = False, shifted: bool = False):
-    """Factory for the comparison setups: an n/10-wide window of coordinates
-    carries covariate-error correlation 2/i, given in natural coordinates
-    (no rotation) and whitened by the latent block for the model.
+    """Factory for the comparison setups: setup iii's spectrum, leak and
+    rules, but with covariate-error correlation only on an n/10-wide window
+    of coordinates, given in natural coordinates (no rotation) and whitened
+    by the latent block for the model.
 
     The shifted variant moves the first fifth of the window past the
     truncation level; the latent block is extended to cover it, since a
     factor model can only realize correlation inside the latent block's
     range.  head_coef truncates the coefficient vector at 0.8 n.
     """
+    profile = _PROFILES["iii"]
 
     def build(n: int):
         k = n // 10
         shift = k // 5 if shifted else 0
         if k < 1 or (shifted and shift < 1):
             raise InvalidConfig(f"endogenous window is empty at n={n}")
-        p, eigs = spectrum(_LOG_POLY, n)
+        p, eigs = spectrum(_profile_spectrum(profile), n)
         kstar = truncation_level(eigs, n)
         if kstar is None or k > kstar:
             raise InvalidConfig(f"endogenous window exceeds the latent block at n={n}")
-        endo, sig = split_eigs(eigs, kstar + shift, float(n) ** (-_LEAK_ALPHA))
+        endo, sig = split_eigs(eigs, kstar + shift, float(n) ** (-profile["alpha"]))
         i = np.arange(1, p + 1, dtype=float)
-        theta = _coef_dense(i)
+        theta = _profile_vector(profile["coef"], _COEF_RULES, "inverse_sqrt", p)
         if head_coef:
             theta = np.where(i <= 0.8 * n, theta, 0.0)
         window = np.zeros(p, dtype=bool)
         window[shift:k] = True
         window[kstar : kstar + shift] = True
-        omega = np.where(window, 2.0 / i, 0.0)
+        cross = _profile_vector(profile["cross"], _CROSS_RULES, "none", p)
+        omega = np.where(window, cross, 0.0)
         support = latent_support(endo)
         rho = np.where(support, omega / np.sqrt(np.where(support, endo, 1.0)), 0.0)
         model = EndogenousModel.build(sig, endo, theta, rho, split_kind="nonorthogonal")
@@ -147,16 +247,12 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
 
 # setup id -> model factory
 _SETUPS = {
-    "i": _spectrum_setup(_LOG_POLY, "orthogonal", None, _coef_dense, _rho_inverse),
-    "ii": _spectrum_setup(_EXP_NOISE, "orthogonal", None, _coef_dense, _rho_exp),
-    "iii": _spectrum_setup(_LOG_POLY, "nonorthogonal", _LEAK_ALPHA, _coef_dense, _rho_inverse),
-    "iv": _spectrum_setup(_EXP_NOISE, "nonorthogonal", _LEAK_ALPHA, _coef_dense, _rho_exp),
-    "v": _spectrum_setup(_LOG_POLY, "orthogonal", None, _coef_sparse, _rho_inverse),
-    "vi": _spectrum_setup(_LOG_POLY, "nonorthogonal", _LEAK_ALPHA, _coef_sparse, _rho_inverse),
+    **{sid: functools.partial(_custom_model, profile) for sid, profile in _PROFILES.items()},
     "vii": _window_setup(),
     "viii": _window_setup(head_coef=True),
     "ix": _window_setup(shifted=True),
 }
+SETUP_IDS = tuple(_SETUPS)
 
 # comparison setups declare which columns the two-stage baseline instruments
 _WINDOW_SETUPS = ("vii", "viii", "ix")
@@ -190,108 +286,6 @@ def default_grid(setup_id: str, full_scale: bool = False) -> tuple[int, ...]:
         return (100, 200, 300, 400)
     start = 100 if setup_id in _WINDOW_SETUPS else 200
     return tuple(range(start, 1001, 100))
-
-
-# --------------------------------------------------------------------------
-# custom profiles
-
-_COEF_KINDS = ("inverse_sqrt", "sparse_inverse_sqrt")
-_CROSS_KINDS = ("inverse", "exp_decay", "none")
-# rule kinds whose only parameter is a scale, mapped to the named-setup rules
-_SCALED_RULES = {
-    "inverse_sqrt": _coef_dense,
-    "sparse_inverse_sqrt": _coef_sparse,
-    "inverse": _rho_inverse,
-}
-_PROFILE_KEYS = {
-    "family",
-    "scale",
-    "beta",
-    "log_factor",
-    "tau",
-    "noise",
-    "values",
-    "dim",
-    "split",
-    "alpha",
-    "rotation",
-    "coef",
-    "cross",
-    "noise_sd",
-}
-
-
-def _profile_spectrum(profile: dict):
-    family = profile.get("family")
-    dim = profile.get("dim")
-    rule = DimensionRule(**dim) if dim is not None else None
-    try:
-        if family == "log_poly":
-            kw = {"scale": profile["scale"], "beta": profile["beta"]}
-            kw["log_factor"] = profile.get("log_factor", 1.0)
-            if rule is not None:
-                kw["p_rule"] = rule
-            return LogPolySpectrum(**kw)
-        if family == "exp_plus_noise":
-            kw = {"tau": profile["tau"], "scale": profile["scale"]}
-            kw["noise"] = profile.get("noise", "exp_sqrt_decay")
-            if rule is not None:
-                kw["p_rule"] = rule
-            return ExpPlusNoiseSpectrum(**kw)
-        if family == "explicit":
-            return ExplicitSpectrum(values=tuple(profile["values"]))
-    except KeyError as err:
-        raise InvalidConfig(f"custom profile missing key {err}") from err
-    raise InvalidConfig(f"unknown profile family {family!r}")
-
-
-def _profile_vector(rule: dict | None, kind_set, default_kind, p: int):
-    rule = dict(rule or {"kind": default_kind})
-    kind = rule.pop("kind", default_kind)
-    if kind not in kind_set:
-        raise InvalidConfig(f"unknown rule kind {kind!r}; expected one of {kind_set}")
-    scale = float(rule.pop("scale", 1.0))
-    tau = float(rule.pop("tau", 4.0))
-    if rule:
-        raise InvalidConfig(f"unknown rule keys {sorted(rule)}")
-    if kind == "none":
-        return None
-    i = np.arange(1, p + 1, dtype=float)
-    if kind == "exp_decay":
-        return _rho_exp(i, scale, tau)
-    return _SCALED_RULES[kind](i, scale)
-
-
-def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
-    extra = set(profile) - _PROFILE_KEYS
-    if extra:
-        raise InvalidConfig(f"unknown profile keys {sorted(extra)}")
-    prof = _profile_spectrum(profile)
-    split = profile.get("split", "orthogonal")
-    if split not in ("orthogonal", "nonorthogonal"):
-        raise InvalidConfig(f"unknown split {split!r}")
-    rotation = profile.get("rotation", "pattern")
-    if rotation not in ("pattern", None):
-        raise InvalidConfig(f"unknown rotation {rotation!r}")
-    alpha = profile.get("alpha")
-    if split == "nonorthogonal" and alpha is None:
-        raise InvalidAlpha("nonorthogonal split needs alpha")
-    endo, sig = split_spectrum(prof, n, alpha if split == "nonorthogonal" else None)
-    p = endo.size
-    theta = _profile_vector(profile.get("coef"), _COEF_KINDS, "inverse_sqrt", p)
-    rho = _profile_vector(profile.get("cross"), _CROSS_KINDS, "none", p)
-    if rho is not None and rotation == "pattern":
-        rho = PatternRotation(p).matvec(rho)
-    noise_sd = profile.get("noise_sd")
-    model = EndogenousModel.build(
-        sig,
-        endo,
-        theta,
-        rho,
-        noise_sd=float(noise_sd) if noise_sd is not None else None,
-        split_kind=split,
-    )
-    return model, None
 
 
 # --------------------------------------------------------------------------
@@ -729,12 +723,8 @@ def _named_family(setup_id: str):
     return lambda n: setup_model(setup_id, n)[0]
 
 
-def _family_logpoly_nonorthogonal(n: int) -> EndogenousModel:
-    # steeper leakage than the simulation setups: n^-2 per top eigenvalue
-    endo, sig = split_spectrum(_LOG_POLY, n, alpha=2.0)
-    i = np.arange(1, endo.size + 1, dtype=float)
-    rho = PatternRotation(endo.size).matvec(_rho_inverse(i))
-    return EndogenousModel.build(sig, endo, _coef_dense(i), rho, split_kind="nonorthogonal")
+def _profile_family(profile: dict):
+    return lambda n: _custom_model(profile, n)[0]
 
 
 def _family_fixed_p_identity(n: int) -> EndogenousModel:
@@ -747,7 +737,8 @@ def _family_fixed_p_identity(n: int) -> EndogenousModel:
 CONDITION_FAMILIES = {
     "logpoly_orthogonal": _named_family("i"),
     "expnoise_orthogonal": _named_family("ii"),
-    "logpoly_nonorthogonal": _family_logpoly_nonorthogonal,
+    # steeper leakage than the simulation setups: n^-2 per top eigenvalue
+    "logpoly_nonorthogonal": _profile_family({**_PROFILES["iii"], "alpha": 2.0}),
     "fixed_p_identity": _family_fixed_p_identity,
 }
 

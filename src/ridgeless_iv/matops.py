@@ -2,9 +2,9 @@
 module that calls scipy's LAPACK.
 
 All routines are pure: they never mutate their inputs and hold no state, so
-results can be shared freely across threads.  scipy.linalg itself is imported
-only inside pseudoinverse and psd_eigvals, so that the sweeps and the tail
-check, which never call them, do not pay for loading it.
+results can be shared freely across threads.  The eigensolvers are numpy's
+and the LAPACK routines come from the capsules of scipy's cython_lapack
+extension module, so nothing here imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -193,9 +193,7 @@ def pseudoinverse(a: np.ndarray) -> np.ndarray:
     are treated as exact zeros.  A negative eigenvalue below -tol *
     lambda_max raises NotPSD.
     """
-    import scipy.linalg  # here, not at the top: no sweep or tail check needs it
-
-    lam, q = scipy.linalg.eigh(_check_sym(a))
+    lam, q = np.linalg.eigh(_check_sym(a))
     # eigenvector signs cancel in q inv(lam) q^T, so they are left as eigh
     # gives them; the descending order fixes the summation order of that product
     lam, q = lam[::-1].copy(), q[:, ::-1].copy()
@@ -211,9 +209,7 @@ def pseudoinverse(a: np.ndarray) -> np.ndarray:
 def psd_eigvals(a: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a symmetric PSD matrix; one below
     -1e-8 max(lambda_max, 1), which is not roundoff, raises NotPSD."""
-    import scipy.linalg
-
-    lam = scipy.linalg.eigvalsh(_check_sym(a))[::-1].copy()
+    lam = np.linalg.eigvalsh(_check_sym(a))[::-1].copy()
     if lam.size and lam[-1] < -1e-8 * max(lam[0], 1.0):
         raise NotPSD(f"eigenvalue {lam[-1]:g} is negative beyond tolerance")
     return lam

@@ -22,10 +22,6 @@ class ZeroMatrix(ValueError):
     """Effective ranks are undefined for the zero matrix."""
 
 
-class MissingSelector(ValueError):
-    """Custom norms need a subgradient selector and a dual norm."""
-
-
 class ModelInconsistent(ValueError):
     """A condition sequence has a negative or non-finite entry."""
 
@@ -96,9 +92,6 @@ def norm_effective_ranks(
     norm: str = "l2",
     mc_samples: int = 10_000,
     seed: int = 0,
-    dual_fn=None,
-    selector_fn=None,
-    sup_weighted: float | None = None,
 ) -> NormRankEstimate:
     """Monte Carlo general-norm effective ranks of a diagonal covariance.
 
@@ -132,16 +125,6 @@ def norm_effective_ranks(
         num = np.abs(y).max(axis=1)
         picks = np.abs(y).argmax(axis=1)  # argmax takes the lowest index on ties
         den = root[picks]
-        checked = False
-    elif norm == "custom":
-        if dual_fn is None or selector_fn is None or sup_weighted is None:
-            raise MissingSelector("custom norm needs dual_fn, selector_fn, sup_weighted")
-        num = np.array([float(dual_fn(row)) for row in y])
-        den = np.empty(mc_samples)
-        for i, row in enumerate(y):
-            v = np.asarray(selector_fn(row), dtype=float)
-            den[i] = math.sqrt(float(v @ (sigma * v)))
-        sup = float(sup_weighted)
         checked = False
     else:
         raise ValueError(f"unknown norm {norm!r}")

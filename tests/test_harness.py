@@ -285,12 +285,79 @@ def test_custom_profile_matches_named_setup(setup, profile):
         {"family": "log_poly", "scale": 1.0, "beta": 1.0, "rotation": "fourier"},
         {"family": "log_poly", "scale": 1.0, "beta": 1.0, "coef": {"kind": "ones"}},
         {"family": "log_poly", "scale": 1.0, "beta": 1.0, "coef": {"kind": "inverse_sqrt", "width": 2}},
+        # an alpha the orthogonal split would ignore
+        {"family": "log_poly", "scale": 300, "beta": 2, "split": "orthogonal", "alpha": 0.5},
+        # a dim rule with a missing or an unknown key
+        {"family": "log_poly", "scale": 300, "beta": 2, "dim": {"kind": "multiple"}},
+        {"family": "log_poly", "scale": 300, "beta": 2,
+         "dim": {"kind": "multiple", "value": 5, "extra": 1}},
     ],
 )
 def test_custom_profile_validation(profile):
     cfg = ExperimentConfig(setup="custom", n_grid=(100,), profile=profile)
     with pytest.raises(ValueError):
         run_setup(cfg)
+
+
+# p, latent rank, signal and latent traces, |true_coef|, |whitened_cross| and
+# noise_var of each named setup, taken from the builders before setups i-vi
+# became profiles; a drift in the shared builder moves them
+_PINNED_MODELS = {
+    ("i", 100): (500, 75, 11.398059766884714, 512.6518456461504,
+                 52.1260910868656, 1.6089203332828412, 10.354498555403875),
+    ("i", 400): (2000, 270, 7.6291804127065195, 521.1817791696429,
+                 57.19569250777643, 1.5238559058854306, 9.288547287607626),
+    ("ii", 100): (1000, 24, 0.00452574581466357, 15.414955072529565,
+                  54.71917711570723, 1.9811784218958646, 15.700271757543154),
+    ("ii", 400): (8000, 44, 8.242268595646411e-07, 15.414940825602573,
+                  61.85297077509349, 1.8391064401801576, 13.529249993248525),
+    ("iii", 100): (500, 75, 16.29384688490748, 507.75605852812737,
+                   52.1260910868656, 1.6089203332828412, 10.354498555403875),
+    ("iii", 400): (2000, 270, 8.856361441625786, 519.9545981407238,
+                   57.19569250777643, 1.5238559058854306, 9.288547287607626),
+    ("iv", 100): (1000, 24, 0.15173742389585543, 15.267743394448377,
+                  54.71917711570723, 1.9811784218958646, 15.700271757543154),
+    ("iv", 400): (8000, 44, 0.036297033532625374, 15.378644616296807,
+                  61.85297077509349, 1.8391064401801576, 13.529249993248525),
+    ("v", 100): (500, 75, 11.398059766884714, 512.6518456461504,
+                 25.721222128664095, 1.6089203332828412, 10.354498555403875),
+    ("v", 400): (2000, 270, 7.6291804127065195, 521.1817791696429,
+                 25.721222128664095, 1.5238559058854306, 9.288547287607626),
+    ("vi", 100): (500, 75, 16.29384688490748, 507.75605852812737,
+                  25.721222128664095, 1.6089203332828412, 10.354498555403875),
+    ("vi", 400): (2000, 270, 8.856361441625786, 519.9545981407238,
+                  25.721222128664095, 1.5238559058854306, 9.288547287607626),
+    ("vii", 100): (500, 75, 16.29384688490748, 507.75605852812737,
+                   52.1260910868656, 0.3872546958566314, 0.5998647978520484),
+    ("vii", 400): (2000, 270, 8.856361441625786, 519.9545981407238,
+                   57.19569250777643, 0.6848523321776151, 1.8760908675564738),
+    ("viii", 100): (500, 75, 16.29384688490748, 507.75605852812737,
+                    44.56671080053145, 0.3872546958566314, 0.5998647978520484),
+    ("viii", 400): (2000, 270, 8.856361441625786, 519.9545981407238,
+                    50.38689649857001, 0.6848523321776151, 1.8760908675564738),
+    ("ix", 100): (500, 77, 16.071621628697535, 507.97828378433735,
+                  52.1260910868656, 0.36785241409403235, 0.5412615942192298),
+    ("ix", 400): (2000, 278, 8.706768535286287, 520.1041910470633,
+                  57.19569250777643, 0.6095837309503015, 1.4863693001571583),
+    ("logpoly_nonorthogonal", 100): (500, 75, 11.449324951449334, 512.6005804615857,
+                                     52.1260910868656, 1.6089203332828412,
+                                     10.354498555403875),
+}
+
+
+@pytest.mark.parametrize("name, n", list(_PINNED_MODELS))
+def test_named_setup_models_pinned(name, n):
+    model = condition_family(name)(n)
+    p, rank, *floats = _PINNED_MODELS[(name, n)]
+    assert (model.p, model.endo_rank()) == (p, rank)
+    got = (
+        model.signal_eigs.sum(),
+        model.endo_eigs.sum(),
+        np.linalg.norm(model.true_coef),
+        np.linalg.norm(model.whitened_cross),
+        model.noise_var,
+    )
+    np.testing.assert_allclose(got, floats, rtol=1e-12)
 
 
 def test_model_errors_carry_setup_context():
@@ -543,6 +610,11 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"setup": "nope", "n_grid": [100]}')
     res = runner.invoke(main, ["simulate", "--config", str(bad)])
     assert res.exit_code == 2
+    # a profile error found only when the model is built, not a traceback
+    profile = {"family": "log_poly", "scale": 300, "beta": 2, "dim": {"kind": "multiple"}}
+    cfg = _write_config(tmp_path, setup="custom", profile=profile)
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", str(tmp_path)])
+    assert res.exit_code == 2 and "dim rule" in res.output
     res = runner.invoke(main, ["ranks", "--matrix", "not-a-setup"])
     assert res.exit_code == 2
 

@@ -164,8 +164,9 @@ def test_missing_cython_lapack_names_the_folder_searched(tmp_path, monkeypatch):
 
 def test_run_paths_never_import_scipy_linalg():
     # a fresh interpreter, since the test modules import scipy.linalg
-    # themselves; afterwards scipy.linalg must still import and find the
-    # extension module matops loaded
+    # themselves; no sweep, tail check or dense eigensolve may import it, and
+    # afterwards scipy.linalg must still import and find the extension
+    # module matops loaded
     script = textwrap.dedent(
         """
         import sys
@@ -181,6 +182,8 @@ def test_run_paths_never_import_scipy_linalg():
             )
         )
         cgmt_lab.tail_dominance_check(cgmt_lab.slice_model(4), 3, 8, max_workers=1)
+        matops.psd_eigvals(np.eye(3))
+        matops.pseudoinverse(np.eye(3))
         assert "scipy.linalg" not in sys.modules, "a run path imported scipy.linalg"
 
         import scipy.linalg

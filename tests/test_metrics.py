@@ -17,7 +17,6 @@ from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.matops import InvalidMatrix, NotPSD
 from ridgeless_iv.metrics import (
     DegenerateNoise,
-    MissingSelector,
     ZeroMatrix,
     cross_signal_energy,
     effective_ranks,
@@ -208,30 +207,6 @@ def test_l1_rank_diagonal_finite():
     est = norm_effective_ranks(np.array([4.0, 1.0, 0.25]), norm="l1", mc_samples=5_000, seed=1)
     assert np.isfinite(est.r_norm) and np.isfinite(est.R_norm)
     assert est.r_norm > 0 and est.R_norm > 0
-
-
-def test_custom_norm_requires_all_pieces():
-    with pytest.raises(MissingSelector):
-        norm_effective_ranks(np.ones(3), norm="custom", dual_fn=np.linalg.norm)
-
-
-def test_custom_norm_replicates_builtin_l2():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((5, 5))
-    s = np.linalg.eigvalsh(m @ m.T)
-    builtin = norm_effective_ranks(s, norm="l2", mc_samples=1_000, seed=8)
-    lam = s.max()
-    custom = norm_effective_ranks(
-        s,
-        norm="custom",
-        mc_samples=1_000,
-        seed=8,
-        dual_fn=np.linalg.norm,
-        selector_fn=lambda y: y / np.linalg.norm(y),
-        sup_weighted=math.sqrt(lam),
-    )
-    assert custom.r_norm == pytest.approx(builtin.r_norm, rel=1e-10)
-    assert custom.R_norm == pytest.approx(builtin.R_norm, rel=1e-10)
 
 
 def test_unknown_norm_rejected():
