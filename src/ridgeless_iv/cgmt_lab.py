@@ -13,7 +13,10 @@ with disjoint signal and latent supports it reduces to the objective's root
 nu and one inner product t, each (nu, t) pair splitting the ball budget into
 a Tikhonov secular equation and a trust-region problem on a sphere.  A node
 scan in nu and a bracketed root of the budget give the optimum, and the
-point that attains it is checked against the cone and ball.
+point that attains it is checked against the cone and ball.  The Newton
+kernels take their small component axis first, (q, ...), so each sum over
+components is one add per contiguous row, not a reduction over a short last
+axis.
 """
 
 from __future__ import annotations
@@ -144,37 +147,45 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
+def _comp_norm(x: np.ndarray) -> np.ndarray:
+    # norm over the leading component axis: one add per component row
+    return np.sqrt((x * x).sum(axis=0))
+
+
 def _sphere_min(m, gam, rho):
     """w minimizing sum(m w^2 + 2 gam w) on |w| = rho, m ascending.
 
+    Components come first: m and gam are (q, ...) and broadcast against rho.
     Newton on 1/|w(lam)| from a lower bound of the multiplier, then |w| is
     pinned to rho.  In the hard case |w| stays short of rho even at the pole
     lam = -m[0], and the rest of the radius goes along the first eigenvector.
     """
     live_rho = rho > 0.0
     rs = np.where(live_rho, rho, 1.0)
-    lam = np.maximum(_row_norm(gam) / rs - m[..., -1], np.abs(gam[..., 0]) / rs - m[..., 0])
+    lam = np.maximum(_comp_norm(gam) / rs - m[-1], np.abs(gam[0]) / rs - m[0])
 
     def at(lam):
-        den = m + lam[..., None]
+        den = m + lam
         den = np.where(den > 0.0, den, np.inf)
         w = -gam / den
-        return w, den, _row_norm(w)
+        return w, den, _comp_norm(w)
 
     for _ in range(_MAX_STEPS):
         w, den, nw = at(lam)
         live = live_rho & (nw > rho)
-        slope = np.where(live, (w * w / den).sum(axis=-1), 1.0)
+        slope = np.where(live, (w * w / den).sum(axis=0), 1.0)
         step = np.where(live, (1.0 / rs - 1.0 / np.where(live, nw, 1.0)) * nw**3 / slope, 0.0)
         lam = lam + step
-        if np.all(step <= 1e-13 * np.abs(lam)):
+        if (step <= 1e-13 * np.abs(lam)).all():
             break
-    hard = at(lam)[2] < rho * (1.0 - 1e-12)
-    w, _, nw = at(np.where(hard, -m[..., 0], lam))
-    w *= np.where(hard, 1.0, rs / np.where(nw > 0.0, nw, 1.0))[..., None]
-    pad = np.sqrt(np.maximum(rho * rho - nw * nw, 0.0))
-    w[..., 0] += np.where(hard, np.copysign(pad, -gam[..., 0]), 0.0)
-    return np.where(live_rho[..., None], w, 0.0)
+    w, _, nw = at(lam)
+    hard = nw < rho * (1.0 - 1e-12)
+    if hard.any():
+        w, _, nw = at(np.where(hard, -m[0], lam))
+        pad = np.sqrt(np.maximum(rho * rho - nw * nw, 0.0))
+        w[0] += np.where(hard, np.copysign(pad, -gam[0]), 0.0)
+    w *= np.where(hard, 1.0, rs / np.where(nw > 0.0, nw, 1.0))
+    return np.where(live_rho, w, 0.0)
 
 
 # ------------------------------------------------------------------ primary
@@ -236,8 +247,8 @@ def max_projected_error(
     anchor = part + basis @ center
     b = basis.T @ (sig * anchor)
     lam, vec = np.linalg.eigh(a)
-    w = _sphere_min(-lam[None, ::-1], -(b @ vec)[None, ::-1], np.array([radius]))
-    theta_prime = anchor + basis @ (vec @ w[0, ::-1])
+    w = _sphere_min(-lam[::-1], -(b @ vec)[::-1], radius)
+    theta_prime = anchor + basis @ (vec @ w[::-1])
     return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, radius, m)
 
 
@@ -295,97 +306,127 @@ def _in_ball(x, theta0, radius):
 
 
 def _tikhonov(alpha, sv2, tau2):
-    """mu >= 0 with |mu alpha / (sv2 + mu)|^2 = tau2: Newton on 1/|r| in
-    kappa = 1/mu, which is concave, so the iterates approach from below,
-    starting from the largest one-component lower bound on kappa.
-    tau2 <= 0 gives mu = 0 (least squares), tau2 >= |alpha|^2 gives inf."""
+    """mu >= 0 with |mu alpha / (sv2 + mu)|^2 = tau2, components of alpha and
+    sv2 first: Newton on 1/|r| in kappa = 1/mu, which is concave, so the
+    iterates approach from below, starting from the largest one-component
+    lower bound on kappa.  tau2 <= 0 gives mu = 0 (least squares), tau2 >=
+    |alpha|^2 gives inf."""
     a2 = alpha * alpha
-    act = (tau2 > 0.0) & (tau2 < a2.sum(axis=-1))
+    act = (tau2 > 0.0) & (tau2 < a2.sum(axis=0))
     target = 1.0 / np.sqrt(np.where(act, tau2, 1.0))
-    bound = (np.abs(alpha) * target[..., None] - 1.0) / np.where(sv2 > 0.0, sv2, np.inf)
-    kap = np.where(act, bound.max(axis=-1, initial=0.0), 0.0)
+    bound = (np.abs(alpha) * target - 1.0) / np.where(sv2 > 0.0, sv2, np.inf)
+    kap = np.where(act, bound.max(axis=0, initial=0.0), 0.0)
     for _ in range(_MAX_STEPS):
-        den = 1.0 + kap[..., None] * sv2
+        den = 1.0 + kap * sv2
         r2 = a2 / (den * den)
-        nr = np.sqrt(np.where(act, r2.sum(axis=-1), 1.0))
-        slope = np.where(act, (r2 * sv2 / den).sum(axis=-1), 1.0)
-        step = np.where(act, (target - 1.0 / nr) * nr**3 / slope, 0.0)
+        nr = np.sqrt(np.where(act, r2.sum(axis=0), 1.0))
+        slope = np.where(act, (r2 * sv2 / den).sum(axis=0), 1.0)
+        # an inactive point has target = nr = slope = 1, so its step is 0
+        step = (target - 1.0 / nr) * nr**3 / slope
         kap += step
-        if np.all(step <= 1e-13 * kap):
+        if (step <= 1e-13 * kap).all():
             break
     return np.where(act, 1.0 / np.where(act, kap, 1.0), np.where(tau2 > 0.0, np.inf, 0.0))
 
 
-def _ao_phi(r, nu, g, point=False):
-    """L + S at nodes (nu, g) of shape (B, M) over the B reduced draws in r,
-    inf where the t window is closed; with point=True also y and u.
+# the per-draw arrays that _ao_phi reads
+_PHI_KEYS = ("ua", "ug", "sv", "pc", "pg", "hn", "m", "g1", "g0", "e2", "e1", "bb", "flat", "slack")
 
-    The window is [t_lo, nu |H_J|], t_lo = |P_perp c| less r["slack"], the
-    part of the certificate's cone tolerance the point may use.  g in [0, 1]
-    sets |P_range(c - A y)| = W sin(pi g / 2) and the radius of u off H_J to
-    (W / |H_J|) cos(pi g / 2), W^2 = nu^2 |H_J|^2 - t_lo^2, which removes
-    the square-root ends of the window.
+
+def _ao_at_nu(r, nu):
+    """The arrays of r laid out against nu, of shape (B, ...), with the terms
+    of L + S that depend on nu alone (or on the draw alone), for _ao_phi.
+
+    r holds B reduced draws, components first: vectors (q, B) and scalars
+    (B,).  Each gets a trailing singleton axis per trailing axis of nu.
     """
-    col = {k: v[:, None] for k, v in r.items()}
-    t_hi = nu * col["hn"]
-    t_lo = np.maximum(_row_norm(col["pc"] - nu[..., None] * col["pg"]) - col["slack"], 0.0)
-    width = np.sqrt(np.maximum(t_hi * t_hi - t_lo * t_lo, 0.0))
-    pos = col["hn"] > 0.0
-    hn = np.where(pos, col["hn"], 1.0)
-    rho = np.where(col["flat"], 0.0, np.where(pos, width * np.cos(0.5 * math.pi * g) / hn, nu))
+    pad = (1,) * (nu.ndim - 1)
+    at = {k: v.reshape(v.shape + pad) for k, v in r.items()}
+    t_hi = nu * at["hn"]
+    # |P_perp c| sums its n rows on a contiguous last axis, in _row_norm's
+    # order; it is taken once per nu, so the copy costs little
+    rows = np.ascontiguousarray(np.moveaxis(at["pc"] - nu * at["pg"], 0, -1))
+    t_lo = np.maximum(_row_norm(rows) - at["slack"], 0.0)
+    pos = at["hn"] > 0.0
+    at.update(
+        nu=nu, t_lo=t_lo, open=t_lo <= t_hi, pos=pos, hn_div=np.where(pos, at["hn"], 1.0),
+        width=np.sqrt(np.maximum(t_hi * t_hi - t_lo * t_lo, 0.0)),
+        alpha=at["ua"] - nu * at["ug"], sv2=at["sv"] ** 2,
+    )
+    return at
+
+
+def _ao_phi(at, g, point=False):
+    """L + S at window positions g over the nu terms at (from _ao_at_nu), inf
+    where the t window is closed; with point=True also y and u, components
+    first, which needs vt, evec and hhat in at.
+
+    The window is [t_lo, nu |H_J|], t_lo = |P_perp c| less the draw's
+    slack, the part of the certificate's cone tolerance the point may use.
+    g in [0, 1] sets |P_range(c - A y)| = W sin(pi g / 2) and the radius of
+    u off H_J to (W / |H_J|) cos(pi g / 2), W^2 = nu^2 |H_J|^2 - t_lo^2,
+    which removes the square-root ends of the window.
+    """
+    nu, t_lo, pos = at["nu"], at["t_lo"], at["pos"]
+    rho = np.where(
+        at["flat"], 0.0, np.where(pos, at["width"] * np.cos(0.5 * math.pi * g) / at["hn_div"], nu)
+    )
     s = np.where(pos, np.sqrt(np.maximum(nu * nu - rho * rho, 0.0)), 0.0)
-    t = s * col["hn"]
+    t = s * at["hn"]
 
-    alpha = col["ua"] - nu[..., None] * col["ug"]
-    sv2 = col["sv"] ** 2
-    den = sv2 + _tikhonov(alpha, sv2, t * t - t_lo * t_lo)[..., None]
-    coef = col["sv"] * alpha / np.where(den > 0.0, den, 1.0)
+    alpha, sv2 = at["alpha"], at["sv2"]
+    den = sv2 + _tikhonov(alpha, sv2, t * t - t_lo * t_lo)
+    coef = at["sv"] * alpha / np.where(den > 0.0, den, 1.0)
 
-    gam = s[..., None] * col["g1"] + col["g0"]
-    w = _sphere_min(col["m"], gam, rho)
-    sph = np.einsum("...i,...i->...", w, col["m"] * w + 2.0 * gam)
-    sph += s * (s * col["e2"] + 2.0 * col["e1"]) + col["bb"]
-    phi = np.where(t_lo <= t_hi, (coef * coef).sum(axis=-1) + sph, np.inf)
+    m = at["m"]
+    gam = s * at["g1"] + at["g0"]
+    w = _sphere_min(m, gam, rho)
+    sph = (w * (m * w + 2.0 * gam)).sum(axis=0)
+    sph += s * (s * at["e2"] + 2.0 * at["e1"]) + at["bb"]
+    phi = np.where(at["open"], (coef * coef).sum(axis=0) + sph, np.inf)
     if not point:
         return phi
-    y = np.einsum("bmq,bqk->bmk", coef, r["vt"])
-    u = np.einsum("bij,bmj->bmi", r["evec"], w) + s[..., None] * col["hhat"]
+    y = np.einsum("q...,qk...->k...", coef, at["vt"])
+    u = np.einsum("ij...,j...->i...", at["evec"], w) + s * at["hhat"]
     return phi, y, u
 
 
 def _ao_window_min(r, nu):
     """min over the t window of L + S at one nu per draw: the grid, then a
     golden-section search between the grid neighbours of its best node."""
+    at = _ao_at_nu(r, nu[:, None])
     rows, k = np.arange(nu.size), _T_GRID.size
-    phi = _ao_phi(r, nu[:, None], np.broadcast_to(_T_GRID, (nu.size, k)))
+    phi = _ao_phi(at, _T_GRID[None])
     j = phi.argmin(axis=1)
     best = [phi[rows, j], _T_GRID[j]]
 
-    def at(g):
-        f = _ao_phi(r, nu[:, None], g[:, None])[:, 0]
+    def at_g(g):
+        f = _ao_phi(at, g[:, None])[:, 0]
         better = f < best[0]
         best[:] = np.where(better, f, best[0]), np.where(better, g, best[1])
         return f
 
     a, b = _T_GRID[np.maximum(j - 1, 0)], _T_GRID[np.minimum(j + 1, k - 1)]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = at(c), at(d)
+    fc, fd = at_g(c), at_g(d)
     for _ in range(_GOLDEN_STEPS):
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         c, d = np.where(left, b - _INV_PHI * (b - a), d), np.where(left, c, a + _INV_PHI * (b - a))
-        fx = at(np.where(left, c, d))
+        fx = at_g(np.where(left, c, d))
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return best[0], best[1]
 
 
 @dataclass(frozen=True)
 class _AoPrepared:
-    """One draw reduced to the (nu, t) problem: its arrays, with the scanned
-    nu nodes and the top feasible one (index, best window position and
-    L + S there), and the count of feasible nodes."""
+    """One draw reduced to the (nu, t) problem: its arrays, components first,
+    with the scanned nu nodes and the top feasible one (index, best window
+    position and L + S there); the certificate's arrays (cone data, its
+    tolerance and the latent mask); and the count of feasible nodes."""
 
     red: dict
+    cert: dict
     starts_feasible: int
 
 
@@ -394,7 +435,8 @@ def _ao_prepare(inst, G, H, sig, sig_root, endo_root) -> _AoPrepared:
 
     The nu nodes are 0, linear and logarithmic nodes up to sqrt(max signal)
     (R + |b|), and the roots of |P_perp c| = nu |H_J| + slack, where the
-    window opens or closes, moved a hair inside it.
+    window opens or closes, moved a hair inside it.  The scan lays the draw
+    out as a batch of one, nodes (1, N, 1) against positions (1, 1, K).
     """
     sig_j, lat = sig > 0.0, endo_root > 0.0
     if np.any(sig_j & lat):
@@ -426,7 +468,9 @@ def _ao_prepare(inst, G, H, sig, sig_root, endo_root) -> _AoPrepared:
         # the certificate's cone tolerance less room for rounding; with
         # H_J = 0 the cone is the linear system P_perp c = 0 and gets none
         slack=0.99 * feas_tol if hn > 0.0 else 0.0,
-        w2s=inst.W2 * endo_root, hz=sig_root * H, G=G, xi=inst.xi, feas_tol=feas_tol, lat=lat,
+    )
+    cert = dict(
+        w2s=inst.W2 * endo_root, hz=sig_root * H, G=G, xi=inst.xi, feas_tol=feas_tol, lat=lat
     )
 
     nu_max = float(sig_root.max()) * (radius + float(np.linalg.norm(b)))
@@ -443,14 +487,12 @@ def _ao_prepare(inst, G, H, sig, sig_root, endo_root) -> _AoPrepared:
     ramp = np.arange(1, _NU_NODES + 1) / _NU_NODES
     nodes = np.sort(np.concatenate(([0.0], nu_max * ramp, nu_max * 1e-6 ** (1.0 - ramp), roots)))
 
-    k = _T_GRID.size
-    one = {key: np.asarray(v)[None] for key, v in red.items()}
-    phi = _ao_phi(one, np.repeat(nodes, k)[None], np.tile(_T_GRID, nodes.size)[None])
-    phi = phi.reshape(nodes.size, k)
+    one = {k: np.asarray(red[k])[..., None] for k in _PHI_KEYS}
+    phi = _ao_phi(_ao_at_nu(one, nodes[None, :, None]), _T_GRID[None, None])[0]
     ok = phi.min(axis=1) <= radius * radius
     top = int(np.flatnonzero(ok)[-1]) if ok.any() else 0
     red.update(nodes=nodes, top=top, top_g=_T_GRID[phi[top].argmin()], top_phi=phi[top].min())
-    return _AoPrepared(red, int(ok.sum()))
+    return _AoPrepared(red, cert, int(ok.sum()))
 
 
 def _ao_climb(preps, sig, sig_root, theta0, radius):
@@ -464,29 +506,30 @@ def _ao_climb(preps, sig, sig_root, theta0, radius):
     passes the cone (gap <= feas_tol) and the ball; returns (ok, values,
     points).
     """
-    r = {k: np.stack([np.asarray(p.red[k]) for p in preps]) for k in preps[0].red}
+    # draws stack last, so every vector is (q, B) and every scalar (B,)
+    r = {k: np.stack([np.asarray(p.red[k]) for p in preps], axis=-1) for k in preps[0].red}
     nodes, top, g_lo = r["nodes"], r["top"].copy(), r["top_g"].copy()
-    lo = nodes[np.arange(top.size), top]
+    lo = nodes[top, np.arange(top.size)]
     hi = lo.copy()
     r2 = radius * radius
     f_lo = r["top_phi"] - r2
     f_hi = np.full(lo.size, np.inf)
 
     def window(idx, x):
-        phi, g = _ao_window_min({k: v[idx] for k, v in r.items()}, x)
+        phi, g = _ao_window_min({k: r[k][..., idx] for k in _PHI_KEYS}, x)
         return phi - r2, g
 
-    walk = top + 1 < nodes.shape[1]
+    walk = top + 1 < nodes.shape[0]
     while walk.any():
         idx = np.flatnonzero(walk)
         top[idx] += 1
-        x = nodes[idx, top[idx]]
+        x = nodes[top[idx], idx]
         fx, g = window(idx, x)
         feas = fx <= 0.0
         lo[idx], g_lo[idx] = np.where(feas, x, lo[idx]), np.where(feas, g, g_lo[idx])
         f_lo[idx] = np.where(feas, fx, f_lo[idx])
         hi[idx], f_hi[idx] = x, np.where(feas, np.inf, fx)
-        walk[idx] = feas & (top[idx] + 1 < nodes.shape[1])
+        walk[idx] = feas & (top[idx] + 1 < nodes.shape[0])
 
     side = np.zeros(lo.size)
     for _ in range(_MAX_STEPS):
@@ -509,13 +552,14 @@ def _ao_climb(preps, sig, sig_root, theta0, radius):
         g_lo[idx] = np.where(feas, g, g_lo[idx])
         side[idx] = np.where(feas, 1.0, -1.0)
 
-    _, y, u = _ao_phi(r, lo[:, None], g_lo[:, None], point=True)
-    lat, sig_j = r["lat"][0], sig > 0.0
+    _, y, u = _ao_phi(_ao_at_nu(r, lo[:, None]), g_lo[:, None], point=True)
+    cert = {k: np.stack([p.cert[k] for p in preps]) for k in preps[0].cert}
+    lat, sig_j = cert["lat"][0], sig > 0.0
     points = np.tile(-theta0, (lo.size, 1))
-    points[:, lat] += y[:, 0]
-    points[:, sig_j] = u[:, 0] / sig_root[sig_j]
-    gap = _cone_gap(points[:, None], sig_root, r["w2s"], r["G"], r["hz"], r["xi"])[:, 0]
-    ok = (gap <= r["feas_tol"]) & _in_ball(points, theta0, radius)
+    points[:, lat] += y[..., 0].T
+    points[:, sig_j] = u[..., 0].T / sig_root[sig_j]
+    gap = _cone_gap(points[:, None], sig_root, cert["w2s"], cert["G"], cert["hz"], cert["xi"])[:, 0]
+    ok = (gap <= cert["feas_tol"]) & _in_ball(points, theta0, radius)
     return ok, _signal_energy(points, sig), points
 
 

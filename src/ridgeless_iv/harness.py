@@ -68,43 +68,40 @@ PLOT_HEADER = ("n", "mean", "stderr")
 # custom profiles
 
 
-def _sparse_inverse_sqrt(i: np.ndarray, scale: float, tau: float) -> np.ndarray:
+def _sparse_inverse_sqrt(i: np.ndarray, scale: float = 1.0) -> np.ndarray:
     # support: every fifth index starting at 1, capped at 100
     keep = (i <= 100) & ((i.astype(int) + 4) % 5 == 0)
     return np.where(keep, scale / np.sqrt(i), 0.0)
 
 
-# rule kind -> vector over the 1-based index i, given the rule's scale and
-# tau (only exp_decay reads tau); cross kind "none" is no endogeneity
+# rule kind -> (the keys it reads besides kind, vector over the 1-based
+# index i given those keys); cross kind "none" is no endogeneity
 _COEF_RULES = {
-    "inverse_sqrt": lambda i, scale, tau: scale / np.sqrt(i),
-    "sparse_inverse_sqrt": _sparse_inverse_sqrt,
+    "inverse_sqrt": (("scale",), lambda i, scale=1.0: scale / np.sqrt(i)),
+    "sparse_inverse_sqrt": (("scale",), _sparse_inverse_sqrt),
 }
 _CROSS_RULES = {
-    "inverse": lambda i, scale, tau: scale / i,
-    "exp_decay": lambda i, scale, tau: scale * np.exp(-i / tau),
-    "none": None,
+    "inverse": (("scale",), lambda i, scale=1.0: scale / i),
+    "exp_decay": (("scale", "tau"), lambda i, scale=1.0, tau=4.0: scale * np.exp(-i / tau)),
+    "none": ((), None),
 }
-_PROFILE_KEYS = {
-    "family",
-    "scale",
-    "beta",
-    "log_factor",
-    "tau",
-    "noise",
-    "values",
-    "dim",
-    "split",
-    "alpha",
-    "rotation",
-    "coef",
-    "cross",
-    "noise_sd",
+# spectrum family -> the profile keys its spectrum reads; every family also
+# reads the model keys, and a profile may hold no other key
+_FAMILY_KEYS = {
+    "log_poly": {"scale", "beta", "log_factor", "dim"},
+    "exp_plus_noise": {"tau", "scale", "noise", "dim"},
+    "explicit": {"values"},
 }
+_MODEL_KEYS = {"family", "split", "alpha", "rotation", "coef", "cross", "noise_sd"}
 
 
 def _profile_spectrum(profile: dict):
     family = profile.get("family")
+    if family not in _FAMILY_KEYS:
+        raise InvalidConfig(f"unknown profile family {family!r}")
+    unread = set(profile) - _MODEL_KEYS - _FAMILY_KEYS[family]
+    if unread:
+        raise InvalidConfig(f"profile family {family!r} does not read {sorted(unread)}")
     dim = profile.get("dim")
     try:
         kw = {} if dim is None else {"p_rule": DimensionRule(**dim)}
@@ -119,11 +116,9 @@ def _profile_spectrum(profile: dict):
         if family == "exp_plus_noise":
             noise = profile.get("noise", "exp_sqrt_decay")
             return ExpPlusNoiseSpectrum(profile["tau"], profile["scale"], noise, **kw)
-        if family == "explicit":
-            return ExplicitSpectrum(values=tuple(profile["values"]))
+        return ExplicitSpectrum(values=tuple(profile["values"]))
     except KeyError as err:
         raise InvalidConfig(f"custom profile missing key {err}") from err
-    raise InvalidConfig(f"unknown profile family {family!r}")
 
 
 def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
@@ -131,19 +126,16 @@ def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
     kind = rule.pop("kind", default_kind)
     if kind not in rules:
         raise InvalidConfig(f"unknown rule kind {kind!r}; expected one of {tuple(rules)}")
-    scale = float(rule.pop("scale", 1.0))
-    tau = float(rule.pop("tau", 4.0))
-    if rule:
-        raise InvalidConfig(f"unknown rule keys {sorted(rule)}")
-    if rules[kind] is None:
+    reads, vector = rules[kind]
+    unread = set(rule) - set(reads)
+    if unread:
+        raise InvalidConfig(f"rule kind {kind!r} does not read {sorted(unread)}")
+    if vector is None:
         return None
-    return rules[kind](np.arange(1, p + 1, dtype=float), scale, tau)
+    return vector(np.arange(1, p + 1, dtype=float), **{k: float(v) for k, v in rule.items()})
 
 
 def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
-    extra = set(profile) - _PROFILE_KEYS
-    if extra:
-        raise InvalidConfig(f"unknown profile keys {sorted(extra)}")
     prof = _profile_spectrum(profile)
     split = profile.get("split", "orthogonal")
     if split not in ("orthogonal", "nonorthogonal"):

@@ -299,6 +299,34 @@ def test_custom_profile_validation(profile):
         run_setup(cfg)
 
 
+_EXP_NOISE = {"family": "exp_plus_noise", "tau": 2, "scale": 10}
+_LOG_POLY = {"family": "log_poly", "scale": 300, "beta": 2}
+
+
+@pytest.mark.parametrize(
+    "profile, key",
+    [
+        # spectrum keys of another family
+        ({**_EXP_NOISE, "beta": 7}, "beta"),
+        ({**_EXP_NOISE, "log_factor": 3}, "log_factor"),
+        ({**_EXP_NOISE, "values": [1]}, "values"),
+        # p of an explicit spectrum is the count of its values
+        ({"family": "explicit", "values": [3, 2, 1], "dim": {"kind": "fixed", "value": 5}}, "dim"),
+        # tau is read by the exp_decay cross rule only
+        ({**_LOG_POLY, "cross": {"kind": "inverse", "scale": 2, "tau": 3}}, "tau"),
+        ({**_LOG_POLY, "coef": {"kind": "inverse_sqrt", "tau": 3}}, "tau"),
+        ({**_LOG_POLY, "coef": {"kind": "sparse_inverse_sqrt", "scale": 20, "tau": 3}}, "tau"),
+        ({**_LOG_POLY, "cross": {"kind": "none", "scale": 2}}, "scale"),
+    ],
+    ids=["beta", "log_factor", "values", "explicit-dim", "inverse-tau", "coef-tau",
+         "sparse-coef-tau", "none-scale"],
+)
+def test_custom_profile_rejects_unread_keys(profile, key):
+    # each of these built the same model as the profile without the key
+    with pytest.raises(InvalidConfig, match=key):
+        harness._custom_model(profile, 100)
+
+
 # p, latent rank, signal and latent traces, |true_coef|, |whitened_cross| and
 # noise_var of each named setup, taken from the builders before setups i-vi
 # became profiles; a drift in the shared builder moves them
@@ -615,6 +643,10 @@ def test_cli_exit_codes(tmp_path):
     cfg = _write_config(tmp_path, setup="custom", profile=profile)
     res = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", str(tmp_path)])
     assert res.exit_code == 2 and "dim rule" in res.output
+    profile = {"family": "exp_plus_noise", "tau": 2, "scale": 10, "beta": 7}
+    cfg = _write_config(tmp_path, setup="custom", profile=profile)
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", str(tmp_path)])
+    assert res.exit_code == 2 and "beta" in res.output
     res = runner.invoke(main, ["ranks", "--matrix", "not-a-setup"])
     assert res.exit_code == 2
 
