@@ -17,6 +17,14 @@ point that attains it is checked against the cone and ball.  The Newton
 kernels take their small component axis first, (q, ...), so each sum over
 components is one add per contiguous row, not a reduction over a short last
 axis.
+
+The comparison draws of one tail-check chunk share a model and a ball, and
+are reduced together (_ao_reduce): one SVD of the stacked latent designs,
+one eigh of the projected signal blocks and the nu nodes of every draw,
+laid out draws last as the climb reads them: vectors (q, B), scalars (B,),
+nodes (N, B).  Each draw is then scanned on its own column (a stacked scan
+is memory-bound and slower), and the draws with a feasible node are
+refined as one batch.
 """
 
 from __future__ import annotations
@@ -419,84 +427,146 @@ def _ao_window_min(r, nu):
 
 
 @dataclass(frozen=True)
-class _AoPrepared:
-    """One draw reduced to the (nu, t) problem: its arrays, components first,
-    with the scanned nu nodes and the top feasible one (index, best window
-    position and L + S there); the certificate's arrays (cone data, its
-    tolerance and the latent mask); and the count of feasible nodes."""
+class _AoBatch:
+    """B draws of one model and one ball reduced to the (nu, t) problem.
+
+    red holds the arrays _ao_phi reads, the point's bases and the scanned
+    nu nodes, draws last: vectors (q, B), scalars (B,), nodes (N, B), vt
+    (r, k, B) and evec (s, s, B).  cert holds the certificate's arrays,
+    draws first: cone data and its tolerance.  The rest is the model and
+    ball every draw shares.
+    """
 
     red: dict
     cert: dict
+    sig: np.ndarray
+    sig_root: np.ndarray
+    lat: np.ndarray
+    theta0: np.ndarray
+    radius: float
+
+
+@dataclass(frozen=True)
+class _AoPrepared:
+    """One draw's node scan: the top feasible node (index, best window
+    position and L + S there) and the count of feasible nodes."""
+
+    top: int
+    top_g: float
+    top_phi: float
     starts_feasible: int
 
 
-def _ao_prepare(inst, G, H, sig, sig_root, endo_root) -> _AoPrepared:
-    """Reduce one draw and scan it on nu nodes times window positions.
+def _check_shared(draws):
+    """ValueError unless every (inst, G, H) draw has the first draw's
+    shapes, theta0, ball radius and covariance diagonals."""
+    first = draws[0][0]
+    shape = (first.W2.shape, (first.n,), (first.p,))
+    for inst, G, H in draws:
+        same = (inst.W2.shape, np.shape(G), np.shape(H)) == shape
+        same = same and inst.ball_radius == first.ball_radius
+        for f in ("theta0", "signal_eigs", "endo_eigs"):
+            a, b = getattr(inst, f), getattr(first, f)
+            same = same and (a is b or np.array_equal(a, b))
+        if not same:
+            raise ValueError("batched comparison draws must share shapes, theta0, ball and model")
 
-    The nu nodes are 0, linear and logarithmic nodes up to sqrt(max signal)
-    (R + |b|), and the roots of |P_perp c| = nu |H_J| + slack, where the
-    window opens or closes, moved a hair inside it.  The scan lays the draw
-    out as a batch of one, nodes (1, N, 1) against positions (1, 1, K).
+
+def _ao_reduce(draws) -> _AoBatch:
+    """Reduce (inst, G, H) draws of one model and one ball in one pass.
+
+    One SVD of the stacked latent designs A = W2[:, K] endo_K^{1/2}, one
+    eigh of the projected signal blocks; the nu nodes are 0, linear and
+    logarithmic nodes up to sqrt(max signal) (R + |b|), and the roots of
+    |P_perp c| = nu |H_J| + slack, where the window opens or closes, moved
+    a hair inside it.  Draws that differ in shape or model, or overlapping
+    supports, raise ValueError.
     """
+    _check_shared(draws)
+    inst = draws[0][0]
+    sig = np.asarray(inst.signal_eigs, dtype=float)
+    sig_root, endo_root = np.sqrt(sig), np.sqrt(inst.endo_eigs)
     sig_j, lat = sig > 0.0, endo_root > 0.0
     if np.any(sig_j & lat):
         raise ValueError("the comparison solver needs disjoint signal and latent supports")
     theta0, radius = inst.theta0, float(inst.ball_radius)
-    feas_tol = 1e-9 * (1.0 + float(np.linalg.norm(inst.xi)))
-    a_mat = inst.W2[:, lat] * endo_root[lat]
-    left, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
-    keep = sv > default_rank_tol(max(a_mat.shape)) * np.max(sv, initial=0.0)
-    left, sv, vt = left * keep, sv * keep, vt * keep[:, None]
-    c0 = inst.xi + a_mat @ theta0[lat]
-    ua, ug = left.T @ c0, left.T @ G
+    w2 = np.stack([d[0].W2 for d in draws])
+    xi = np.stack([d[0].xi for d in draws])
+    big_g = np.stack([d[1] for d in draws])
+    big_h = np.stack([d[2] for d in draws])
+    feas_tol = 1e-9 * (1.0 + _row_norm(xi))
 
-    h, dinv, b = H[sig_j], 1.0 / sig_root[sig_j], theta0[sig_j]
-    hn = float(np.linalg.norm(h))
-    hhat = h / hn if hn > 0.0 else np.zeros_like(h)
-    proj = np.eye(h.size) - np.outer(hhat, hhat)
+    a_mat = w2[:, :, lat] * endo_root[lat]
+    left, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
+    cut = default_rank_tol(max(a_mat.shape[1:])) * sv.max(axis=1, initial=0.0, keepdims=True)
+    keep = sv > cut
+    left, sv, vt = left * keep[:, None], sv * keep, vt * keep[..., None]
+    c0 = xi + a_mat @ theta0[lat]
+    ua, ug = np.einsum("bnq,bn->qb", left, c0), np.einsum("bnq,bn->qb", left, big_g)
+    pc = c0.T - np.einsum("bnq,qb->nb", left, ua)
+    pg = big_g.T - np.einsum("bnq,qb->nb", left, ug)
+
+    h, dinv, b = big_h[:, sig_j], 1.0 / sig_root[sig_j], theta0[sig_j]
+    count, s = h.shape
+    hn = _row_norm(h)
+    pos = hn > 0.0
+    hhat = h / np.where(pos, hn, 1.0)[:, None]
+    proj = np.eye(s) - hhat[:, :, None] * hhat[:, None, :]
     m, evec = np.linalg.eigh(proj @ (dinv[:, None] ** 2 * proj))
-    if hn > 0.0:
-        # the first eigenvector is hhat itself: move it last and zero it
-        m, evec = np.roll(m, -1), np.roll(evec, -1, axis=1)
-        m[-1] = m[-2] if m.size > 1 else 1.0
-        evec[:, -1] = 0.0
+    # with H_J != 0 the first eigenvector is hhat itself: move it last and
+    # zero it, and repeat the last eigenvalue there (1 when it is alone)
+    m_pos = np.concatenate((m[:, 1:], m[:, -1:] if s > 1 else np.ones((count, 1))), axis=1)
+    e_pos = np.concatenate((evec[..., 1:], np.zeros((count, s, 1))), axis=2)
+    m = np.where(pos[:, None], m_pos, m)
+    evec = np.where(pos[:, None, None], e_pos, evec)
     dh = dinv * hhat
-    red = dict(
-        ua=ua, ug=ug, sv=sv, vt=vt, pc=c0 - left @ ua, pg=G - left @ ug,
-        hn=hn, hhat=hhat, m=m, evec=evec, g1=evec.T @ (dinv * dh), g0=evec.T @ (dinv * b),
-        e2=float(dh @ dh), e1=float(dh @ b), bb=float(b @ b), flat=h.size == 1 and hn > 0.0,
-        # the certificate's cone tolerance less room for rounding; with
-        # H_J = 0 the cone is the linear system P_perp c = 0 and gets none
-        slack=0.99 * feas_tol if hn > 0.0 else 0.0,
-    )
-    cert = dict(
-        w2s=inst.W2 * endo_root, hz=sig_root * H, G=G, xi=inst.xi, feas_tol=feas_tol, lat=lat
-    )
+    # the certificate's cone tolerance less room for rounding; with H_J = 0
+    # the cone is the linear system P_perp c = 0 and gets none
+    slack = np.where(pos, 0.99 * feas_tol, 0.0)
 
     nu_max = float(sig_root.max()) * (radius + float(np.linalg.norm(b)))
-    edge = 0.999 * red["slack"]
-    p0 = red["pc"] @ red["pc"] - edge * edge
-    p1 = red["pc"] @ red["pg"] + hn * edge
-    p2 = red["pg"] @ red["pg"] - hn * hn
-    disc = p1 * p1 - p0 * p2
-    roots = [math.nan, math.nan]
-    if disc >= 0.0:
-        z = p1 + math.copysign(math.sqrt(disc), p1)
-        roots = [z / p2 if p2 else math.nan, p0 / z if z else math.nan]
-    roots = [x if 0.0 <= x <= nu_max else nu_max for x in roots]
+    edge = 0.999 * slack
+    p0 = (pc * pc).sum(axis=0) - edge * edge
+    p1 = (pc * pg).sum(axis=0) + hn * edge
+    p2 = (pg * pg).sum(axis=0) - hn * hn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = p1 + np.copysign(np.sqrt(p1 * p1 - p0 * p2), p1)
+        roots = np.stack((z / p2, p0 / z), axis=1)
+    # no real root, or one outside [0, nu_max] (NaN fails both tests)
+    roots = np.where((roots >= 0.0) & (roots <= nu_max), roots, nu_max)
     ramp = np.arange(1, _NU_NODES + 1) / _NU_NODES
-    nodes = np.sort(np.concatenate(([0.0], nu_max * ramp, nu_max * 1e-6 ** (1.0 - ramp), roots)))
+    fixed = np.concatenate(([0.0], nu_max * ramp, nu_max * 1e-6 ** (1.0 - ramp)))
+    nodes = np.sort(np.concatenate((np.broadcast_to(fixed, (count, fixed.size)), roots), axis=1))
 
-    one = {k: np.asarray(red[k])[..., None] for k in _PHI_KEYS}
-    phi = _ao_phi(_ao_at_nu(one, nodes[None, :, None]), _T_GRID[None, None])[0]
-    ok = phi.min(axis=1) <= radius * radius
+    red = dict(
+        ua=ua, ug=ug, sv=sv.T, vt=vt.transpose(1, 2, 0), pc=pc, pg=pg,
+        hn=hn, hhat=hhat.T, m=m.T, evec=evec.transpose(1, 2, 0),
+        g1=np.einsum("bij,bi->jb", evec, dinv * dh), g0=np.einsum("bij,i->jb", evec, dinv * b),
+        e2=(dh * dh).sum(axis=1), e1=dh @ b, bb=np.full(count, float(b @ b)),
+        flat=pos & (s == 1), slack=slack, nodes=nodes.T,
+    )
+    red = {k: np.ascontiguousarray(v) for k, v in red.items()}
+    cert = dict(w2s=w2 * endo_root, hz=sig_root * big_h, G=big_g, xi=xi, feas_tol=feas_tol)
+    return _AoBatch(red, cert, sig, sig_root, lat, theta0, radius)
+
+
+def _ao_prepare(batch: _AoBatch, j: int) -> _AoPrepared:
+    """Scan draw j of a reduced batch on its nu nodes times window positions.
+
+    The draw's column is laid out as a batch of one, nodes (1, N, 1)
+    against positions (1, 1, K).
+    """
+    red = batch.red
+    one = {k: red[k][..., j : j + 1] for k in _PHI_KEYS}
+    phi = _ao_phi(_ao_at_nu(one, red["nodes"][None, :, j, None]), _T_GRID[None, None])[0]
+    ok = phi.min(axis=1) <= batch.radius * batch.radius
     top = int(np.flatnonzero(ok)[-1]) if ok.any() else 0
-    red.update(nodes=nodes, top=top, top_g=_T_GRID[phi[top].argmin()], top_phi=phi[top].min())
-    return _AoPrepared(red, cert, int(ok.sum()))
+    best = phi[top].argmin()
+    return _AoPrepared(top, float(_T_GRID[best]), float(phi[top, best]), int(ok.sum()))
 
 
-def _ao_climb(preps, sig, sig_root, theta0, radius):
-    """Refine every prepared draw's top node as one batch and certify.
+def _ao_climb(batch: _AoBatch, live, preps):
+    """Refine the top nodes of the live draws of a batch at once and certify.
 
     F(nu) = min_t (L + S) - R^2 is first checked exactly at the nodes above
     the scanned top, since the grid may miss a narrow window.  Between the
@@ -504,15 +574,16 @@ def _ao_climb(preps, sig, sig_root, theta0, radius):
     finds the root of F, bisecting while the upper end has no finite value;
     lo stays feasible throughout.  The point rebuilt at lo counts only if it
     passes the cone (gap <= feas_tol) and the ball; returns (ok, values,
-    points).
+    points) for the live draws in order.
     """
-    # draws stack last, so every vector is (q, B) and every scalar (B,)
-    r = {k: np.stack([np.asarray(p.red[k]) for p in preps], axis=-1) for k in preps[0].red}
-    nodes, top, g_lo = r["nodes"], r["top"].copy(), r["top_g"].copy()
+    r = {k: v[..., live] for k, v in batch.red.items()}
+    nodes = r["nodes"]
+    top = np.array([preps[j].top for j in live])
+    g_lo = np.array([preps[j].top_g for j in live])
     lo = nodes[top, np.arange(top.size)]
     hi = lo.copy()
-    r2 = radius * radius
-    f_lo = r["top_phi"] - r2
+    r2 = batch.radius * batch.radius
+    f_lo = np.array([preps[j].top_phi for j in live]) - r2
     f_hi = np.full(lo.size, np.inf)
 
     def window(idx, x):
@@ -553,33 +624,31 @@ def _ao_climb(preps, sig, sig_root, theta0, radius):
         side[idx] = np.where(feas, 1.0, -1.0)
 
     _, y, u = _ao_phi(_ao_at_nu(r, lo[:, None]), g_lo[:, None], point=True)
-    cert = {k: np.stack([p.cert[k] for p in preps]) for k in preps[0].cert}
-    lat, sig_j = cert["lat"][0], sig > 0.0
+    cert = {k: v[live] for k, v in batch.cert.items()}
+    sig, sig_root, theta0 = batch.sig, batch.sig_root, batch.theta0
+    sig_j = sig > 0.0
     points = np.tile(-theta0, (lo.size, 1))
-    points[:, lat] += y[..., 0].T
+    points[:, batch.lat] += y[..., 0].T
     points[:, sig_j] = u[..., 0].T / sig_root[sig_j]
     gap = _cone_gap(points[:, None], sig_root, cert["w2s"], cert["G"], cert["hz"], cert["xi"])[:, 0]
-    ok = (gap <= cert["feas_tol"]) & _in_ball(points, theta0, radius)
+    ok = (gap <= cert["feas_tol"]) & _in_ball(points, theta0, batch.radius)
     return ok, _signal_energy(points, sig), points
 
 
 def _solve_ao_draws(draws) -> list[AoSolution]:
     """Comparison optima of (inst, G, H) draws of one model and one ball.
 
-    Each draw is prepared on its own; the ones with a feasible node are
-    refined as one batch, and the rest report 0 with the feasible_empty flag,
-    as does a draw whose refined point fails the certificate.
+    The draws are reduced together and each is scanned on its own; the ones
+    with a feasible node are refined as one batch, and the rest report 0
+    with the feasible_empty flag, as does a draw whose refined point fails
+    the certificate.
     """
-    inst = draws[0][0]
-    sig = np.asarray(inst.signal_eigs, dtype=float)
-    sig_root, endo_root = np.sqrt(sig), np.sqrt(inst.endo_eigs)
-    preps = [_ao_prepare(i, G, H, sig, sig_root, endo_root) for i, G, H in draws]
+    batch = _ao_reduce(draws)
+    preps = [_ao_prepare(batch, j) for j in range(len(draws))]
     sols = [AoSolution(0.0, None, True, prep.starts_feasible) for prep in preps]
-    live = [j for j, prep in enumerate(preps) if prep.starts_feasible]
-    if live:
-        ok, vals, points = _ao_climb(
-            [preps[j] for j in live], sig, sig_root, inst.theta0, float(inst.ball_radius)
-        )
+    live = np.flatnonzero([prep.starts_feasible for prep in preps])
+    if live.size:
+        ok, vals, points = _ao_climb(batch, live, preps)
         for j, good, val, point in zip(live, ok, vals, points):
             if good:
                 sols[j] = AoSolution(float(val), point, False, preps[j].starts_feasible)

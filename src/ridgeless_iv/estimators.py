@@ -242,7 +242,23 @@ def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
     if top <= 0.0:
         return np.empty((rows.size, 0))
     support = np.flatnonzero(sig > 1e-14 * top)
-    return data.W1[np.ix_(rows, support)] * np.sqrt(sig[support])[None, :]
+    # one row gather, and a column gather only for a partial support (the
+    # np.ix_ gather of both costs several times the row gather); rows is an
+    # index array, so the gather is a fresh copy and is scaled in place
+    w1 = data.W1[rows]
+    if support.size < sig.size:
+        w1 = w1[:, support]
+    w1 *= np.sqrt(sig[support])
+    return w1
+
+
+def _screening_order(score):
+    """Instrument indices by descending score, as argsort(score)[::-1]
+    walks them, sorted only when the best score is tied or refused."""
+    best = int(score.argmax())
+    if np.count_nonzero(score == score[best]) == 1:
+        yield best  # a unique best heads the sorted walk too
+    yield from np.argsort(score)[::-1]
 
 
 def split_sample_lasso_iv(
@@ -297,6 +313,7 @@ def split_sample_lasso_iv(
             raise SingularDesign("endogenous columns are collinear on the first-stage half")
         corr = f1.T @ endo1
         col_norm = np.linalg.norm(f1, axis=0)
+        scores = np.abs(corr) / np.where(col_norm > 0, col_norm, 1.0)[:, None]
         taken = np.zeros(f1.shape[1], dtype=bool)
         fitted = np.empty((half1.size, endo_idx.size))
         basis = np.zeros((half1.size, 0))
@@ -320,9 +337,8 @@ def split_sample_lasso_iv(
             unit = fresh_direction(cand) if cand is not None else None
             if unit is None:
                 # weak or shared instruments: marginal screening
-                score = np.abs(corr[:, j]) / np.where(col_norm > 0, col_norm, 1.0)
-                score[taken | (col_norm == 0)] = -1.0
-                for pick in np.argsort(score)[::-1]:
+                score = np.where(taken | (col_norm == 0), -1.0, scores[:, j])
+                for pick in _screening_order(score):
                     if score[pick] < 0:
                         raise SingularDesign("ran out of usable instruments")
                     zcol = f1[:, pick]

@@ -589,6 +589,35 @@ def test_tail_rejects_zero_reps(monkeypatch):
             tail_dominance_check(slice_model(4), 3, 4, c_grid=bad)
 
 
+def test_ao_batch_rejects_draws_of_another_model(monkeypatch):
+    # a batch is reduced with the first draw's theta0, ball and diagonals,
+    # so a draw that differs there, or in shape, is refused before any draw
+    # is scanned; equal values in other arrays are the same model
+    model = slice_model(4)
+    draws = [draw_instance(model, 3, np.random.default_rng([3, r])) for r in range(3)]
+    inst, big_g, big_h = draws[1]
+    same = dataclasses.replace(inst, theta0=inst.theta0.copy(), endo_eigs=inst.endo_eigs.copy())
+    assert len(cgmt_lab._solve_ao_draws([draws[0], (same, big_g, big_h)])) == 2
+
+    def unreachable(*args):
+        raise AssertionError("a draw was scanned before the batch was checked")
+
+    monkeypatch.setattr(cgmt_lab, "_ao_prepare", unreachable)
+    wider = draw_instance(model, 4, np.random.default_rng([3, 1]))
+    bad = [
+        (dataclasses.replace(inst, ball_radius=2.0 * inst.ball_radius), big_g, big_h),
+        (dataclasses.replace(inst, theta0=0.5 * inst.theta0), big_g, big_h),
+        (dataclasses.replace(inst, signal_eigs=2.0 * inst.signal_eigs), big_g, big_h),
+        (dataclasses.replace(inst, endo_eigs=2.0 * inst.endo_eigs), big_g, big_h),
+        wider,
+        (inst, big_g[:2], big_h),
+        (inst, big_g, big_h[:3]),
+    ]
+    for draw in bad:
+        with pytest.raises(ValueError, match="share"):
+            cgmt_lab._solve_ao_draws([draws[0], draw, draws[2]])
+
+
 def test_ao_rejects_overlapping_supports():
     inst, big_g, big_h = ao_instance(1)
     inst = dataclasses.replace(inst, endo_eigs=np.array([0.5, 4.0]))

@@ -1,5 +1,6 @@
 """The batched Newton kernels of the comparison solver against per-point
-scalar references, and the broadcast node scan against the flattened one.
+scalar references, the broadcast node scan against the flattened one, and
+the batched reduction of a chunk's draws against each draw reduced alone.
 
 The kernels take their component axis first.  A sum over a first axis adds
 the components in order, while numpy sums a last axis in another order
@@ -19,6 +20,7 @@ from ridgeless_iv.cgmt_lab import (
     _ao_at_nu,
     _ao_phi,
     _ao_prepare,
+    _ao_reduce,
     _sphere_min,
     _tikhonov,
     draw_instance,
@@ -193,16 +195,43 @@ def test_broadcast_scan_equals_flat_scan(p, n):
     # nodes (1, N, 1) against positions (1, 1, K) give the same bytes as
     # every (node, position) pair spelled out by repeat and tile
     model = slice_model(p)
-    sig = np.asarray(model.signal_eigs, dtype=float)
-    sig_root, endo_root = np.sqrt(sig), np.sqrt(model.endo_eigs)
-    for rep in range(3):
-        inst, big_g, big_h = draw_instance(model, n, np.random.default_rng([11, rep]))
-        prep = _ao_prepare(inst, big_g, big_h, sig, sig_root, endo_root)
-        one = {k: np.asarray(prep.red[k])[..., None] for k in cgmt_lab._PHI_KEYS}
-        nodes, k = prep.red["nodes"], _T_GRID.size
+    draws = [draw_instance(model, n, np.random.default_rng([11, rep])) for rep in range(3)]
+    batch = _ao_reduce(draws)
+    for j in range(len(draws)):
+        prep = _ao_prepare(batch, j)
+        one = {k: batch.red[k][..., j : j + 1] for k in cgmt_lab._PHI_KEYS}
+        nodes, k = batch.red["nodes"][:, j], _T_GRID.size
         wide = _ao_phi(_ao_at_nu(one, nodes[None, :, None]), _T_GRID[None, None])[0]
         flat = _ao_phi(
             _ao_at_nu(one, np.repeat(nodes, k)[None]), np.tile(_T_GRID, nodes.size)[None]
         )
         np.testing.assert_array_equal(wide, flat.reshape(nodes.size, k))
-        assert prep.red["top_phi"] == wide[prep.red["top"]].min()
+        assert prep.top_phi == wide[prep.top].min()
+
+
+# ------------------------------------------------------- batched reduction
+
+
+@pytest.mark.parametrize("p, n", [(4, 3), (20, 5)])
+def test_batched_reduction_matches_batch_of_one(p, n):
+    # reducing a chunk's draws together gives each draw what reducing it
+    # alone gives, so the scan finds the same nodes and top node; one draw
+    # has H_J = 0, which keeps its eigenvectors unrolled
+    model = slice_model(p)
+    draws = [draw_instance(model, n, np.random.default_rng([5, rep])) for rep in range(16)]
+    inst, big_g, big_h = draws[3]
+    draws[3] = inst, big_g, np.where(model.signal_eigs > 0.0, 0.0, big_h)
+    batch = _ao_reduce(draws)
+    for j, draw in enumerate(draws):
+        alone = _ao_reduce([draw])
+        for key, arr in alone.red.items():
+            want = arr[..., 0]
+            np.testing.assert_allclose(
+                batch.red[key][..., j], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=key
+            )
+        for key, arr in alone.cert.items():
+            np.testing.assert_allclose(batch.cert[key][j], arr[0], rtol=1e-12, err_msg=key)
+        np.testing.assert_array_equal(batch.red["nodes"][:, j], alone.red["nodes"][:, 0])
+        prep, prep_alone = _ao_prepare(batch, j), _ao_prepare(alone, 0)
+        assert (prep.top, prep.top_g) == (prep_alone.top, prep_alone.top_g)
+        assert prep.starts_feasible == prep_alone.starts_feasible

@@ -54,5 +54,10 @@ def test_tracer_spans_reach_every_layer():
         )
         run_setup(ExperimentConfig(setup="ii", n_grid=(100,), repetitions=1))
         cgmt_lab.tail_dominance_check(cgmt_lab.slice_model(4), 3, 8, max_workers=1)
-    assert SPANS <= set(tracer.summary())
+    summary = tracer.summary()
+    assert SPANS <= set(summary)
+    # the tail check's one chunk of 8 draws: the scan and the primary stay
+    # per draw, and the live draws are refined in one climb
+    calls = {name: summary[f"cgmt_lab.{name}"]["calls"] for name in ("prepare", "primary", "climb")}
+    assert calls == {"prepare": 8, "primary": 8, "climb": 1}
     assert rebound(before) == set()
