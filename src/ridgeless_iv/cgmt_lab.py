@@ -457,21 +457,6 @@ class _AoPrepared:
     starts_feasible: int
 
 
-def _check_shared(draws):
-    """ValueError unless every (inst, G, H) draw has the first draw's
-    shapes, theta0, ball radius and covariance diagonals."""
-    first = draws[0][0]
-    shape = (first.W2.shape, (first.n,), (first.p,))
-    for inst, G, H in draws:
-        same = (inst.W2.shape, np.shape(G), np.shape(H)) == shape
-        same = same and inst.ball_radius == first.ball_radius
-        for f in ("theta0", "signal_eigs", "endo_eigs"):
-            a, b = getattr(inst, f), getattr(first, f)
-            same = same and (a is b or np.array_equal(a, b))
-        if not same:
-            raise ValueError("batched comparison draws must share shapes, theta0, ball and model")
-
-
 def _ao_reduce(draws) -> _AoBatch:
     """Reduce (inst, G, H) draws of one model and one ball in one pass.
 
@@ -479,11 +464,17 @@ def _ao_reduce(draws) -> _AoBatch:
     eigh of the projected signal blocks; the nu nodes are 0, linear and
     logarithmic nodes up to sqrt(max signal) (R + |b|), and the roots of
     |P_perp c| = nu |H_J| + slack, where the window opens or closes, moved
-    a hair inside it.  Draws that differ in shape or model, or overlapping
-    supports, raise ValueError.
+    a hair inside it.  Every draw is reduced with the first draw's model and
+    ball: a draw that differs there or in shape (the stacking refuses it),
+    or overlapping supports, raise ValueError.
     """
-    _check_shared(draws)
     inst = draws[0][0]
+    for other, _, _ in draws[1:]:
+        if other.ball_radius != inst.ball_radius or not all(
+            np.array_equal(getattr(other, f), getattr(inst, f))
+            for f in ("theta0", "signal_eigs", "endo_eigs")
+        ):
+            raise ValueError("batched comparison draws must share theta0, ball and model")
     sig = np.asarray(inst.signal_eigs, dtype=float)
     sig_root, endo_root = np.sqrt(sig), np.sqrt(inst.endo_eigs)
     sig_j, lat = sig > 0.0, endo_root > 0.0

@@ -242,23 +242,15 @@ def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
     if top <= 0.0:
         return np.empty((rows.size, 0))
     support = np.flatnonzero(sig > 1e-14 * top)
-    # one row gather, and a column gather only for a partial support (the
-    # np.ix_ gather of both costs several times the row gather); rows is an
-    # index array, so the gather is a fresh copy and is scaled in place
-    w1 = data.W1[rows]
+    # a full support needs only the row gather (the np.ix_ gather of rows
+    # and columns costs several times more); either gather is a fresh
+    # C-ordered copy, scaled in place
     if support.size < sig.size:
-        w1 = w1[:, support]
+        w1 = data.W1[np.ix_(rows, support)]
+    else:
+        w1 = data.W1[rows]
     w1 *= np.sqrt(sig[support])
     return w1
-
-
-def _screening_order(score):
-    """Instrument indices by descending score, as argsort(score)[::-1]
-    walks them, sorted only when the best score is tied or refused."""
-    best = int(score.argmax())
-    if np.count_nonzero(score == score[best]) == 1:
-        yield best  # a unique best heads the sorted walk too
-    yield from np.argsort(score)[::-1]
 
 
 def split_sample_lasso_iv(
@@ -338,7 +330,7 @@ def split_sample_lasso_iv(
             if unit is None:
                 # weak or shared instruments: marginal screening
                 score = np.where(taken | (col_norm == 0), -1.0, scores[:, j])
-                for pick in _screening_order(score):
+                for pick in np.argsort(score)[::-1]:
                     if score[pick] < 0:
                         raise SingularDesign("ran out of usable instruments")
                     zcol = f1[:, pick]

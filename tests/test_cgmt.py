@@ -604,17 +604,18 @@ def test_ao_batch_rejects_draws_of_another_model(monkeypatch):
 
     monkeypatch.setattr(cgmt_lab, "_ao_prepare", unreachable)
     wider = draw_instance(model, 4, np.random.default_rng([3, 1]))
-    bad = [
+    other_model = [
         (dataclasses.replace(inst, ball_radius=2.0 * inst.ball_radius), big_g, big_h),
         (dataclasses.replace(inst, theta0=0.5 * inst.theta0), big_g, big_h),
         (dataclasses.replace(inst, signal_eigs=2.0 * inst.signal_eigs), big_g, big_h),
         (dataclasses.replace(inst, endo_eigs=2.0 * inst.endo_eigs), big_g, big_h),
-        wider,
-        (inst, big_g[:2], big_h),
-        (inst, big_g, big_h[:3]),
     ]
-    for draw in bad:
+    for draw in other_model:
         with pytest.raises(ValueError, match="share"):
+            cgmt_lab._solve_ao_draws([draws[0], draw, draws[2]])
+    # another shape is refused when the draws are stacked
+    for draw in (wider, (inst, big_g[:2], big_h), (inst, big_g, big_h[:3])):
+        with pytest.raises(ValueError):
             cgmt_lab._solve_ao_draws([draws[0], draw, draws[2]])
 
 

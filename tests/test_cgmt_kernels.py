@@ -222,6 +222,19 @@ def test_batched_reduction_matches_batch_of_one(p, n):
     inst, big_g, big_h = draws[3]
     draws[3] = inst, big_g, np.where(model.signal_eigs > 0.0, 0.0, big_h)
     batch = _ao_reduce(draws)
+    m, evec, hhat = batch.red["m"], batch.red["evec"], batch.red["hhat"]
+    # draw 3's block is diag(1 / sig_J), and its eigenpairs stay as eigh
+    # returns them; every other draw moves its H-direction eigenvector
+    # last, zeroes it and repeats the last eigenvalue there
+    dinv2 = 1.0 / model.signal_eigs[model.signal_eigs > 0.0]
+    m_want, evec_want = np.linalg.eigh(np.diag(dinv2))
+    np.testing.assert_allclose(m[:, 3], m_want, rtol=1e-14)
+    np.testing.assert_allclose(evec[..., 3], evec_want, rtol=0, atol=1e-14)
+    rolled = np.arange(len(draws)) != 3
+    np.testing.assert_array_equal(evec[:, -1, rolled], 0.0)
+    np.testing.assert_array_equal(m[-1, rolled], m[-2, rolled])
+    np.testing.assert_allclose(np.linalg.norm(evec[:, :-1, rolled], axis=0), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.einsum("icb,ib->cb", evec, hhat)[:, rolled], 0.0, atol=1e-12)
     for j, draw in enumerate(draws):
         alone = _ao_reduce([draw])
         for key, arr in alone.red.items():

@@ -365,8 +365,9 @@ def test_lasso_iv_certified_columns_skip_lasso(monkeypatch):
 
 @pytest.mark.parametrize("setup", ["vii", "slice"])
 def test_instrument_features_match_ix_gather(setup):
-    # the row gather (and a column gather on a partial support) picks the
-    # same bits as the np.ix_ gather of rows and support columns
+    # the row gather (the np.ix_ gather on a partial support) picks the
+    # same bits as the np.ix_ gather of rows and support columns, in the
+    # same C order, which the first stage's sums and products depend on
     model = setup_model("vii", 100)[0] if setup == "vii" else slice_model(20)
     data = sample_dataset(model, 100, seed=8)
     sig = model.signal_eigs
@@ -376,17 +377,8 @@ def test_instrument_features_match_ix_gather(setup):
     want = data.W1[np.ix_(rows, support)] * np.sqrt(sig[support])[None, :]
     got = estimators._instrument_features(data, rows)
     assert got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
-
-
-def test_screening_order_heads_the_sorted_walk():
-    # a unique best score comes first; tied scores keep argsort's order
-    rng = np.random.default_rng(4)
-    for score in (rng.uniform(size=9), np.array([0.2, 0.7, -1.0, 0.7, 0.1])):
-        walk = list(estimators._screening_order(score))
-        order = list(np.argsort(score)[::-1])
-        assert walk[0] == order[0]
-        assert walk[-len(order):] == order
 
 
 def test_lasso_iv_rejects_nonfinite_design():
