@@ -388,6 +388,54 @@ def test_named_setup_models_pinned(name, n):
     np.testing.assert_allclose(got, floats, rtol=1e-12)
 
 
+# p, latent rank, first and last total eigenvalue, total and signal traces of
+# custom profiles that leave keys at their defaults: no dim, no log_factor,
+# no noise, a zero noise floor, an explicit list
+_PINNED_SPECTRA = {
+    "log_poly-defaults": (
+        {"family": "log_poly", "scale": 300, "beta": 2}, 100,
+        (500, 75, 624.4106943016824, 0.01552546261391453,
+         968.0585374340542, 21.055225759118887),
+    ),
+    "log_poly-fixed-dim": (
+        {"family": "log_poly", "scale": 300, "beta": 2, "log_factor": 2,
+         "dim": {"kind": "fixed", "value": 700}}, 100,
+        (700, 65, 156.1026735754206, 0.002495445668021721,
+         242.63345677999996, 6.467977508601187),
+    ),
+    "exp_plus_noise-defaults": (
+        {"family": "exp_plus_noise", "tau": 2, "scale": 10}, 100,
+        (1000, 24, 6.06531113711931, 4.539992976248485e-06,
+         15.419480818344232, 0.00452574581466357),
+    ),
+    "exp_plus_noise-leaked": (
+        {"family": "exp_plus_noise", "tau": 2, "scale": 10,
+         "split": "nonorthogonal", "alpha": 1.5}, 150,
+        (1837, 29, 6.065306988827601, 3.917012672732149e-07,
+         15.415660380595966, 0.009106803318024836),
+    ),
+    "exp_plus_noise-zero-noise": (
+        {"family": "exp_plus_noise", "tau": 50, "scale": 10, "noise": "zero"}, 20,
+        (89, 0, 9.801986733067553, 1.686381472685955,
+         411.5379730405514, 411.5379730405514),
+    ),
+    "explicit": (
+        {"family": "explicit", "values": [5, 3, 1, 1, 0.5, 0.5, 0.25, 0.1] + [0.01] * 40}, 10,
+        (48, 8, 5.0, 0.01, 11.749999999999998, 0.4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_SPECTRA))
+def test_custom_profile_spectra_pinned(case):
+    profile, n, (p, rank, *floats) = _PINNED_SPECTRA[case]
+    model, _ = harness._custom_model(profile, n)
+    assert (model.p, model.endo_rank()) == (p, rank)
+    total = model.total_eigs
+    got = (total[0], total[-1], total.sum(), model.signal_eigs.sum())
+    np.testing.assert_allclose(got, floats, rtol=1e-12)
+
+
 def test_model_errors_carry_setup_context():
     cfg = ExperimentConfig(setup="ix", n_grid=(40,))
     with pytest.raises(InvalidConfig, match="setup 'ix' at n=40"):
