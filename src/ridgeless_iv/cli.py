@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .cgmt_lab import slice_model, tail_dominance_check
+from .cgmt_lab import NoFeasiblePoint, slice_model, tail_dominance_check
 from .harness import (
     CONDITION_GRID,
     OUTPUT_DIR_ENV,
@@ -35,7 +35,8 @@ from .metrics import (
 
 
 def guarded(fn):
-    """Map validation errors to exit 2 and I/O errors to exit 3."""
+    """Map validation errors, and a CGMT check whose draws are all
+    infeasible, to exit 2 and I/O errors to exit 3."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -43,7 +44,7 @@ def guarded(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except ValueError as err:
+        except (ValueError, NoFeasiblePoint) as err:
             click.echo(f"error: {err}", err=True)
             raise SystemExit(2) from err
         except OSError as err:

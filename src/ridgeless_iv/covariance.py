@@ -5,13 +5,17 @@ correlated with the regression error) and an instrumented signal block (the
 part an instrument can reach).  Both blocks are diagonal in one shared
 coordinate basis, so the whole model is two eigenvalue vectors; that keeps
 every experiment cheap even at p in the thousands.
+
+Everything here acts on eigenvalue vectors: the truncation level of a
+spectrum, the split at that level, the pattern rotation and the validated
+model.  The spectrum families that produce the vectors are the custom
+profiles in harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +23,11 @@ from .matops import default_rank_tol
 
 
 class InvalidProfile(ValueError):
-    """Spectrum profile has a nonpositive or malformed parameter."""
+    """Pattern rotation asked for below two coordinates, or degenerate."""
 
 
 class InvalidSpectrum(ValueError):
     """Eigenvalue vector is empty, increasing, negative, or all zero."""
-
-
-class InvalidAlpha(ValueError):
-    """Non-orthogonal split needs a leakage exponent strictly above 1."""
 
 
 class EndogeneityTooStrong(ValueError):
@@ -37,124 +37,6 @@ class EndogeneityTooStrong(ValueError):
 class InvalidModel(ValueError):
     """Model vector is mis-shaped, negative or non-finite, or the noise
     level is not finite and positive."""
-
-
-# --------------------------------------------------------------------------
-# dimension rules and spectrum profiles
-
-
-@dataclass(frozen=True)
-class DimensionRule:
-    """Named map from sample size n to covariate dimension p.
-
-    kind: "multiple" (p = value*n), "power" (p = floor(n**value)),
-    or "fixed" (p = value).
-    """
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("multiple", "power", "fixed"):
-            raise InvalidProfile(f"unknown dimension rule {self.kind!r}")
-        if self.value <= 0:
-            raise InvalidProfile("dimension rule parameter must be positive")
-
-    def __call__(self, n: int) -> int:
-        if self.kind == "multiple":
-            return int(round(self.value * n))
-        if self.kind == "power":
-            return int(math.floor(n ** self.value))
-        return int(self.value)
-
-
-# named tail-noise rules so profiles stay JSON-serializable
-NOISE_RULES: dict[str, Callable[[int], float]] = {
-    "zero": lambda n: 0.0,
-    "exp_sqrt_decay": lambda n: math.exp(-math.sqrt(n)) / math.sqrt(n),
-}
-
-
-@dataclass(frozen=True)
-class LogPolySpectrum:
-    """Eigenvalues scale * i^-1 * (log(i+1) * log_factor)^-beta."""
-
-    scale: float
-    beta: float
-    log_factor: float = 1.0
-    p_rule: DimensionRule = field(default_factory=lambda: DimensionRule("multiple", 5.0))
-
-    def __post_init__(self):
-        if self.scale <= 0 or self.beta <= 0 or self.log_factor <= 0:
-            raise InvalidProfile("LogPoly parameters must be positive")
-
-    def eigenvalues(self, n: int) -> np.ndarray:
-        p = self.p_rule(n)
-        i = np.arange(1, p + 1, dtype=float)
-        return self.scale / i / (np.log(i + 1.0) * self.log_factor) ** self.beta
-
-
-@dataclass(frozen=True)
-class ExpPlusNoiseSpectrum:
-    """Eigenvalues scale * exp(-i/tau) + noise(n), a flat n-dependent floor."""
-
-    tau: float
-    scale: float
-    noise: str = "exp_sqrt_decay"
-    p_rule: DimensionRule = field(default_factory=lambda: DimensionRule("power", 1.5))
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.scale <= 0:
-            raise InvalidProfile("ExpPlusNoise parameters must be positive")
-        if self.noise not in NOISE_RULES:
-            raise InvalidProfile(f"unknown noise rule {self.noise!r}")
-
-    def eigenvalues(self, n: int) -> np.ndarray:
-        p = self.p_rule(n)
-        i = np.arange(1, p + 1, dtype=float)
-        return self.scale * np.exp(-i / self.tau) + NOISE_RULES[self.noise](n)
-
-
-@dataclass(frozen=True)
-class ExplicitSpectrum:
-    """Fixed eigenvalue vector, independent of n."""
-
-    values: tuple
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidProfile("explicit spectrum must be a nonempty vector")
-        if np.any(v < 0) or np.any(np.diff(v) > 0):
-            raise InvalidProfile("explicit spectrum must be descending and nonnegative")
-
-    def eigenvalues(self, n: int) -> np.ndarray:
-        return np.asarray(self.values, dtype=float).copy()
-
-
-def spectrum(profile, n: int) -> tuple[int, np.ndarray]:
-    """Evaluate a profile at sample size n, validating shape and monotonicity."""
-    if n < 1:
-        raise InvalidProfile("sample size must be at least 1")
-    eigs = profile.eigenvalues(n)
-    if eigs.size == 0 or np.any(eigs < 0) or np.any(np.diff(eigs) > 1e-15):
-        raise InvalidSpectrum("profile produced a non-descending or negative spectrum")
-    return eigs.size, eigs
-
-
-def truncation_level(eigenvalues: np.ndarray, n: int) -> int | None:
-    """Smallest k with (tail mass after k) / (next eigenvalue) > n.
-
-    Returns None when no level within the spectrum qualifies.
-    """
-    eigs = np.asarray(eigenvalues, dtype=float)
-    if eigs.size == 0 or not np.any(eigs > 0):
-        raise InvalidSpectrum("spectrum has no positive eigenvalue")
-    tails = np.cumsum(eigs[::-1])[::-1]  # tails[k] = sum of eigs[k:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(eigs > 0, tails / np.where(eigs > 0, eigs, 1.0), 0.0)
-    hits = np.flatnonzero(ratios > n)
-    return int(hits[0]) if hits.size else None
 
 
 # --------------------------------------------------------------------------
@@ -257,6 +139,21 @@ class PatternRotation:
 # the covariance split
 
 
+def truncation_level(eigenvalues: np.ndarray, n: int) -> int | None:
+    """Smallest k with (tail mass after k) / (next eigenvalue) > n.
+
+    Returns None when no level within the spectrum qualifies.
+    """
+    eigs = np.asarray(eigenvalues, dtype=float)
+    if eigs.size == 0 or not np.any(eigs > 0):
+        raise InvalidSpectrum("spectrum has no positive eigenvalue")
+    tails = np.cumsum(eigs[::-1])[::-1]  # tails[k] = sum of eigs[k:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(eigs > 0, tails / np.where(eigs > 0, eigs, 1.0), 0.0)
+    hits = np.flatnonzero(ratios > n)
+    return int(hits[0]) if hits.size else None
+
+
 def split_eigs(base_eigs: np.ndarray, k: int, leak: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(latent-noise, signal) diagonals: the first k base eigenvalues go to
     the latent-noise block less a share leak, which stays in the signal
@@ -268,20 +165,6 @@ def split_eigs(base_eigs: np.ndarray, k: int, leak: float = 0.0) -> tuple[np.nda
     endo = np.zeros(p)
     endo[:k] = (1.0 - leak) * base[:k]
     return endo, base - endo
-
-
-def split_spectrum(profile, n: int, alpha: float | None = None):
-    """Spectrum -> truncation level -> split_eigs at that level.  alpha None
-    is the orthogonal split; otherwise the leak is n^-alpha, alpha > 1."""
-    _, eigs = spectrum(profile, n)
-    k = truncation_level(eigs, n)
-    if k is None:
-        raise InvalidSpectrum("no truncation level within the spectrum")
-    if alpha is None:
-        return split_eigs(eigs, k)
-    if not alpha > 1.0:
-        raise InvalidAlpha(f"leakage exponent must exceed 1, got {alpha}")
-    return split_eigs(eigs, k, float(n) ** (-alpha))
 
 
 # --------------------------------------------------------------------------

@@ -26,17 +26,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .covariance import (
-    DimensionRule,
     EndogenousModel,
-    ExpPlusNoiseSpectrum,
-    ExplicitSpectrum,
-    InvalidAlpha,
-    LogPolySpectrum,
+    InvalidSpectrum,
     PatternRotation,
     latent_support,
-    spectrum,
     split_eigs,
-    split_spectrum,
     truncation_level,
 )
 from .estimators import min_norm_interpolator, split_sample_lasso_iv
@@ -50,6 +44,10 @@ class UnknownSetup(ValueError):
 
 class InvalidConfig(ValueError):
     """Config field fails validation."""
+
+
+class InvalidAlpha(ValueError):
+    """Nonorthogonal split needs a leakage exponent strictly above 1."""
 
 
 class OutputError(OSError):
@@ -68,10 +66,27 @@ PLOT_HEADER = ("n", "mean", "stderr")
 # custom profiles
 
 
+def _lookup(rules: dict, kind, what: str):
+    if kind not in rules:
+        raise InvalidConfig(f"unknown {what} {kind!r}; expected one of {tuple(rules)}")
+    return rules[kind]
+
+
+def _check_positive(params: dict, where: str) -> None:
+    for key, value in params.items():
+        if not (_is_number(value) and value > 0):
+            raise InvalidConfig(f"{where} {key} must be a positive number, got {value!r}")
+
+
 def _sparse_inverse_sqrt(i: np.ndarray, scale: float = 1.0) -> np.ndarray:
     # support: every fifth index starting at 1, capped at 100
     keep = (i <= 100) & ((i.astype(int) + 4) % 5 == 0)
     return np.where(keep, scale / np.sqrt(i), 0.0)
+
+
+def _exp_decay(i: np.ndarray, scale: float = 1.0, tau: float = 4.0) -> np.ndarray:
+    _check_positive({"tau": tau}, "cross rule exp_decay")
+    return scale * np.exp(-i / tau)
 
 
 # rule kind -> (the keys it reads besides kind, vector over the 1-based
@@ -82,51 +97,99 @@ _COEF_RULES = {
 }
 _CROSS_RULES = {
     "inverse": (("scale",), lambda i, scale=1.0: scale / i),
-    "exp_decay": (("scale", "tau"), lambda i, scale=1.0, tau=4.0: scale * np.exp(-i / tau)),
+    "exp_decay": (("scale", "tau"), _exp_decay),
     "none": ((), None),
 }
-# spectrum family -> the profile keys its spectrum reads; every family also
-# reads the model keys, and a profile may hold no other key
-_FAMILY_KEYS = {
-    "log_poly": {"scale", "beta", "log_factor", "dim"},
-    "exp_plus_noise": {"tau", "scale", "noise", "dim"},
-    "explicit": {"values"},
+# dim rule kind -> p at sample size n given the rule's value
+_DIM_RULES = {
+    "multiple": lambda n, value: int(round(value * n)),
+    "power": lambda n, value: int(math.floor(n ** value)),
+    "fixed": lambda n, value: _integer("fixed dim value", value),
+}
+# noise rule -> the flat floor that exp_plus_noise adds at sample size n
+_NOISE_RULES = {
+    "zero": lambda n: 0.0,
+    "exp_sqrt_decay": lambda n: math.exp(-math.sqrt(n)) / math.sqrt(n),
+}
+# spectrum family -> (the profile keys its spectrum reads, with their
+# defaults, None for a required key; the eigenvalues at sample size n given
+# those keys, a dim rule passed on as the 1-based index i).  Every family
+# also reads the model keys, and a profile may hold no other key.
+_FAMILIES = {
+    "log_poly": (
+        {"scale": None, "beta": None, "log_factor": 1.0,
+         "dim": {"kind": "multiple", "value": 5.0}},
+        lambda n, i, scale, beta, log_factor: scale / i / (np.log(i + 1.0) * log_factor) ** beta,
+    ),
+    "exp_plus_noise": (
+        {"tau": None, "scale": None, "noise": "exp_sqrt_decay",
+         "dim": {"kind": "power", "value": 1.5}},
+        lambda n, i, tau, scale, noise: (
+            scale * np.exp(-i / tau) + _lookup(_NOISE_RULES, noise, "noise rule")(n)
+        ),
+    ),
+    "explicit": ({"values": None}, lambda n, values: np.array(values, dtype=float)),
 }
 _MODEL_KEYS = {"family", "split", "alpha", "rotation", "coef", "cross", "noise_sd"}
 
 
-def _profile_spectrum(profile: dict):
+def _dimension(rule, n: int) -> int:
+    if not isinstance(rule, dict) or set(rule) != {"kind", "value"}:
+        raise InvalidConfig(f"dim rule takes exactly the keys kind and value, got {rule!r}")
+    dimension = _lookup(_DIM_RULES, rule["kind"], "dimension rule")
+    _check_positive({"value": rule["value"]}, "dim rule")
+    return dimension(n, rule["value"])
+
+
+def _family_eigs(profile: dict, n: int) -> np.ndarray:
+    """The spectrum of the profile's family at sample size n: a nonempty,
+    descending, nonnegative eigenvalue vector."""
+    if n < 1:
+        raise InvalidConfig("sample size must be at least 1")
     family = profile.get("family")
-    if family not in _FAMILY_KEYS:
-        raise InvalidConfig(f"unknown profile family {family!r}")
-    unread = set(profile) - _MODEL_KEYS - _FAMILY_KEYS[family]
+    keys, eigenvalues = _lookup(_FAMILIES, family, "profile family")
+    unread = set(profile) - _MODEL_KEYS - set(keys)
     if unread:
         raise InvalidConfig(f"profile family {family!r} does not read {sorted(unread)}")
-    dim = profile.get("dim")
-    try:
-        kw = {} if dim is None else {"p_rule": DimensionRule(**dim)}
-    except TypeError as err:  # a missing or unknown key
-        raise InvalidConfig(
-            f"dim rule takes exactly the keys kind and value, got {dim!r}"
-        ) from err
-    try:
-        if family == "log_poly":
-            log_factor = profile.get("log_factor", 1.0)
-            return LogPolySpectrum(profile["scale"], profile["beta"], log_factor, **kw)
-        if family == "exp_plus_noise":
-            noise = profile.get("noise", "exp_sqrt_decay")
-            return ExpPlusNoiseSpectrum(profile["tau"], profile["scale"], noise, **kw)
-        return ExplicitSpectrum(values=tuple(profile["values"]))
-    except KeyError as err:
-        raise InvalidConfig(f"custom profile missing key {err}") from err
+    params = {key: profile.get(key, default) for key, default in keys.items() if key != "dim"}
+    missing = sorted(key for key, value in params.items() if value is None)
+    if missing:
+        raise InvalidConfig(f"profile family {family!r} needs values for {missing}")
+    # every family key but a rule name or a list of values is a positive number
+    numeric = {k: v for k, v in params.items() if not isinstance(v, (str, list, tuple))}
+    _check_positive(numeric, f"profile family {family!r}")
+    if "dim" in keys:
+        dim = profile.get("dim")
+        p = _dimension(keys["dim"] if dim is None else dim, n)
+        params["i"] = np.arange(1, p + 1, dtype=float)
+    eigs = eigenvalues(n, **params)
+    if eigs.ndim != 1 or eigs.size == 0 or np.any(eigs < 0) or np.any(np.diff(eigs) > 0):
+        raise InvalidSpectrum(
+            f"profile spectrum must be a nonempty, descending, nonnegative vector at n={n}"
+        )
+    return eigs
+
+
+def _split(profile: dict, n: int) -> tuple[str, float]:
+    """The profile's split kind, and the share n^-alpha of the latent block
+    that a nonorthogonal split leaves in the signal block (0 for the
+    orthogonal split)."""
+    split, alpha = profile.get("split", "orthogonal"), profile.get("alpha")
+    if split == "orthogonal":
+        if alpha is not None:
+            raise InvalidConfig("alpha applies only to the nonorthogonal split")
+        return split, 0.0
+    if split != "nonorthogonal":
+        raise InvalidConfig(f"unknown split {split!r}")
+    if alpha is None or not alpha > 1.0:
+        raise InvalidAlpha(f"nonorthogonal split needs a leakage exponent alpha > 1, got {alpha}")
+    return split, float(n) ** (-alpha)
 
 
 def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
     rule = dict(rule or {"kind": default_kind})
     kind = rule.pop("kind", default_kind)
-    if kind not in rules:
-        raise InvalidConfig(f"unknown rule kind {kind!r}; expected one of {tuple(rules)}")
-    reads, vector = rules[kind]
+    reads, vector = _lookup(rules, kind, "rule kind")
     unread = set(rule) - set(reads)
     if unread:
         raise InvalidConfig(f"rule kind {kind!r} does not read {sorted(unread)}")
@@ -136,19 +199,15 @@ def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
 
 
 def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
-    prof = _profile_spectrum(profile)
-    split = profile.get("split", "orthogonal")
-    if split not in ("orthogonal", "nonorthogonal"):
-        raise InvalidConfig(f"unknown split {split!r}")
+    eigs = _family_eigs(profile, n)
     rotation = profile.get("rotation", "pattern")
     if rotation not in ("pattern", None):
         raise InvalidConfig(f"unknown rotation {rotation!r}")
-    alpha = profile.get("alpha")
-    if split == "nonorthogonal" and alpha is None:
-        raise InvalidAlpha("nonorthogonal split needs alpha")
-    if split == "orthogonal" and alpha is not None:
-        raise InvalidConfig("alpha applies only to the nonorthogonal split")
-    endo, sig = split_spectrum(prof, n, alpha)
+    split, leak = _split(profile, n)
+    k = truncation_level(eigs, n)
+    if k is None:
+        raise InvalidSpectrum("no truncation level within the spectrum")
+    endo, sig = split_eigs(eigs, k, leak)
     p = endo.size
     theta = _profile_vector(profile.get("coef"), _COEF_RULES, "inverse_sqrt", p)
     rho = _profile_vector(profile.get("cross"), _CROSS_RULES, "none", p)
@@ -215,11 +274,13 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
         shift = k // 5 if shifted else 0
         if k < 1 or (shifted and shift < 1):
             raise InvalidConfig(f"endogenous window is empty at n={n}")
-        p, eigs = spectrum(_profile_spectrum(profile), n)
+        eigs = _family_eigs(profile, n)
         kstar = truncation_level(eigs, n)
         if kstar is None or k > kstar:
             raise InvalidConfig(f"endogenous window exceeds the latent block at n={n}")
-        endo, sig = split_eigs(eigs, kstar + shift, float(n) ** (-profile["alpha"]))
+        split, leak = _split(profile, n)
+        endo, sig = split_eigs(eigs, kstar + shift, leak)
+        p = eigs.size
         i = np.arange(1, p + 1, dtype=float)
         theta = _profile_vector(profile["coef"], _COEF_RULES, "inverse_sqrt", p)
         if head_coef:
@@ -231,7 +292,7 @@ def _window_setup(head_coef: bool = False, shifted: bool = False):
         omega = np.where(window, cross, 0.0)
         support = latent_support(endo)
         rho = np.where(support, omega / np.sqrt(np.where(support, endo, 1.0)), 0.0)
-        model = EndogenousModel.build(sig, endo, theta, rho, split_kind="nonorthogonal")
+        model = EndogenousModel.build(sig, endo, theta, rho, split_kind=split)
         return model, np.flatnonzero(window)
 
     return build

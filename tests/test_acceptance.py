@@ -20,19 +20,14 @@ from click.testing import CliRunner
 from ridgeless_iv.cgmt_lab import slice_model, tail_dominance_check
 from ridgeless_iv.cli import main
 from references import ridge
-from ridgeless_iv.covariance import (
-    EndogeneityTooStrong,
-    ExpPlusNoiseSpectrum,
-    LogPolySpectrum,
-    spectrum,
-    truncation_level,
-)
+from ridgeless_iv.covariance import EndogeneityTooStrong, truncation_level
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.harness import (
     CONDITION_FAMILIES,
     SETUP_IDS,
     ExperimentConfig,
     repetition_seed,
+    _family_eigs,
     run_setup,
     setup_model,
 )
@@ -136,7 +131,9 @@ def test_criterion_02_spectral_identities():
     for sigma in (
         np.ones(30),
         0.5 ** np.arange(20, dtype=float),
-        spectrum(LogPolySpectrum(scale=300.0, beta=2.0, log_factor=math.e / 2), 100)[1],
+        _family_eigs(
+            {"family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2}, 100
+        ),
         np.linalg.eigvalsh(wishart @ wishart.T),
     ):
         r, _ = effective_ranks(sigma)
@@ -165,13 +162,13 @@ def test_criterion_03_splitting_identities():
     t0 = time.perf_counter()
     max_split = 0.0
     max_cross = 0.0
-    log_poly = LogPolySpectrum(scale=300.0, beta=2.0, log_factor=math.e / 2)
-    exp_noise = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0)
+    log_poly = {"family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2}
+    exp_noise = {"family": "exp_plus_noise", "tau": 2.0, "scale": 10.0}
     # both spectra, both split kinds
     for sid, profile in (("i", log_poly), ("iii", log_poly), ("ii", exp_noise), ("iv", exp_noise)):
         model, _ = setup_model(sid, 100)
         # the blocks are diagonal, so the dense identities reduce to the diagonals
-        _, total = spectrum(profile, 100)
+        total = _family_eigs(profile, 100)
         resid = np.abs(model.endo_eigs + model.signal_eigs - total).max()
         max_split = max(max_split, resid / np.abs(total).max())
         if model.split_kind == "orthogonal":
@@ -181,7 +178,7 @@ def test_criterion_03_splitting_identities():
     checked = 0
     for profile in (log_poly, exp_noise):
         for n in range(100, 801, 100):
-            _, eigs = spectrum(profile, n)
+            eigs = _family_eigs(profile, n)
             k = truncation_level(eigs, n)
             # independent scan: first level whose tail-to-eigenvalue ratio clears n
             tails = 0.0

@@ -4,71 +4,73 @@ import numpy as np
 import pytest
 
 from ridgeless_iv.covariance import (
-    DimensionRule,
     EndogeneityTooStrong,
     EndogenousModel,
-    ExplicitSpectrum,
-    ExpPlusNoiseSpectrum,
-    InvalidAlpha,
     InvalidModel,
-    InvalidProfile,
     InvalidSpectrum,
-    LogPolySpectrum,
     PatternRotation,
-    spectrum,
     split_eigs,
-    split_spectrum,
     truncation_level,
 )
+from ridgeless_iv.harness import InvalidAlpha, InvalidConfig, _custom_model, _family_eigs
+
+SETUP_I = {
+    "family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2,
+    "dim": {"kind": "multiple", "value": 5.0},
+}
+EXP_NOISE = {"family": "exp_plus_noise", "tau": 2.0, "scale": 10.0}
 
 
-def setup_i_profile():
-    return LogPolySpectrum(
-        scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
-    )
+def split_profile(profile, n):
+    """(latent-noise, signal) diagonals of a custom profile at sample size n."""
+    model, _ = _custom_model(profile, n)
+    return model.endo_eigs, model.signal_eigs
 
 
 # ----------------------------------------------------------------- spectra
 
 
 def test_logpoly_first_eigenvalue():
-    p, eigs = spectrum(setup_i_profile(), 100)
-    assert p == 500
+    eigs = _family_eigs(SETUP_I, 100)
+    assert eigs.size == 500
     assert eigs[0] == pytest.approx(300.0 / (math.log(2.0) * math.e / 2) ** 2, rel=1e-12)
     assert eigs[0] == pytest.approx(338.01919267715266, rel=1e-12)
     assert np.all(np.diff(eigs) <= 0) and np.all(eigs > 0)
 
 
 def test_explicit_passthrough():
-    prof = ExplicitSpectrum((5.0, 3.0, 1.0))
+    prof = {"family": "explicit", "values": [5.0, 3.0, 1.0]}
     for n in (1, 50):
-        p, eigs = spectrum(prof, n)
-        assert p == 3 and np.allclose(eigs, [5.0, 3.0, 1.0])
+        eigs = _family_eigs(prof, n)
+        assert eigs.size == 3 and np.allclose(eigs, [5.0, 3.0, 1.0])
 
 
 def test_exp_plus_noise_values():
-    prof = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0)
-    p, eigs = spectrum(prof, 100)
-    assert p == 1000
+    eigs = _family_eigs(EXP_NOISE, 100)
+    assert eigs.size == 1000
     i = np.arange(1, 1001, dtype=float)
     assert np.allclose(eigs, 10.0 * np.exp(-i / 2.0) + math.exp(-10.0) / 10.0, rtol=1e-14)
 
 
 def test_dimension_rules():
-    assert DimensionRule("multiple", 5.0)(200) == 1000
-    assert DimensionRule("power", 1.5)(200) == 2828
-    assert DimensionRule("fixed", 64)(999) == 64
-    with pytest.raises(InvalidProfile):
-        DimensionRule("cubic", 1.0)
+    def p(kind, value, n):
+        dim = {"kind": kind, "value": value}
+        return _family_eigs({"family": "log_poly", "scale": 1.0, "beta": 1.0, "dim": dim}, n).size
+
+    assert p("multiple", 5.0, 200) == 1000
+    assert p("power", 1.5, 200) == 2828
+    assert p("fixed", 64, 999) == 64
+    with pytest.raises(InvalidConfig):
+        p("cubic", 1.0, 1)
 
 
 def test_profile_validation():
-    with pytest.raises(InvalidProfile):
-        LogPolySpectrum(scale=-1.0, beta=2.0)
-    with pytest.raises(InvalidProfile):
-        ExpPlusNoiseSpectrum(tau=0.0, scale=10.0)
-    with pytest.raises(InvalidProfile):
-        ExplicitSpectrum((1.0, 2.0))
+    with pytest.raises(InvalidConfig):
+        _family_eigs({"family": "log_poly", "scale": -1.0, "beta": 2.0}, 1)
+    with pytest.raises(InvalidConfig):
+        _family_eigs({"family": "exp_plus_noise", "tau": 0.0, "scale": 10.0}, 1)
+    with pytest.raises(InvalidSpectrum):
+        _family_eigs({"family": "explicit", "values": [1.0, 2.0]}, 1)
 
 
 # ------------------------------------------------------------- truncation
@@ -95,14 +97,14 @@ def test_truncation_rejects_zero_spectrum():
 
 def test_truncation_regression_constant():
     # frozen scan result for the log-poly profile at n=200
-    p, eigs = spectrum(setup_i_profile(), 200)
-    assert p == 1000
+    eigs = _family_eigs(SETUP_I, 200)
+    assert eigs.size == 1000
     assert truncation_level(eigs, 200) == 142
 
 
 def test_truncation_matches_direct_scan():
-    for prof, n in [(setup_i_profile(), 100), (ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100)]:
-        _, eigs = spectrum(prof, n)
+    for prof, n in [(SETUP_I, 100), (EXP_NOISE, 100)]:
+        eigs = _family_eigs(prof, n)
         k = truncation_level(eigs, n)
         found = None
         for cand in range(eigs.size):
@@ -198,9 +200,9 @@ def test_split_nonorthogonal_example():
 
 
 def test_split_nonorthogonal_validation_and_limits():
-    prof = ExplicitSpectrum((4.0, 2.0, 1.0, 1.0, 1.0, 1.0))
+    prof = {"family": "explicit", "values": [4.0, 2.0, 1.0, 1.0, 1.0, 1.0]}
     with pytest.raises(InvalidAlpha):
-        split_spectrum(prof, 2, alpha=1.0)
+        split_profile({**prof, "split": "nonorthogonal", "alpha": 1.0}, 2)
     eigs = np.array([4.0, 2.0, 1.0])
     for k in (0, 1, 2):
         endo, sig = split_eigs(eigs, k, 50.0 ** (-1.01))
@@ -224,12 +226,12 @@ def test_split_identities_dense():
 
 
 def test_build_covariance_setups():
-    endo, sig = split_spectrum(setup_i_profile(), 100)
+    endo, sig = split_profile(SETUP_I, 100)
     assert endo.size == 500 and np.count_nonzero(endo) == 75
-    assert np.array_equal(endo + sig, spectrum(setup_i_profile(), 100)[1])
+    assert np.array_equal(endo + sig, _family_eigs(SETUP_I, 100))
     model = EndogenousModel.build(sig, endo, np.zeros(500))
     assert model.endo_rank() == 75 and model.split_kind == "orthogonal"
-    endo2, sig2 = split_spectrum(ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100, alpha=1.01)
+    endo2, sig2 = split_profile({**EXP_NOISE, "split": "nonorthogonal", "alpha": 1.01}, 100)
     assert np.count_nonzero(endo2) == 24
     # leaked mass keeps the blocks overlapping
     assert float(endo2 @ sig2) > 0
@@ -337,7 +339,7 @@ def test_joint_min_eig_matches_dense():
 
 
 def test_setup_ii_model_accepts_default_noise():
-    endo, sig = split_spectrum(ExpPlusNoiseSpectrum(tau=2.0, scale=10.0), 100)
+    endo, sig = split_profile(EXP_NOISE, 100)
     i = np.arange(1, endo.size + 1, dtype=float)
     rho = PatternRotation(endo.size).matvec(3.0 * np.exp(-i / 4.0))
     model = EndogenousModel.build(sig, endo, 20.0 / np.sqrt(i), whitened_cross=rho)

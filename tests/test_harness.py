@@ -291,6 +291,12 @@ def test_custom_profile_matches_named_setup(setup, profile):
         {"family": "log_poly", "scale": 300, "beta": 2, "dim": {"kind": "multiple"}},
         {"family": "log_poly", "scale": 300, "beta": 2,
          "dim": {"kind": "multiple", "value": 5, "extra": 1}},
+        # p = 2500.9 is no dimension, not p = 2500
+        {"family": "log_poly", "scale": 300, "beta": 2,
+         "dim": {"kind": "fixed", "value": 2500.9}},
+        # an exp_decay cross rule that vanishes (tau 0) or grows (tau < 0)
+        {"family": "log_poly", "scale": 300, "beta": 2, "cross": {"kind": "exp_decay", "tau": 0}},
+        {"family": "log_poly", "scale": 300, "beta": 2, "cross": {"kind": "exp_decay", "tau": -3}},
     ],
 )
 def test_custom_profile_validation(profile):
@@ -697,6 +703,9 @@ def test_cli_exit_codes(tmp_path):
     assert res.exit_code == 2 and "beta" in res.output
     res = runner.invoke(main, ["ranks", "--matrix", "not-a-setup"])
     assert res.exit_code == 2
+    # with n > p every primary draw is infeasible, so no threshold grid exists
+    res = runner.invoke(main, ["cgmt-check", "--n", "3", "--p", "2", "--reps", "4"])
+    assert res.exit_code == 2 and "error: no feasible primary" in res.output
 
 
 def test_cli_ranks_matrix_file(tmp_path):

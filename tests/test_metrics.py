@@ -4,16 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ridgeless_iv.covariance import (
-    DimensionRule,
-    EndogeneityTooStrong,
-    EndogenousModel,
-    ExpPlusNoiseSpectrum,
-    LogPolySpectrum,
-    PatternRotation,
-    split_spectrum,
-)
+from ridgeless_iv.covariance import EndogeneityTooStrong, EndogenousModel, PatternRotation
 from ridgeless_iv.estimators import min_norm_interpolator
+from ridgeless_iv.harness import _custom_model
 from ridgeless_iv.matops import InvalidMatrix, NotPSD
 from ridgeless_iv.metrics import (
     DegenerateNoise,
@@ -30,12 +23,26 @@ from ridgeless_iv.metrics import (
 )
 from ridgeless_iv.sampling import sample_dataset
 
+LOG_POLY = {
+    "family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2,
+    "dim": {"kind": "multiple", "value": 5.0},
+}
+EXP_NOISE = {
+    "family": "exp_plus_noise", "tau": 2.0, "scale": 10.0,
+    "dim": {"kind": "power", "value": 1.5},
+}
+
+
+def split_profile(profile, n, alpha=None):
+    """(latent-noise, signal) diagonals of a custom profile at sample size n;
+    alpha None is the orthogonal split."""
+    split = {"split": "nonorthogonal", "alpha": alpha} if alpha else {"split": "orthogonal"}
+    model, _ = _custom_model({**profile, **split}, n)
+    return model.endo_eigs, model.signal_eigs
+
 
 def setup_i_model(n, split="orthogonal", alpha=None):
-    prof = LogPolySpectrum(
-        scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
-    )
-    endo, sig = split_spectrum(prof, n, alpha)
+    endo, sig = split_profile(LOG_POLY, n, alpha)
     idx = np.arange(1, endo.size + 1, dtype=float)
     rho = PatternRotation(endo.size).matvec(2.0 / idx)
     return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), rho, split_kind=split)
@@ -342,8 +349,7 @@ def test_rmse_bound_dominates_realized_risk_small_sample():
 
 
 def test_norm_bound_exogenous_reduction():
-    prof = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0, p_rule=DimensionRule("power", 1.5))
-    endo, sig = split_spectrum(prof, 150)
+    endo, sig = split_profile(EXP_NOISE, 150)
     idx = np.arange(1, endo.size + 1, dtype=float)
     model = EndogenousModel.build(sig, endo, 5.0 / idx, noise_sd=2.0)
     n = 150
@@ -367,8 +373,7 @@ def test_norm_bound_exogenous_reduction():
 def test_rmse_principal_exogenous_matches_plain_regression_form():
     # with no covariate-error correlation the principal part must coincide,
     # term by term, with the independently composed exogenous bound
-    prof = ExpPlusNoiseSpectrum(tau=2.0, scale=10.0, p_rule=DimensionRule("power", 1.5))
-    endo, sig = split_spectrum(prof, 120)
+    endo, sig = split_profile(EXP_NOISE, 120)
     idx = np.arange(1, endo.size + 1, dtype=float)
     model = EndogenousModel.build(sig, endo, 3.0 / idx, noise_sd=2.0)
     n = 120
@@ -414,20 +419,14 @@ def test_norm_bound_regression_constants_orthogonal():
 
 
 def logpoly_orthogonal_family(n):
-    prof = LogPolySpectrum(
-        scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
-    )
-    endo, sig = split_spectrum(prof, n)
+    endo, sig = split_profile(LOG_POLY, n)
     idx = np.arange(1, endo.size + 1, dtype=float)
     omega = 0.5 / idx / (np.log(idx + 1.0) * math.e / 2) ** 2
     return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), whitened(omega, endo))
 
 
 def logpoly_nonorthogonal_family(n, alpha=2.0):
-    prof = LogPolySpectrum(
-        scale=300.0, beta=2.0, log_factor=math.e / 2, p_rule=DimensionRule("multiple", 5.0)
-    )
-    endo, sig = split_spectrum(prof, n, alpha)
+    endo, sig = split_profile(LOG_POLY, n, alpha)
     idx = np.arange(1, endo.size + 1, dtype=float)
     omega = 0.5 / idx / (np.log(idx + 1.0) * math.e / 2) ** 2
     return EndogenousModel.build(
