@@ -17,7 +17,7 @@ from .cgmt_lab import NoFeasiblePoint, slice_model, tail_dominance_check
 from .harness import (
     CONDITION_GRID,
     OUTPUT_DIR_ENV,
-    SETUP_IDS,
+    WINDOW_SETUPS,
     ExperimentConfig,
     condition_family,
     default_grid,
@@ -106,7 +106,7 @@ def ranks(source):
         n = int(tail)
     except ValueError:
         raise ValueError(f"bad sample size {tail!r} in {source!r}") from None
-    model, _ = setup_model(setup_id, n)
+    model = setup_model(setup_id, n)
     for label, eigs in (
         ("total", model.total_eigs),
         ("signal", model.signal_eigs),
@@ -142,7 +142,7 @@ def conditions(name, n_grid):
 @guarded
 def bounds(setup_id, n, delta):
     """High-probability norm ceiling and risk ceiling for a named setup."""
-    model, _ = setup_model(setup_id, n)
+    model = setup_model(setup_id, n)
     norm_report = norm_upper_bound(model, n, delta)
     risk_report = rmse_upper_bound(model, n, delta, B=norm_report.norm_bound)
     for label, report in (("norm", norm_report), ("risk", risk_report)):
@@ -179,7 +179,7 @@ def cgmt_check(n, p, reps, seed, grid_size):
 
 @main.command()
 @click.option("--setup", "setup_id", required=True,
-              type=click.Choice(["vii", "viii", "ix"]),
+              type=click.Choice(WINDOW_SETUPS),
               help="Comparison setup with a designated endogenous window.")
 @click.option("--n-grid", "n_grid", type=int, multiple=True,
               help="Sample sizes (repeat the flag); default is the desk grid.")

@@ -29,7 +29,6 @@ from .covariance import (
     EndogenousModel,
     InvalidSpectrum,
     PatternRotation,
-    latent_support,
     split_eigs,
     truncation_level,
 )
@@ -100,10 +99,12 @@ _CROSS_RULES = {
     "exp_decay": (("scale", "tau"), _exp_decay),
     "none": ((), None),
 }
-# dim rule kind -> p at sample size n given the rule's value
+# dim rule kind -> p at sample size n given the rule's value; a rule may ask
+# for at most _MAX_DIM coordinates, over 300 times the largest named setup's p
+_MAX_DIM = 10**7
 _DIM_RULES = {
     "multiple": lambda n, value: int(round(value * n)),
-    "power": lambda n, value: int(math.floor(n ** value)),
+    "power": lambda n, value: math.floor(n ** float(value)),
     "fixed": lambda n, value: _integer("fixed dim value", value),
 }
 # noise rule -> the flat floor that exp_plus_noise adds at sample size n
@@ -138,7 +139,13 @@ def _dimension(rule, n: int) -> int:
         raise InvalidConfig(f"dim rule takes exactly the keys kind and value, got {rule!r}")
     dimension = _lookup(_DIM_RULES, rule["kind"], "dimension rule")
     _check_positive({"value": rule["value"]}, "dim rule")
-    return dimension(n, rule["value"])
+    try:
+        p = dimension(n, rule["value"])
+    except OverflowError:  # n ** value beyond the float range
+        p = math.inf
+    if p > _MAX_DIM:
+        raise InvalidConfig(f"dim rule {rule!r} asks for more than {_MAX_DIM} coordinates at n={n}")
+    return p
 
 
 def _family_eigs(profile: dict, n: int) -> np.ndarray:
@@ -198,23 +205,29 @@ def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
     return vector(np.arange(1, p + 1, dtype=float), **{k: float(v) for k, v in rule.items()})
 
 
-def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
+def _profile_blocks(profile: dict, n: int, extend: int = 0):
+    """The profile's split kind, truncation level k, signal and latent
+    diagonals (the latent block extended by extend coordinates past k), and
+    its coefficient and cross vectors (None for cross kind "none")."""
     eigs = _family_eigs(profile, n)
-    rotation = profile.get("rotation", "pattern")
-    if rotation not in ("pattern", None):
-        raise InvalidConfig(f"unknown rotation {rotation!r}")
+    if profile.get("rotation", "pattern") not in ("pattern", None):
+        raise InvalidConfig(f"unknown rotation {profile['rotation']!r}")
     split, leak = _split(profile, n)
     k = truncation_level(eigs, n)
     if k is None:
         raise InvalidSpectrum("no truncation level within the spectrum")
-    endo, sig = split_eigs(eigs, k, leak)
-    p = endo.size
-    theta = _profile_vector(profile.get("coef"), _COEF_RULES, "inverse_sqrt", p)
-    rho = _profile_vector(profile.get("cross"), _CROSS_RULES, "none", p)
-    if rho is not None and rotation == "pattern":
-        rho = PatternRotation(p).matvec(rho)
+    endo, sig = split_eigs(eigs, k + extend, leak)
+    theta = _profile_vector(profile.get("coef"), _COEF_RULES, "inverse_sqrt", eigs.size)
+    cross = _profile_vector(profile.get("cross"), _CROSS_RULES, "none", eigs.size)
+    return split, k, sig, endo, theta, cross
+
+
+def _custom_model(profile: dict, n: int) -> EndogenousModel:
+    split, _, sig, endo, theta, rho = _profile_blocks(profile, n)
+    if rho is not None and profile.get("rotation", "pattern") == "pattern":
+        rho = PatternRotation(rho.size).matvec(rho)
     noise_sd = profile.get("noise_sd")
-    model = EndogenousModel.build(
+    return EndogenousModel.build(
         sig,
         endo,
         theta,
@@ -222,7 +235,6 @@ def _custom_model(profile: dict, n: int) -> tuple[EndogenousModel, None]:
         noise_sd=float(noise_sd) if noise_sd is not None else None,
         split_kind=split,
     )
-    return model, None
 
 
 # --------------------------------------------------------------------------
@@ -256,68 +268,49 @@ _PROFILES = {
 }
 
 
-def _window_setup(head_coef: bool = False, shifted: bool = False):
-    """Factory for the comparison setups: setup iii's spectrum, leak and
-    rules, but with covariate-error correlation only on an n/10-wide window
-    of coordinates, given in natural coordinates (no rotation) and whitened
-    by the latent block for the model.
+def _window_model(n: int, head_coef: bool = False, shifted: bool = False) -> EndogenousModel:
+    """A comparison setup: setup iii's spectrum, leak and rules, but with
+    covariate-error correlation only on an n/10-wide window of coordinates,
+    given in natural coordinates (no rotation) and whitened by the latent
+    block for the model.  The window is the support of whitened_cross.
 
     The shifted variant moves the first fifth of the window past the
     truncation level; the latent block is extended to cover it, since a
     factor model can only realize correlation inside the latent block's
     range.  head_coef truncates the coefficient vector at 0.8 n.
     """
-    profile = _PROFILES["iii"]
-
-    def build(n: int):
-        k = n // 10
-        shift = k // 5 if shifted else 0
-        if k < 1 or (shifted and shift < 1):
-            raise InvalidConfig(f"endogenous window is empty at n={n}")
-        eigs = _family_eigs(profile, n)
-        kstar = truncation_level(eigs, n)
-        if kstar is None or k > kstar:
-            raise InvalidConfig(f"endogenous window exceeds the latent block at n={n}")
-        split, leak = _split(profile, n)
-        endo, sig = split_eigs(eigs, kstar + shift, leak)
-        p = eigs.size
-        i = np.arange(1, p + 1, dtype=float)
-        theta = _profile_vector(profile["coef"], _COEF_RULES, "inverse_sqrt", p)
-        if head_coef:
-            theta = np.where(i <= 0.8 * n, theta, 0.0)
-        window = np.zeros(p, dtype=bool)
-        window[shift:k] = True
-        window[kstar : kstar + shift] = True
-        cross = _profile_vector(profile["cross"], _CROSS_RULES, "none", p)
-        omega = np.where(window, cross, 0.0)
-        support = latent_support(endo)
-        rho = np.where(support, omega / np.sqrt(np.where(support, endo, 1.0)), 0.0)
-        model = EndogenousModel.build(sig, endo, theta, rho, split_kind=split)
-        return model, np.flatnonzero(window)
-
-    return build
+    k = n // 10
+    shift = k // 5 if shifted else 0
+    if k < 1 or (shifted and shift < 1):
+        raise InvalidConfig(f"endogenous window is empty at n={n}")
+    split, kstar, sig, endo, theta, cross = _profile_blocks(_PROFILES["iii"], n, shift)
+    if k > kstar:
+        raise InvalidConfig(f"endogenous window exceeds the latent block at n={n}")
+    if head_coef:
+        theta = np.where(np.arange(1, theta.size + 1) <= 0.8 * n, theta, 0.0)
+    window = np.r_[shift:k, kstar : kstar + shift]
+    rho = np.zeros(cross.size)
+    rho[window] = cross[window] / np.sqrt(endo[window])
+    return EndogenousModel.build(sig, endo, theta, rho, split_kind=split)
 
 
 # setup id -> model factory
 _SETUPS = {
     **{sid: functools.partial(_custom_model, profile) for sid, profile in _PROFILES.items()},
-    "vii": _window_setup(),
-    "viii": _window_setup(head_coef=True),
-    "ix": _window_setup(shifted=True),
+    "vii": _window_model,
+    "viii": functools.partial(_window_model, head_coef=True),
+    "ix": functools.partial(_window_model, shifted=True),
 }
 SETUP_IDS = tuple(_SETUPS)
+# the comparison setups: a window of endogenous columns, which the two-stage
+# baseline instruments
+WINDOW_SETUPS = ("vii", "viii", "ix")
 
-# comparison setups declare which columns the two-stage baseline instruments
-_WINDOW_SETUPS = ("vii", "viii", "ix")
 
-
-def setup_model(setup_id: str, n: int) -> tuple[EndogenousModel, np.ndarray | None]:
-    """Assembled model for a named setup, plus its endogenous column indices.
-
-    The index array is None for setups without a designated endogenous
-    window (the projected-RMSE setups spread endogeneity over the whole
-    latent block through the rotation).
-    """
+def setup_model(setup_id: str, n: int) -> EndogenousModel:
+    """Assembled model for a named setup.  Its endogenous columns are the
+    support of whitened_cross: a window for the comparison setups, the
+    latent block (through the rotation) for the projected-RMSE setups."""
     return _setup_entry(setup_id)(n)
 
 
@@ -337,7 +330,7 @@ def default_grid(setup_id: str, full_scale: bool = False) -> tuple[int, ...]:
     _setup_entry(setup_id)  # validates the id
     if not full_scale:
         return (100, 200, 300, 400)
-    start = 100 if setup_id in _WINDOW_SETUPS else 200
+    start = 100 if setup_id in WINDOW_SETUPS else 200
     return tuple(range(start, 1001, 100))
 
 
@@ -450,9 +443,9 @@ class ExperimentConfig:
         unknown = [e for e in est if e not in ESTIMATOR_NAMES]
         if unknown:
             raise InvalidConfig(f"unknown estimators {unknown}")
-        if "lasso_iv" in est and self.setup not in _WINDOW_SETUPS:
+        if "lasso_iv" in est and self.setup not in WINDOW_SETUPS:
             raise InvalidConfig(
-                "lasso_iv needs a setup with a designated endogenous window (vii, viii, ix)"
+                f"lasso_iv needs a setup with a designated endogenous window {WINDOW_SETUPS}"
             )
         object.__setattr__(self, "estimators", est)
 
@@ -600,7 +593,7 @@ def _model_for(cfg: ExperimentConfig, n: int):
         _reraise_at(err, f"setup {cfg.setup!r} at n={n}")
 
 
-def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
+def _run_repetition(cfg: ExperimentConfig, n: int, model, rep: int):
     seed = repetition_seed(cfg.base_seed, n, rep)
     data = sample_dataset(model, n, seed, cfg.instrument_dist, cfg.dof)
     out = []
@@ -608,7 +601,7 @@ def _run_repetition(cfg: ExperimentConfig, n: int, model, endo_idx, rep: int):
         if name == "ridgeless":
             fit = min_norm_interpolator(data.X, data.Y)
         else:
-            fit = split_sample_lasso_iv(data, endo_idx)
+            fit = split_sample_lasso_iv(data, np.flatnonzero(model.whitened_cross))
         out.append(
             RunRecord(
                 setup=cfg.setup,
@@ -670,13 +663,13 @@ def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> Experime
     t0 = time.perf_counter()
     tasks = []
     for n in cfg.n_grid:
-        model, endo_idx = _model_for(cfg, n)
-        tasks.extend((n, model, endo_idx, rep) for rep in range(cfg.repetitions))
+        model = _model_for(cfg, n)
+        tasks.extend((n, model, rep) for rep in range(cfg.repetitions))
 
     def run_one(task):
-        n, model, endo_idx, rep = task
+        n, model, rep = task
         try:
-            return _run_repetition(cfg, n, model, endo_idx, rep)
+            return _run_repetition(cfg, n, model, rep)
         except Exception as err:
             seed = repetition_seed(cfg.base_seed, n, rep)
             _reraise_at(err, f"setup {cfg.setup!r} at n={n}, rep {rep}, seed {seed}")
@@ -772,14 +765,6 @@ def emit_outputs(result: ExperimentResult, kind: str, output_dir: str | None = N
 CONDITION_GRID = tuple(range(100, 801, 100))
 
 
-def _named_family(setup_id: str):
-    return lambda n: setup_model(setup_id, n)[0]
-
-
-def _profile_family(profile: dict):
-    return lambda n: _custom_model(profile, n)[0]
-
-
 def _family_fixed_p_identity(n: int) -> EndogenousModel:
     # fixed dimension: the signal block cannot absorb a growing sample
     endo, sig = split_eigs(np.ones(50), 0)
@@ -788,10 +773,10 @@ def _family_fixed_p_identity(n: int) -> EndogenousModel:
 
 # the condition mode of each family is its models' split kind
 CONDITION_FAMILIES = {
-    "logpoly_orthogonal": _named_family("i"),
-    "expnoise_orthogonal": _named_family("ii"),
+    "logpoly_orthogonal": functools.partial(setup_model, "i"),
+    "expnoise_orthogonal": functools.partial(setup_model, "ii"),
     # steeper leakage than the simulation setups: n^-2 per top eigenvalue
-    "logpoly_nonorthogonal": _profile_family({**_PROFILES["iii"], "alpha": 2.0}),
+    "logpoly_nonorthogonal": functools.partial(_custom_model, {**_PROFILES["iii"], "alpha": 2.0}),
     "fixed_p_identity": _family_fixed_p_identity,
 }
 
@@ -802,7 +787,7 @@ def condition_family(name: str):
     if name in CONDITION_FAMILIES:
         return CONDITION_FAMILIES[name]
     if name in SETUP_IDS:
-        return _named_family(name)
+        return functools.partial(setup_model, name)
     raise UnknownSetup(
         f"unknown family {name!r}; expected a setup id or one of {sorted(CONDITION_FAMILIES)}"
     )

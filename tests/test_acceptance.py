@@ -98,7 +98,7 @@ def test_interpolation_on_named_setup_designs():
     cases = [(sid, n) for sid in SETUP_IDS for n in (100, 400)]
     cases += [(sid, n) for sid in ("ii", "iv") for n in (700, 1000)]
     for sid, n in cases:
-        model, _ = setup_model(sid, n)
+        model = setup_model(sid, n)
         data = sample_dataset(model, n, repetition_seed(0, n, 0))
         fit = min_norm_interpolator(data.X, data.Y)
         resid[sid, n] = float(np.linalg.norm(data.X @ fit.theta_hat - data.Y)) / float(
@@ -166,7 +166,7 @@ def test_criterion_03_splitting_identities():
     exp_noise = {"family": "exp_plus_noise", "tau": 2.0, "scale": 10.0}
     # both spectra, both split kinds
     for sid, profile in (("i", log_poly), ("iii", log_poly), ("ii", exp_noise), ("iv", exp_noise)):
-        model, _ = setup_model(sid, 100)
+        model = setup_model(sid, 100)
         # the blocks are diagonal, so the dense identities reduce to the diagonals
         total = _family_eigs(profile, 100)
         resid = np.abs(model.endo_eigs + model.signal_eigs - total).max()
@@ -211,13 +211,13 @@ def test_criterion_04_model_validation():
     max_energy_ratio = 0.0
     min_joint_eig = math.inf
     for sid in SETUP_IDS:
-        model, _ = setup_model(sid, 100)
+        model = setup_model(sid, 100)
         energy = float(model.whitened_cross @ model.whitened_cross)
         max_energy_ratio = max(max_energy_ratio, energy / model.noise_var)
         min_joint_eig = min(min_joint_eig, model.joint_min_eigenvalue())
 
     # dense oracle for the closed-form joint minimum eigenvalue, one setup
-    model, _ = setup_model("i", 100)
+    model = setup_model("i", 100)
     p = model.p
     joint = np.eye(2 * p + 1)
     joint[-1, p:-1] = model.whitened_cross
@@ -331,7 +331,7 @@ def test_criterion_09_norm_bound_coverage():
     parts = []
     ok = True
     for n in (100, 200):
-        model, _ = setup_model("iii", n)
+        model = setup_model("iii", n)
         bound = norm_upper_bound(model, n, delta=0.1).norm_bound
         hits = 0
         reps = 200

@@ -23,7 +23,7 @@ EXP_NOISE = {"family": "exp_plus_noise", "tau": 2.0, "scale": 10.0}
 
 def split_profile(profile, n):
     """(latent-noise, signal) diagonals of a custom profile at sample size n."""
-    model, _ = _custom_model(profile, n)
+    model = _custom_model(profile, n)
     return model.endo_eigs, model.signal_eigs
 
 

@@ -333,7 +333,8 @@ def test_lasso_iv_instrument_exhaustion():
 def test_lasso_iv_zero_screen_matches_full_sweep(monkeypatch):
     # the screen only skips work: with it switched off every lasso runs its
     # coordinate sweep, and the fits must agree bit for bit
-    model, endo_idx = setup_model("vii", 100)
+    model = setup_model("vii", 100)
+    endo_idx = np.flatnonzero(model.whitened_cross)
     data = [sample_dataset(model, 100, seed) for seed in (3, 4, 5)]
     screened = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
     monkeypatch.setattr(estimators, "_zero_is_optimal", lambda corr, lam: False)
@@ -368,7 +369,7 @@ def test_instrument_features_match_ix_gather(setup):
     # the row gather (the np.ix_ gather on a partial support) picks the
     # same bits as the np.ix_ gather of rows and support columns, in the
     # same C order, which the first stage's sums and products depend on
-    model = setup_model("vii", 100)[0] if setup == "vii" else slice_model(20)
+    model = setup_model("vii", 100) if setup == "vii" else slice_model(20)
     data = sample_dataset(model, 100, seed=8)
     sig = model.signal_eigs
     support = np.flatnonzero(sig > 1e-14 * sig.max())

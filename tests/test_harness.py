@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from click.testing import CliRunner
 
 from ridgeless_iv import harness
 from ridgeless_iv.cli import main
+from ridgeless_iv.covariance import EndogenousModel, truncation_level
 from ridgeless_iv.harness import (
     CONDITION_FAMILIES,
     ESTIMATOR_NAMES,
     OUTPUT_DIR_ENV,
     SETUP_IDS,
+    WINDOW_SETUPS,
     ExperimentConfig,
     ExperimentResult,
     InvalidConfig,
@@ -41,27 +44,29 @@ TINY = ExperimentConfig(setup="i", n_grid=(100, 150), repetitions=2)
 
 def test_setup_registry_covers_all_ids():
     for sid in SETUP_IDS:
-        model, endo_idx = setup_model(sid, 100)
+        model = setup_model(sid, 100)
+        assert isinstance(model, EndogenousModel)
         assert model.p == (1000 if sid in ("ii", "iv") else 500)
         assert model.noise_var > 0
-        if sid in ("vii", "viii", "ix"):
-            assert endo_idx is not None and endo_idx.size == 10
-        else:
-            assert endo_idx is None
+        window = np.flatnonzero(model.whitened_cross)
+        if sid in WINDOW_SETUPS:
+            assert window.size == 10
+        else:  # the rotation spreads endogeneity over the whole latent block
+            assert np.array_equal(window, np.flatnonzero(model.endo_support))
 
 
 def test_setup_sparse_coefficient_support():
-    model, _ = setup_model("v", 100)
+    model = setup_model("v", 100)
     nz = np.flatnonzero(model.true_coef) + 1  # 1-based
     assert nz.tolist() == list(range(1, 100, 5))
     assert np.allclose(model.true_coef[nz - 1], 20.0 / np.sqrt(nz))
-    dense, _ = setup_model("i", 100)
+    dense = setup_model("i", 100)
     assert np.array_equal(dense.endo_eigs, model.endo_eigs)
 
 
 def test_setup_head_coefficient_truncates():
-    model, _ = setup_model("viii", 100)
-    dense, _ = setup_model("vii", 100)
+    model = setup_model("viii", 100)
+    dense = setup_model("vii", 100)
     assert np.array_equal(model.true_coef[:80], dense.true_coef[:80])
     assert np.all(model.true_coef[80:] == 0.0)
     assert np.array_equal(model.endo_eigs, dense.endo_eigs)
@@ -69,13 +74,14 @@ def test_setup_head_coefficient_truncates():
 
 
 def test_setup_window_indices():
-    model, idx = setup_model("vii", 100)
-    assert idx.tolist() == list(range(10))
+    model = setup_model("vii", 100)
+    assert np.flatnonzero(model.whitened_cross).tolist() == list(range(10))
     i = np.arange(1, 11, dtype=float)
     assert np.allclose(model.cross_cov[:10], 2.0 / i)
     assert np.all(model.cross_cov[10:] == 0.0)
 
-    shifted, idx9 = setup_model("ix", 100)
+    shifted = setup_model("ix", 100)
+    idx9 = np.flatnonzero(shifted.whitened_cross)
     kstar = 75  # the truncation level at n=100
     assert idx9.tolist() == list(range(2, 10)) + [75, 76]
     # the latent block is extended by the shifted fifth of the window
@@ -86,6 +92,21 @@ def test_setup_window_indices():
     assert np.allclose(shifted.cross_cov, want)
 
 
+@pytest.mark.parametrize("sid", WINDOW_SETUPS)
+def test_setup_window_is_cross_support_on_full_grid(sid):
+    # the columns the two-stage baseline instruments are read from the model;
+    # they must be the n/10-wide window (its first fifth moved past the
+    # truncation level for ix) at every n of the full-scale grid
+    for n in default_grid(sid, full_scale=True):
+        eigs = harness._family_eigs(harness._PROFILES["iii"], n)
+        kstar = truncation_level(eigs, n)
+        k = n // 10
+        shift = k // 5 if sid == "ix" else 0
+        window = list(range(shift, k)) + list(range(kstar, kstar + shift))
+        support = np.flatnonzero(setup_model(sid, n).whitened_cross)
+        assert support.tolist() == window, n
+
+
 def test_setup_window_small_n_rejected():
     with pytest.raises(InvalidConfig):
         setup_model("ix", 40)  # the shifted fifth would be empty
@@ -94,8 +115,8 @@ def test_setup_window_small_n_rejected():
 
 
 def test_setup_modes_and_grids():
-    assert setup_model("i", 100)[0].split_kind == "orthogonal"
-    assert setup_model("vi", 100)[0].split_kind == "nonorthogonal"
+    assert setup_model("i", 100).split_kind == "orthogonal"
+    assert setup_model("vi", 100).split_kind == "nonorthogonal"
     with pytest.raises(UnknownSetup):
         setup_model("zero", 100)
     assert default_grid("i") == (100, 200, 300, 400)
@@ -262,8 +283,8 @@ def test_config_json_defaults_and_rejects(tmp_path):
 def test_custom_profile_matches_named_setup(setup, profile):
     grid = (100, 400)
     for n in grid:
-        ours, _ = harness._custom_model(profile, n)
-        theirs, _ = setup_model(setup, n)
+        ours = harness._custom_model(profile, n)
+        theirs = setup_model(setup, n)
         for name in ("signal_eigs", "endo_eigs", "true_coef", "whitened_cross"):
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
         assert (ours.noise_var, ours.split_kind) == (theirs.noise_var, theirs.split_kind)
@@ -435,7 +456,7 @@ _PINNED_SPECTRA = {
 @pytest.mark.parametrize("case", list(_PINNED_SPECTRA))
 def test_custom_profile_spectra_pinned(case):
     profile, n, (p, rank, *floats) = _PINNED_SPECTRA[case]
-    model, _ = harness._custom_model(profile, n)
+    model = harness._custom_model(profile, n)
     assert (model.p, model.endo_rank()) == (p, rank)
     total = model.total_eigs
     got = (total[0], total[-1], total.sum(), model.signal_eigs.sum())
@@ -485,7 +506,7 @@ class _Boom(RuntimeError):
 def test_failing_repetition_is_named(workers, monkeypatch):
     clean = run_setup(TINY)
     seed = repetition_seed(TINY.base_seed, 150, 1)
-    target = sample_dataset(setup_model("i", 150)[0], 150, seed).Y
+    target = sample_dataset(setup_model("i", 150), 150, seed).Y
     fit = harness.min_norm_interpolator
 
     def flaky(x, y):
@@ -706,6 +727,27 @@ def test_cli_exit_codes(tmp_path):
     # with n > p every primary draw is infeasible, so no threshold grid exists
     res = runner.invoke(main, ["cgmt-check", "--n", "3", "--p", "2", "--reps", "4"])
     assert res.exit_code == 2 and "error: no feasible primary" in res.output
+
+
+def test_dim_rule_ceiling(tmp_path):
+    # a dim rule asking for more than 10^7 coordinates is a config error, not
+    # a MemoryError: power 7 at n = 40 would need a 1.19 TiB eigenvalue vector
+    profile = {"family": "log_poly", "scale": 300, "beta": 2, "dim": {"kind": "power", "value": 7}}
+    cfg = _write_config(tmp_path, setup="custom", profile=profile, n_grid=[40])
+    res = CliRunner().invoke(main, ["simulate", "--config", cfg, "--output-dir", str(tmp_path)])
+    assert res.exit_code == 2 and "error: " in res.output and "dim rule" in res.output
+    # rejected before anything of size p is allocated
+    for rule in ({"kind": "power", "value": 3}, {"kind": "power", "value": 400},
+                 {"kind": "power", "value": 10**9},
+                 {"kind": "multiple", "value": 1e305}, {"kind": "fixed", "value": 10**7 + 1}):
+        tracemalloc.start()
+        with pytest.raises(InvalidConfig, match="dim rule"):
+            harness._custom_model({**profile, "dim": rule}, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20, rule
+    # the largest named setups (ii and iv at n = 1000) stay far below it
+    assert harness._dimension({"kind": "power", "value": 1.5}, 1000) == 31622
 
 
 def test_cli_ranks_matrix_file(tmp_path):

@@ -37,7 +37,7 @@ def split_profile(profile, n, alpha=None):
     """(latent-noise, signal) diagonals of a custom profile at sample size n;
     alpha None is the orthogonal split."""
     split = {"split": "nonorthogonal", "alpha": alpha} if alpha else {"split": "orthogonal"}
-    model, _ = _custom_model({**profile, **split}, n)
+    model = _custom_model({**profile, **split}, n)
     return model.endo_eigs, model.signal_eigs
 
 

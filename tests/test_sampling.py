@@ -127,7 +127,7 @@ def test_factor_representation_consistency():
 
 @pytest.mark.parametrize("which", ["slice", "ii"])
 def test_latent_factor_drawn_on_support_only(which):
-    model = slice_model(4) if which == "slice" else setup_model("ii", 400)[0]
+    model = slice_model(4) if which == "slice" else setup_model("ii", 400)
     n = 7
     k = int(np.flatnonzero(model.endo_eigs)[-1]) + 1
     assert k < model.p
@@ -230,7 +230,7 @@ def test_direct_route_without_room_for_the_tail():
 def test_compressed_route_agrees_in_law_with_direct():
     # setup ii at n=100 (p=1000, flat from m=103): the fitted error and the
     # fit's norm have the same law on both routes
-    model, _ = setup_model("ii", 100)
+    model = setup_model("ii", 100)
     n, reps = 100, 300
     stats = {}
     for route in ("compressed", "direct"):
