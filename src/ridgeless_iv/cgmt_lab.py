@@ -18,13 +18,14 @@ kernels take their small component axis first, (q, ...), so each sum over
 components is one add per contiguous row, not a reduction over a short last
 axis.
 
-The comparison draws of one tail-check chunk share a model and a ball, and
-are reduced together (_ao_reduce): one SVD of the stacked latent designs,
-one eigh of the projected signal blocks and the nu nodes of every draw,
-laid out draws last as the climb reads them: vectors (q, B), scalars (B,),
-nodes (N, B).  Each draw is then scanned on its own column (a stacked scan
-is memory-bound and slower), and the draws with a feasible node are
-refined as one batch.
+A draw (TailDraw) holds only its Gaussian factors; every solver takes the
+model and the ball radius as arguments.  The comparison draws of one
+tail-check chunk are reduced together (_ao_reduce): one SVD of the stacked
+latent designs, one eigh of the projected signal blocks and the nu nodes of
+every draw, laid out draws last as the climb reads them: vectors (q, B),
+scalars (B,), nodes (N, B).  Each draw is then scanned on its own column (a
+stacked scan is memory-bound and slower), and the draws with a feasible
+node are refined as one batch.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .covariance import EndogenousModel, split_eigs
 from .matops import default_rank_tol
-from .sampling import draw_factors
+from .sampling import draw_factors, factor_design
 
 _FEAS_REL = 1e-10
 
@@ -49,59 +50,27 @@ class NoFeasiblePoint(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PoInstance:
-    """One draw of the primary maximization problem.
+class TailDraw:
+    """One draw of the tail comparison for a model of dimension p.
 
-    W1 carries the instrument factor, W2 the latent-noise factor; xi is the
-    regression error vector realized jointly with W2.  signal_eigs and
-    endo_eigs are the diagonals of the signal and latent-noise blocks.  The
-    feasible set is {theta' : design() theta' = xi, |theta' + theta0| <=
-    ball_radius}.
+    W1 (n x p) carries the instrument factor and W2 (n x k) the latent-noise
+    factor on the block's support, as sampling.draw_factors returns them; xi
+    is the regression error realized jointly with W2.  G (n) and H (p) are
+    the comparison problem's Gaussian vectors.  The model and the ball are
+    not part of a draw: the solvers take them as arguments.
     """
 
     W1: np.ndarray
     W2: np.ndarray
     xi: np.ndarray
-    ball_radius: float
-    theta0: np.ndarray
-    signal_eigs: np.ndarray
-    endo_eigs: np.ndarray
-
-    def __post_init__(self):
-        n, p = np.shape(self.W1)
-        if np.shape(self.W2) != (n, p):
-            raise ValueError("W1 and W2 must share one n x p shape")
-        if np.shape(self.xi) != (n,):
-            raise ValueError("xi must be an n-vector")
-        if np.shape(self.theta0) != (p,):
-            raise ValueError("theta0 must be a p-vector")
-        for eigs in (self.signal_eigs, self.endo_eigs):
-            if np.shape(eigs) != (p,) or not np.all(np.isfinite(eigs) & (np.asarray(eigs) >= 0)):
-                raise ValueError("covariance diagonals must be finite nonnegative p-vectors")
-        theta_norm = float(np.linalg.norm(self.theta0))
-        if self.ball_radius < theta_norm:
-            raise ValueError(
-                f"ball radius {self.ball_radius:g} below |theta0| = {theta_norm:g}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.W1.shape[1]
-
-    def design(self) -> np.ndarray:
-        """The combined factor matrix W1 diag(signal)^{1/2} + W2 diag(endo)^{1/2}."""
-        return self.W1 * np.sqrt(self.signal_eigs) + self.W2 * np.sqrt(self.endo_eigs)
+    G: np.ndarray
+    H: np.ndarray
 
 
 @dataclass(frozen=True)
 class PoSolution:
     value: float
     theta_prime: np.ndarray
-    radius: float
     null_dim: int
 
 
@@ -241,7 +210,7 @@ def max_projected_error(
     if m == 0:
         if float(np.linalg.norm(d)) > ball_radius * (1.0 + _FEAS_REL):
             raise NoFeasiblePoint("unique interpolant falls outside the ball")
-        return PoSolution(float(part @ (sig * part)), part, 0.0, 0)
+        return PoSolution(float(part @ (sig * part)), part, 0)
 
     center = -(basis.T @ d)
     fixed = d + basis @ center  # component of d orthogonal to the null space
@@ -257,14 +226,15 @@ def max_projected_error(
     lam, vec = np.linalg.eigh(a)
     w = _sphere_min(-lam[::-1], -(b @ vec)[::-1], radius)
     theta_prime = anchor + basis @ (vec @ w[::-1])
-    return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, radius, m)
+    return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, m)
 
 
-def solve_po(inst: PoInstance) -> PoSolution:
-    """Exact optimum of the primary problem for one instance draw."""
-    return max_projected_error(
-        inst.design(), inst.xi, inst.ball_radius, inst.theta0, inst.signal_eigs
-    )
+def solve_po(model: EndogenousModel, draw: TailDraw, radius: float) -> PoSolution:
+    """Exact optimum of the primary problem for one draw of the model: the
+    feasible set is {theta' : X theta' = xi, |theta' + theta0| <= radius}
+    for the draw's design X (sampling.factor_design)."""
+    design = factor_design(draw.W1, draw.W2, model.signal_eigs, model.endo_eigs)
+    return max_projected_error(design, draw.xi, radius, model.true_coef, model.signal_eigs)
 
 
 # --------------------------------------------------------------- comparison
@@ -293,13 +263,14 @@ def _cone_gap(x, sig_root, w2s, G, hz, xi):
     """Cone constraint slack for rows of x; <= 0 means feasible.
 
     Shapes broadcast over any leading batch axes: x is (..., S, p) against
-    per-batch w2s (..., n, p), G/xi (..., n), hz (..., p); sig_root is the
-    p-vector square root of the signal diagonal.
+    per-batch w2s (..., n, k), the scaled latent factor on the block's
+    first k columns, G/xi (..., n), hz (..., p); sig_root is the p-vector
+    square root of the signal diagonal.
     """
     nu = _row_norm(x * sig_root)
     resid = (
         xi[..., None, :]
-        - np.einsum("...sp,...np->...sn", x, w2s)
+        - np.einsum("...sk,...nk->...sn", x[..., : w2s.shape[-1]], w2s)
         - nu[..., None] * G[..., None, :]
     )
     return _row_norm(resid) - np.einsum("...sp,...p->...s", x, hz)
@@ -433,16 +404,12 @@ class _AoBatch:
     red holds the arrays _ao_phi reads, the point's bases and the scanned
     nu nodes, draws last: vectors (q, B), scalars (B,), nodes (N, B), vt
     (r, k, B) and evec (s, s, B).  cert holds the certificate's arrays,
-    draws first: cone data and its tolerance.  The rest is the model and
-    ball every draw shares.
+    draws first: cone data and its tolerance.
     """
 
     red: dict
     cert: dict
-    sig: np.ndarray
-    sig_root: np.ndarray
-    lat: np.ndarray
-    theta0: np.ndarray
+    model: EndogenousModel
     radius: float
 
 
@@ -457,37 +424,29 @@ class _AoPrepared:
     starts_feasible: int
 
 
-def _ao_reduce(draws) -> _AoBatch:
-    """Reduce (inst, G, H) draws of one model and one ball in one pass.
+def _ao_reduce(model: EndogenousModel, draws, radius: float) -> _AoBatch:
+    """Reduce draws of the model in the ball of the given radius in one pass.
 
     One SVD of the stacked latent designs A = W2[:, K] endo_K^{1/2}, one
     eigh of the projected signal blocks; the nu nodes are 0, linear and
     logarithmic nodes up to sqrt(max signal) (R + |b|), and the roots of
     |P_perp c| = nu |H_J| + slack, where the window opens or closes, moved
-    a hair inside it.  Every draw is reduced with the first draw's model and
-    ball: a draw that differs there or in shape (the stacking refuses it),
-    or overlapping supports, raise ValueError.
+    a hair inside it.  Draws of different shapes (the stacking refuses
+    them), or a model with overlapping supports, raise ValueError.
     """
-    inst = draws[0][0]
-    for other, _, _ in draws[1:]:
-        if other.ball_radius != inst.ball_radius or not all(
-            np.array_equal(getattr(other, f), getattr(inst, f))
-            for f in ("theta0", "signal_eigs", "endo_eigs")
-        ):
-            raise ValueError("batched comparison draws must share theta0, ball and model")
-    sig = np.asarray(inst.signal_eigs, dtype=float)
-    sig_root, endo_root = np.sqrt(sig), np.sqrt(inst.endo_eigs)
+    sig, theta0, radius = model.signal_eigs, model.true_coef, float(radius)
+    sig_root, endo_root = np.sqrt(sig), np.sqrt(model.endo_eigs)
     sig_j, lat = sig > 0.0, endo_root > 0.0
     if np.any(sig_j & lat):
         raise ValueError("the comparison solver needs disjoint signal and latent supports")
-    theta0, radius = inst.theta0, float(inst.ball_radius)
-    w2 = np.stack([d[0].W2 for d in draws])
-    xi = np.stack([d[0].xi for d in draws])
-    big_g = np.stack([d[1] for d in draws])
-    big_h = np.stack([d[2] for d in draws])
+    w2 = np.stack([d.W2 for d in draws])
+    xi = np.stack([d.xi for d in draws])
+    big_g = np.stack([d.G for d in draws])
+    big_h = np.stack([d.H for d in draws])
     feas_tol = 1e-9 * (1.0 + _row_norm(xi))
 
-    a_mat = w2[:, :, lat] * endo_root[lat]
+    k = w2.shape[2]
+    a_mat = w2[:, :, lat[:k]] * endo_root[lat]
     left, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
     cut = default_rank_tol(max(a_mat.shape[1:])) * sv.max(axis=1, initial=0.0, keepdims=True)
     keep = sv > cut
@@ -537,8 +496,8 @@ def _ao_reduce(draws) -> _AoBatch:
         flat=pos & (s == 1), slack=slack, nodes=nodes.T,
     )
     red = {k: np.ascontiguousarray(v) for k, v in red.items()}
-    cert = dict(w2s=w2 * endo_root, hz=sig_root * big_h, G=big_g, xi=xi, feas_tol=feas_tol)
-    return _AoBatch(red, cert, sig, sig_root, lat, theta0, radius)
+    cert = dict(w2s=w2 * endo_root[:k], hz=sig_root * big_h, G=big_g, xi=xi, feas_tol=feas_tol)
+    return _AoBatch(red, cert, model, radius)
 
 
 def _ao_prepare(batch: _AoBatch, j: int) -> _AoPrepared:
@@ -616,25 +575,25 @@ def _ao_climb(batch: _AoBatch, live, preps):
 
     _, y, u = _ao_phi(_ao_at_nu(r, lo[:, None]), g_lo[:, None], point=True)
     cert = {k: v[live] for k, v in batch.cert.items()}
-    sig, sig_root, theta0 = batch.sig, batch.sig_root, batch.theta0
-    sig_j = sig > 0.0
+    sig, theta0 = batch.model.signal_eigs, batch.model.true_coef
+    sig_root, sig_j = np.sqrt(sig), sig > 0.0
     points = np.tile(-theta0, (lo.size, 1))
-    points[:, batch.lat] += y[..., 0].T
+    points[:, batch.model.endo_eigs > 0.0] += y[..., 0].T
     points[:, sig_j] = u[..., 0].T / sig_root[sig_j]
     gap = _cone_gap(points[:, None], sig_root, cert["w2s"], cert["G"], cert["hz"], cert["xi"])[:, 0]
     ok = (gap <= cert["feas_tol"]) & _in_ball(points, theta0, batch.radius)
     return ok, _signal_energy(points, sig), points
 
 
-def _solve_ao_draws(draws) -> list[AoSolution]:
-    """Comparison optima of (inst, G, H) draws of one model and one ball.
+def _solve_ao_draws(model: EndogenousModel, draws, radius: float) -> list[AoSolution]:
+    """Comparison optima of draws of the model in the ball of one radius.
 
     The draws are reduced together and each is scanned on its own; the ones
     with a feasible node are refined as one batch, and the rest report 0
     with the feasible_empty flag, as does a draw whose refined point fails
     the certificate.
     """
-    batch = _ao_reduce(draws)
+    batch = _ao_reduce(model, draws, radius)
     preps = [_ao_prepare(batch, j) for j in range(len(draws))]
     sols = [AoSolution(0.0, None, True, prep.starts_feasible) for prep in preps]
     live = np.flatnonzero([prep.starts_feasible for prep in preps])
@@ -646,23 +605,23 @@ def _solve_ao_draws(draws) -> list[AoSolution]:
     return sols
 
 
-def solve_ao(inst: PoInstance, G: np.ndarray, H: np.ndarray) -> AoSolution:
+def solve_ao(model: EndogenousModel, draw: TailDraw, radius: float) -> AoSolution:
     """Optimum of the comparison problem for disjoint signal and latent supports.
 
-    With S = diag(signal_eigs) and U = diag(endo_eigs), maximizes
-    |S^{1/2} theta'|^2 subject to the Gaussian-comparison cone
-    |xi - W2 U^{1/2} theta' - G |S^{1/2} theta'|| <= <S^{1/2} theta', H>
-    and the coefficient ball, by the scalar reduction above: a node scan in
-    nu, then a bracketed root of the ball budget.  The value is attained by
-    the returned point, which passes the cone and ball checks.  An empty
-    feasible set reports 0 with the feasible_empty flag.  Overlapping
-    supports raise ValueError.
+    With S = diag(signal_eigs), U = diag(endo_eigs) and theta0 the model's
+    coefficients, maximizes |S^{1/2} theta'|^2 subject to the
+    Gaussian-comparison cone
+    |xi - W2 U_K^{1/2} theta'_K - G |S^{1/2} theta'|| <= <S^{1/2} theta', H>
+    on the draw's k latent columns K and the ball |theta' + theta0| <=
+    radius, by the scalar reduction above: a node scan in nu, then a
+    bracketed root of the ball budget.  The value is attained by the
+    returned point, which passes the cone and ball checks.  An empty
+    feasible set reports 0 with the feasible_empty flag.  A G or H of the
+    wrong length, or overlapping supports, raise ValueError.
     """
-    G = np.asarray(G, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if G.shape != (inst.n,) or H.shape != (inst.p,):
+    if np.shape(draw.G) != (draw.W1.shape[0],) or np.shape(draw.H) != (model.p,):
         raise ValueError("G must be an n-vector and H a p-vector")
-    (sol,) = _solve_ao_draws([(inst, G, H)])
+    (sol,) = _solve_ao_draws(model, [draw], radius)
     return sol
 
 
@@ -687,35 +646,17 @@ def slice_model(p: int = 4, endo_count: int | None = None) -> EndogenousModel:
     return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), 2.0 / idx)
 
 
-def draw_instance(model: EndogenousModel, n: int, rng, ball_radius: float | None = None):
-    """One joint draw (instance, G, H) for the tail comparison.
+def draw_instance(model: EndogenousModel, n: int, rng) -> TailDraw:
+    """One joint draw for the tail comparison.
 
-    The factors come from sampling.draw_factors (W1, W2 on the latent
-    support, g), then G and H are drawn, so the primary-side variables match
-    sample_dataset's direct route on the same stream (a model with a flat
-    signal tail of n + 1 or more columns is sampled compressed there, see
-    sample_dataset).  W2 is zero-padded to n x p.
+    The factors come from sampling.draw_factors (W1 n x p, W2 n x k on the
+    latent support, g), then G and H are drawn, so the primary-side
+    variables match sample_dataset's direct route on the same stream (a
+    model with a flat signal tail of n + 1 or more columns is sampled
+    compressed there, see sample_dataset).
     """
-    p = model.p
-    w1, w2_support, xi = draw_factors(model, n, rng)
-    w2 = np.zeros((n, p))
-    w2[:, : w2_support.shape[1]] = w2_support
-    big_g = rng.standard_normal(n)
-    big_h = rng.standard_normal(p)
-    if ball_radius is None:
-        ball_radius = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(
-            model.noise_var
-        )
-    inst = PoInstance(
-        W1=w1,
-        W2=w2,
-        xi=xi,
-        ball_radius=ball_radius,
-        theta0=model.true_coef,
-        signal_eigs=model.signal_eigs,
-        endo_eigs=model.endo_eigs,
-    )
-    return inst, big_g, big_h
+    w1, w2, xi = draw_factors(model, n, rng)
+    return TailDraw(w1, w2, xi, rng.standard_normal(n), rng.standard_normal(model.p))
 
 
 _TAIL_CHUNK = 256
@@ -724,18 +665,16 @@ _TAIL_CHUNK = 256
 def _tail_chunk(args):
     """Solve one block of repetitions: primary exactly, comparison batched.
 
-    Prepared comparison instances share shapes by construction, so the whole
+    The draws of one block share their shapes by construction, so the whole
     block is refined in one call instead of one Python-level loop per draw.
     """
-    model, n, seed, rep_ids, ball_radius = args
-    draws = [
-        draw_instance(model, n, np.random.default_rng([seed, r]), ball_radius) for r in rep_ids
-    ]
-    sols = _solve_ao_draws(draws)
+    model, n, seed, rep_ids, radius = args
+    draws = [draw_instance(model, n, np.random.default_rng([seed, r])) for r in rep_ids]
+    sols = _solve_ao_draws(model, draws, radius)
     po_vals = np.full(len(draws), -math.inf)
-    for j, (inst, _, _) in enumerate(draws):
+    for j, draw in enumerate(draws):
         with contextlib.suppress(NoFeasiblePoint):
-            po_vals[j] = solve_po(inst).value
+            po_vals[j] = solve_po(model, draw, radius).value
     ao_vals = np.array([sol.value for sol in sols])
     return po_vals, ao_vals, int(np.isinf(po_vals).sum()), sum(s.feasible_empty for s in sols)
 
@@ -758,9 +697,12 @@ def tail_dominance_check(
     point passes the cone and ball checks, and a draw whose point fails
     them is flagged as empty.  Per-repetition seeding and fixed block
     boundaries keep the result identical whether blocks run serially or
-    across worker processes.  A scalar c_grid is a one-point grid.  A check
-    with no rows, no repetition or no threshold, or a grid that is not 1-d
-    or has a non-finite entry, raises ValueError before any draw is solved.
+    across worker processes, by default one per CPU this process may run
+    on.  The coefficient ball has radius ball_radius, by default |theta0| +
+    50 sigma.  A scalar c_grid is a one-point grid.  A check with no rows,
+    no repetition or no threshold, a grid that is not 1-d or has a
+    non-finite entry, or a ball radius below |theta0|, raises ValueError
+    before any draw is solved.
     """
     if n < 1:
         raise ValueError("need at least one row per instance")
@@ -772,14 +714,22 @@ def tail_dominance_check(
             raise ValueError("threshold grid must be a finite scalar or 1-d sequence")
     if (c_grid.size if c_grid is not None else grid_size) < 1:
         raise ValueError("need at least one threshold")
+    theta_norm = float(np.linalg.norm(model.true_coef))
+    if ball_radius is None:
+        ball_radius = theta_norm + 50.0 * math.sqrt(model.noise_var)
+    elif ball_radius < theta_norm:
+        raise ValueError(f"ball radius {ball_radius:g} below |theta0| = {theta_norm:g}")
 
     jobs = [
         (model, n, seed, range(lo, min(lo + _TAIL_CHUNK, reps)), ball_radius)
         for lo in range(0, reps, _TAIL_CHUNK)
     ]
-    workers = max_workers if max_workers is not None else os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if max_workers is None:
+        # the CPUs this process may run on, not every CPU of the host
+        affinity = getattr(os, "sched_getaffinity", None)
+        max_workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if max_workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(_tail_chunk, jobs))
     else:
         results = [_tail_chunk(j) for j in jobs]

@@ -80,6 +80,15 @@ def draw_factors(model: EndogenousModel, n: int, rng: np.random.Generator):
     return _draw(model, n, model.p, rng)
 
 
+def factor_design(w1, w2, signal_eigs, endo_eigs) -> np.ndarray:
+    """The design W1 sqrt(signal_eigs) + W2 sqrt(latent-noise block) for W2
+    on the block's support, the first k = W2.shape[1] columns."""
+    k = w2.shape[1]
+    x = w1 * np.sqrt(signal_eigs)
+    x[:, :k] += w2 * np.sqrt(endo_eigs[:k])
+    return x
+
+
 def _flat_tail_start(model: EndogenousModel, n: int) -> int | None:
     """Start m of the signal diagonal's exactly flat tail when a sample of
     size n can be drawn compressed, else None.
@@ -123,9 +132,7 @@ def _sample(model: EndogenousModel, n: int, seed: int, dof: float | None, m: int
         w1, w2, xi, metric, coef = _compressed_factors(model, n, m, rng)
     if dof is not None:
         w1 *= np.sqrt((dof - 2.0) / rng.chisquare(dof, size=n))[:, None]
-    k = w2.shape[1]
-    x = w1 * np.sqrt(metric)
-    x[:, :k] += w2 * np.sqrt(model.endo_eigs[:k])
+    x = factor_design(w1, w2, metric, model.endo_eigs)
     y = x @ coef + xi
     return Dataset(
         X=x, Y=y, xi=xi, W1=w1, W2=w2, seed=int(seed), model=model,

@@ -12,7 +12,7 @@ from scipy.stats import ks_2samp
 from ridgeless_iv import cgmt_lab
 from ridgeless_iv.cgmt_lab import (
     NoFeasiblePoint,
-    PoInstance,
+    TailDraw,
     _cone_gap,
     _row_norm,
     _signal_energy,
@@ -23,13 +23,17 @@ from ridgeless_iv.cgmt_lab import (
     solve_po,
     tail_dominance_check,
 )
+from ridgeless_iv.covariance import EndogenousModel
 from ridgeless_iv.estimators import min_norm_interpolator
+from ridgeless_iv.harness import setup_model
 from ridgeless_iv.metrics import projected_rmse
-from ridgeless_iv.sampling import sample_dataset
+from ridgeless_iv.sampling import factor_design, sample_dataset
 
 AO_THETA0 = np.array([0.3, -0.2])
 AO_SIGNAL = np.array([1.0, 0.0])
 AO_ENDO = np.array([0.0, 4.0])
+AO_MODEL = EndogenousModel.build(AO_SIGNAL, AO_ENDO, AO_THETA0)
+AO_RADIUS = 2.5
 
 # trial seeds where both the solver and the 2-D grid reference find feasible
 # points, and ones where both report an empty feasible set
@@ -37,7 +41,7 @@ COMPARABLE_TRIALS = (1, 5, 11, 14, 15, 16)
 EMPTY_TRIALS = (0, 2, 3, 4)
 
 
-def ao_grid_value(inst, G, H, points_per_axis=401, slack=1e-6):
+def ao_grid_value(model, draw, radius, points_per_axis=401, slack=1e-6):
     """Brute-force reference for the comparison optimum, free dimension <= 3.
 
     Evaluates the cone and ball constraints on a regular grid over the
@@ -45,18 +49,17 @@ def ao_grid_value(inst, G, H, points_per_axis=401, slack=1e-6):
     no grid point is feasible.  Grid points rarely sit exactly on the cone
     surface, so membership allows a small positive slack.
     """
-    p = inst.p
+    p = model.p
     if p > 3:
         raise ValueError("grid reference limited to p <= 3")
-    sig = np.asarray(inst.signal_eigs, dtype=float)
+    sig = model.signal_eigs
     sig_root = np.sqrt(sig)
-    w2s = inst.W2 * np.sqrt(inst.endo_eigs)
-    radius = float(inst.ball_radius)
+    w2s = draw.W2 * np.sqrt(model.endo_eigs[: draw.W2.shape[1]])
     axes = [np.linspace(-radius, radius, points_per_axis)] * p
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = pts[_row_norm(pts) <= radius] - inst.theta0
-    gap = _cone_gap(pts, sig_root, w2s, np.asarray(G, float), sig_root * H, inst.xi)
+    pts = pts[_row_norm(pts) <= radius] - model.true_coef
+    gap = _cone_gap(pts, sig_root, w2s, draw.G, sig_root * draw.H, draw.xi)
     feasible = gap <= slack
     if not feasible.any():
         return None
@@ -70,11 +73,22 @@ def ao_instance(trial):
     xi = rng.standard_normal(2) * 2.0
     big_g = rng.standard_normal(2)
     big_h = rng.standard_normal(2)
-    inst = PoInstance(
-        W1=w1, W2=w2, xi=xi, ball_radius=2.5, theta0=AO_THETA0,
-        signal_eigs=AO_SIGNAL, endo_eigs=AO_ENDO,
-    )
-    return inst, big_g, big_h
+    return TailDraw(W1=w1, W2=w2, xi=xi, G=big_g, H=big_h)
+
+
+def default_radius(model):
+    """tail_dominance_check's default ball radius, |theta0| + 50 sigma."""
+    return float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
+
+
+def po_draw(w1, w2, xi):
+    """A draw for the primary side alone, which never reads G and H."""
+    n, p = w1.shape
+    return TailDraw(W1=w1, W2=w2, xi=xi, G=np.zeros(n), H=np.zeros(p))
+
+
+def design(model, draw):
+    return factor_design(draw.W1, draw.W2, model.signal_eigs, model.endo_eigs)
 
 
 # ------------------------------------------------------------- primary side
@@ -85,12 +99,8 @@ def test_po_exact_for_determined_system():
     w1 = rng.standard_normal((3, 3))
     xi = rng.standard_normal(3)
     unique = np.linalg.solve(w1, xi)
-    inst = PoInstance(
-        W1=w1, W2=np.zeros((3, 3)), xi=xi,
-        ball_radius=float(np.linalg.norm(unique)) + 0.5,
-        theta0=np.zeros(3), signal_eigs=np.ones(3), endo_eigs=np.zeros(3),
-    )
-    sol = solve_po(inst)
+    model = EndogenousModel.build(np.ones(3), np.zeros(3), np.zeros(3))
+    sol = solve_po(model, po_draw(w1, np.zeros((3, 0)), xi), float(np.linalg.norm(unique)) + 0.5)
     assert sol.value == pytest.approx(float(unique @ unique), rel=1e-10)
     assert sol.null_dim == 0
     np.testing.assert_allclose(sol.theta_prime, unique, rtol=1e-9)
@@ -101,13 +111,9 @@ def test_po_infeasible_when_ball_misses_unique_solution():
     w1 = rng.standard_normal((3, 3))
     xi = rng.standard_normal(3)
     unique = np.linalg.solve(w1, xi)
-    inst = PoInstance(
-        W1=w1, W2=np.zeros((3, 3)), xi=xi,
-        ball_radius=0.9 * float(np.linalg.norm(unique)),
-        theta0=np.zeros(3), signal_eigs=np.ones(3), endo_eigs=np.zeros(3),
-    )
+    model = EndogenousModel.build(np.ones(3), np.zeros(3), np.zeros(3))
     with pytest.raises(NoFeasiblePoint):
-        solve_po(inst)
+        solve_po(model, po_draw(w1, np.zeros((3, 0)), xi), 0.9 * float(np.linalg.norm(unique)))
 
 
 def chord(design, xi, radius, theta0):
@@ -131,10 +137,7 @@ def test_po_single_row_hand_geometry():
     xi = np.array([1.2])
     theta0 = np.array([0.5, -0.1])
     radius = 2.0
-    inst = PoInstance(
-        W1=m, W2=np.zeros((1, 2)), xi=xi, ball_radius=radius,
-        theta0=theta0, signal_eigs=np.ones(2), endo_eigs=np.zeros(2),
-    )
+    model = EndogenousModel.build(np.ones(2), np.zeros(2), theta0)
     c = float(xi[0] + m[0] @ theta0)
     mv = m[0]
     closest = mv * c / float(mv @ mv)
@@ -142,19 +145,21 @@ def test_po_single_row_hand_geometry():
     half = math.sqrt(radius**2 - float(closest @ closest))
     ends = (closest + half * along, closest - half * along)
     expect = max(float((e - theta0) @ (e - theta0)) for e in ends)
-    assert solve_po(inst).value == pytest.approx(expect, rel=1e-9)
+    assert solve_po(model, po_draw(m, np.zeros((1, 0)), xi), radius).value == pytest.approx(
+        expect, rel=1e-9
+    )
 
     # criterion-10 draws (three rows, four coordinates) are chords too; the
     # closed form holds the solver to working precision, including draws 476
     # and 9380, which a multiplier solved to a loose tolerance misses by up
     # to 3e-10
     model = slice_model(4)
-    sig = model.signal_eigs
+    sig, radius = model.signal_eigs, default_radius(model)
     for r in (*range(200), 476, 9380):
-        inst, _, _ = draw_instance(model, 3, np.random.default_rng([0, r]))
-        part, null, lo, hi = chord(inst.design(), inst.xi, inst.ball_radius, inst.theta0)
+        draw = draw_instance(model, 3, np.random.default_rng([0, r]))
+        part, null, lo, hi = chord(design(model, draw), draw.xi, radius, model.true_coef)
         expect = max(float((part + t * null) @ (sig * (part + t * null))) for t in (lo, hi))
-        assert solve_po(inst).value == pytest.approx(expect, rel=1e-12, abs=0), r
+        assert solve_po(model, draw, radius).value == pytest.approx(expect, rel=1e-12, abs=0), r
 
 
 def test_po_grid_reference_one_free_dimension():
@@ -185,25 +190,20 @@ def test_po_certificate_stationarity():
         n = 2 + seed % 2
         sig = (rng.standard_normal((4, 4)) ** 2).sum(axis=0)
         endo = (rng.standard_normal((4, 2)) ** 2).sum(axis=1)
-        inst = PoInstance(
-            W1=rng.standard_normal((n, 4)),
-            W2=rng.standard_normal((n, 4)),
-            xi=rng.standard_normal(n),
-            ball_radius=4.0,
-            theta0=rng.standard_normal(4) * 0.2,
-            signal_eigs=sig,
-            endo_eigs=endo,
+        draw = po_draw(
+            rng.standard_normal((n, 4)), rng.standard_normal((n, 4)), rng.standard_normal(n)
         )
-        sol = solve_po(inst)
-        null = scipy.linalg.null_space(inst.design())
+        model = EndogenousModel.build(sig, endo, rng.standard_normal(4) * 0.2)
+        sol = solve_po(model, draw, 4.0)
+        null = scipy.linalg.null_space(design(model, draw))
         assert null.shape[1] == sol.null_dim == 4 - n
         grad = null.T @ (sig * sol.theta_prime)
-        normal = null.T @ (sol.theta_prime + inst.theta0)
+        normal = null.T @ (sol.theta_prime + model.true_coef)
         mu = float(normal @ grad) / float(normal @ normal)
         resid = float(np.linalg.norm(grad - mu * normal)) / max(1.0, float(np.linalg.norm(grad)))
         assert resid <= 1e-8
         assert mu >= -1e-12
-        assert np.linalg.norm(sol.theta_prime + inst.theta0) == pytest.approx(4.0, rel=1e-12)
+        assert np.linalg.norm(sol.theta_prime + model.true_coef) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_po_dominates_interpolator_projection():
@@ -222,13 +222,16 @@ def test_po_dominates_interpolator_projection():
 
 def test_drawn_instance_matches_sampled_dataset():
     # same seed, same factor stream: the surrogate instance rebuilds the
-    # sampled design bit for bit (the same elementwise products)
-    for model in (slice_model(4), slice_model(6, 2)):
+    # sampled design bit for bit (the same elementwise products); setup i
+    # at n = 10 has p = 50 columns and a latent block on fewer of them
+    for model, n in ((slice_model(4), 5), (slice_model(6, 2), 5), (setup_model("i", 10), 10)):
         for seed in (0, 7, 42):
-            inst, _, _ = draw_instance(model, 5, np.random.default_rng(seed))
-            data = sample_dataset(model, 5, seed)
-            np.testing.assert_array_equal(inst.design(), data.X)
-            np.testing.assert_array_equal(inst.xi, data.xi)
+            draw = draw_instance(model, n, np.random.default_rng(seed))
+            data = sample_dataset(model, n, seed)
+            assert not data.compressed
+            np.testing.assert_array_equal(draw.W2, data.W2)
+            np.testing.assert_array_equal(design(model, draw), data.X)
+            np.testing.assert_array_equal(draw.xi, data.xi)
 
 
 def test_po_distribution_matches_sampled_route():
@@ -236,7 +239,7 @@ def test_po_distribution_matches_sampled_route():
     # factors must give the same law of the maximum
     model = slice_model(4)
     sig = model.signal_eigs
-    radius = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
+    radius = default_radius(model)
     reps = 10_000
     direct = np.empty(reps)
     for r in range(reps):
@@ -244,8 +247,8 @@ def test_po_distribution_matches_sampled_route():
         direct[r] = max_projected_error(data.X, data.xi, radius, model.true_coef, sig).value
     surrogate = np.empty(reps)
     for r in range(reps):
-        inst, _, _ = draw_instance(model, 3, np.random.default_rng(222_000 + r))
-        surrogate[r] = solve_po(inst).value
+        draw = draw_instance(model, 3, np.random.default_rng(222_000 + r))
+        surrogate[r] = solve_po(model, draw, radius).value
     ks = ks_2samp(direct, surrogate).statistic
     assert ks <= 0.05
 
@@ -255,20 +258,20 @@ def test_po_distribution_matches_sampled_route():
 
 def test_ao_grid_reference_two_dims():
     for trial in COMPARABLE_TRIALS:
-        inst, big_g, big_h = ao_instance(trial)
-        sol = solve_ao(inst, big_g, big_h)
+        draw = ao_instance(trial)
+        sol = solve_ao(AO_MODEL, draw, AO_RADIUS)
         assert not sol.feasible_empty
         assert sol.starts_feasible > 0
-        ref = ao_grid_value(inst, big_g, big_h, points_per_axis=2001)
+        ref = ao_grid_value(AO_MODEL, draw, AO_RADIUS, points_per_axis=2001)
         assert ref is not None
         assert abs(sol.value - ref) <= 1e-2 * max(1.0, ref)
 
 
 def test_ao_and_grid_agree_on_empty():
     for trial in EMPTY_TRIALS:
-        inst, big_g, big_h = ao_instance(trial)
-        sol = solve_ao(inst, big_g, big_h)
-        assert ao_grid_value(inst, big_g, big_h) is None
+        draw = ao_instance(trial)
+        sol = solve_ao(AO_MODEL, draw, AO_RADIUS)
+        assert ao_grid_value(AO_MODEL, draw, AO_RADIUS) is None
         assert sol.feasible_empty
         assert sol.value == 0.0
 
@@ -276,12 +279,12 @@ def test_ao_and_grid_agree_on_empty():
 def test_ao_zero_signal_probe_exact():
     # the signal-orthogonal direction reproduces xi exactly, and the cone
     # inner product is pinned to zero, so {(0, 0.7)} is the whole feasible set
-    inst = PoInstance(
+    model = EndogenousModel.build(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.1, 0.0]))
+    draw = TailDraw(
         W1=np.zeros((2, 2)), W2=np.eye(2), xi=np.array([0.0, 0.7]),
-        ball_radius=2.0, theta0=np.array([0.1, 0.0]),
-        signal_eigs=np.array([1.0, 0.0]), endo_eigs=np.array([0.0, 1.0]),
+        G=np.array([1.3, -0.4]), H=np.array([0.0, 0.9]),
     )
-    sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]))
+    sol = solve_ao(model, draw, 2.0)
     assert sol.value == 0.0
     assert not sol.feasible_empty
     np.testing.assert_allclose(sol.point, [0.0, 0.7], atol=1e-9)
@@ -290,12 +293,12 @@ def test_ao_zero_signal_probe_exact():
 def test_ao_zero_signal_probe_infeasible():
     # first residual coordinate cannot be matched by any admissible scale,
     # so no point satisfies the cone and the flag must report it
-    inst = PoInstance(
+    model = EndogenousModel.build(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.1, 0.0]))
+    draw = TailDraw(
         W1=np.zeros((2, 2)), W2=np.eye(2), xi=np.array([-0.5, 0.7]),
-        ball_radius=2.0, theta0=np.array([0.1, 0.0]),
-        signal_eigs=np.array([1.0, 0.0]), endo_eigs=np.array([0.0, 1.0]),
+        G=np.array([1.3, -0.4]), H=np.array([0.0, 0.9]),
     )
-    sol = solve_ao(inst, np.array([1.3, -0.4]), np.array([0.0, 0.9]))
+    sol = solve_ao(model, draw, 2.0)
     assert sol.value == 0.0
     assert sol.feasible_empty
     assert sol.point is None
@@ -304,16 +307,16 @@ def test_ao_zero_signal_probe_infeasible():
 
 def test_ao_deterministic_under_fixed_seed():
     # the solver draws no random numbers: one instance, one answer
-    inst, big_g, big_h = ao_instance(11)
-    assert solve_ao(inst, big_g, big_h).value == solve_ao(inst, big_g, big_h).value
+    draw = ao_instance(11)
+    assert solve_ao(AO_MODEL, draw, AO_RADIUS).value == solve_ao(AO_MODEL, draw, AO_RADIUS).value
 
 
-def _ao_checks(inst, big_g, big_h, x):
+def _ao_checks(model, draw, radius, x):
     """Cone gap and ball slack of rows of x (<= 0 means satisfied)."""
-    sig_root = np.sqrt(inst.signal_eigs)
-    w2s = inst.W2 * np.sqrt(inst.endo_eigs)
-    gap = _cone_gap(x, sig_root, w2s, big_g, sig_root * big_h, inst.xi)
-    return gap, np.linalg.norm(x + inst.theta0, axis=-1) - inst.ball_radius
+    sig_root = np.sqrt(model.signal_eigs)
+    w2s = draw.W2 * np.sqrt(model.endo_eigs[: draw.W2.shape[1]])
+    gap = _cone_gap(x, sig_root, w2s, draw.G, sig_root * draw.H, draw.xi)
+    return gap, np.linalg.norm(x + model.true_coef, axis=-1) - radius
 
 
 @pytest.mark.parametrize("p, endo_count", [(6, 2), (5, 1)])
@@ -324,24 +327,24 @@ def test_ao_beats_random_search_in_four_signal_dims(p, endo_count):
     # exact cone and the ball has a larger objective
     model = slice_model(p, endo_count)
     sig = model.signal_eigs
+    radius = default_radius(model)
     feasible = 0
     for seed in range(4):
-        inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([p, seed]))
-        sol = solve_ao(inst, big_g, big_h)
+        draw = draw_instance(model, 3, np.random.default_rng([p, seed]))
+        sol = solve_ao(model, draw, radius)
         rng = np.random.default_rng([p, seed, 1])
-        radius = inst.ball_radius
         dirs = rng.standard_normal((100_000, p))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = [dirs * radius * rng.uniform(0, 1, (dirs.shape[0], 1)) ** (1 / p) - inst.theta0]
+        pts = [dirs * radius * rng.uniform(0, 1, (dirs.shape[0], 1)) ** (1 / p) - model.true_coef]
         if not sol.feasible_empty:
             feasible += 1
-            gap, slack = _ao_checks(inst, big_g, big_h, sol.point[None])
-            assert gap[0] <= 1e-9 * (1 + np.linalg.norm(inst.xi)) and slack[0] <= 1e-12 * radius
+            gap, slack = _ao_checks(model, draw, radius, sol.point[None])
+            assert gap[0] <= 1e-9 * (1 + np.linalg.norm(draw.xi)) and slack[0] <= 1e-12 * radius
             assert sol.value == pytest.approx(float(sol.point @ (sig * sol.point)), rel=1e-12)
             scales = radius * 10.0 ** rng.uniform(-6, -1, (dirs.shape[0], 1))
             pts.append(sol.point + dirs[rng.permutation(dirs.shape[0])] * scales)
         pts = np.vstack(pts)
-        gap, slack = _ao_checks(inst, big_g, big_h, pts)
+        gap, slack = _ao_checks(model, draw, radius, pts)
         ok = (gap <= 0) & (slack <= 0)
         found = np.einsum("ij,j,ij->i", pts[ok], sig, pts[ok])
         assert found.size == 0 or found.max() <= sol.value * (1 + 1e-9)
@@ -355,81 +358,72 @@ def test_ao_closed_form_when_ball_inactive():
     # root of (|P_perp G|^2 - |H_J|^2) nu^2 - 2 <P_perp xi, P_perp G> nu +
     # |P_perp xi|^2 = 0
     model = slice_model(4)
-    inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng(8), ball_radius=1e4)
-    lat, sig_j = model.endo_eigs > 0, model.signal_eigs > 0
-    a_mat = inst.W2[:, lat] * np.sqrt(model.endo_eigs[lat])
+    draw = draw_instance(model, 3, np.random.default_rng(8))
+    sig_j = model.signal_eigs > 0
+    a_mat = draw.W2 * np.sqrt(model.endo_eigs[: draw.W2.shape[1]])
 
     def perp(v):
         return v - a_mat @ np.linalg.lstsq(a_mat, v, rcond=None)[0]
 
-    px, pg = perp(inst.xi), perp(big_g)
-    a2 = pg @ pg - big_h[sig_j] @ big_h[sig_j]
+    px, pg = perp(draw.xi), perp(draw.G)
+    a2 = pg @ pg - draw.H[sig_j] @ draw.H[sig_j]
     assert a2 > 0 and px @ pg > 0
     root = (px @ pg + math.sqrt((px @ pg) ** 2 - (px @ px) * a2)) / a2
-    sol = solve_ao(inst, big_g, big_h)
+    sol = solve_ao(model, draw, 1e4)
     assert sol.value == pytest.approx(root**2, rel=1e-7)
-    _, slack = _ao_checks(inst, big_g, big_h, sol.point[None])
-    assert slack[0] < -0.5 * inst.ball_radius
+    _, slack = _ao_checks(model, draw, 1e4, sol.point[None])
+    assert slack[0] < -0.5 * 1e4
 
 
 def test_ao_rejects_mismatched_gaussians():
-    inst, big_g, big_h = ao_instance(1)
+    draw = ao_instance(1)
     with pytest.raises(ValueError):
-        solve_ao(inst, big_g[:1], big_h)
+        solve_ao(AO_MODEL, dataclasses.replace(draw, G=draw.G[:1]), AO_RADIUS)
     with pytest.raises(ValueError):
-        solve_ao(inst, big_g, big_h[:1])
+        solve_ao(AO_MODEL, dataclasses.replace(draw, H=draw.H[:1]), AO_RADIUS)
 
 
 def test_grid_reference_rejects_high_dimension():
     model = slice_model(4)
-    inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng(0))
+    draw = draw_instance(model, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        ao_grid_value(inst, big_g, big_h)
+        ao_grid_value(model, draw, default_radius(model))
 
 
 # ------------------------------------------------------- instances and slice
 
 
 def test_instance_validation():
+    # a draw holds only its factors: the model checks its own vectors, the
+    # primary solver refuses a draw whose shapes do not fit the model, and
+    # it checks its own arguments
     rng = np.random.default_rng(0)
-    kw = dict(
-        W1=rng.standard_normal((3, 2)),
-        W2=rng.standard_normal((3, 2)),
-        xi=rng.standard_normal(3),
-        ball_radius=5.0,
-        theta0=np.array([1.0, 2.0]),
-        signal_eigs=np.ones(2),
-        endo_eigs=np.ones(2),
-    )
-    inst = PoInstance(**kw)
-    assert (inst.n, inst.p) == (3, 2)
-    assert inst.design().shape == (3, 2)
-    with pytest.raises(ValueError):
-        PoInstance(**{**kw, "W2": np.zeros((2, 2))})
-    with pytest.raises(ValueError):
-        PoInstance(**{**kw, "xi": np.zeros(2)})
-    with pytest.raises(ValueError):
-        PoInstance(**{**kw, "theta0": np.zeros(3)})
-    with pytest.raises(ValueError):
-        PoInstance(**{**kw, "endo_eigs": np.ones(3)})
-    with pytest.raises(ValueError):
-        PoInstance(**{**kw, "signal_eigs": np.eye(2)})
+    draw = po_draw(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), rng.standard_normal(3))
+    theta0, ones = np.array([1.0, 2.0]), np.ones(2)
+    model = EndogenousModel.build(ones, ones, theta0)
+    assert design(model, draw).shape == (3, 2)
     # a negative or non-finite diagonal entry has no square root
     for bad in (-1e-3, np.nan, np.inf):
-        for key in ("signal_eigs", "endo_eigs"):
-            with pytest.raises(ValueError):
-                PoInstance(**{**kw, key: np.array([1.0, bad])})
-    with pytest.raises(ValueError):
-        PoInstance(**{**kw, "ball_radius": 1.0})
+        with pytest.raises(ValueError):
+            EndogenousModel.build(np.array([1.0, bad]), ones, theta0)
+        with pytest.raises(ValueError):
+            EndogenousModel.build(ones, np.array([1.0, bad]), theta0)
+    for wrong in (
+        dataclasses.replace(draw, W2=np.zeros((2, 2))),
+        dataclasses.replace(draw, W1=np.zeros((3, 3))),
+        dataclasses.replace(draw, xi=np.zeros(2)),
+    ):
+        with pytest.raises(ValueError):
+            solve_po(model, wrong, 5.0)
     # the primary solver checks its own arguments: a non-finite design or
     # xi, or a mis-shaped xi or theta0, never reaches the SVD
-    design = inst.design()
-    args = (design, design @ np.array([0.1, 0.1]), 5.0, kw["theta0"], kw["signal_eigs"])
+    x = design(model, draw)
+    args = (x, x @ np.array([0.1, 0.1]), 5.0, theta0, ones)
     assert max_projected_error(*args).value == pytest.approx(0.02)
     for pos, bad in (
-        (0, np.where(np.eye(3, 2) > 0, np.nan, design)),
-        (0, np.where(np.eye(3, 2) > 0, np.inf, design)),
-        (0, design[0]),
+        (0, np.where(np.eye(3, 2) > 0, np.nan, x)),
+        (0, np.where(np.eye(3, 2) > 0, np.inf, x)),
+        (0, x[0]),
         (1, np.array([np.nan, 0.0, 0.0])),
         (1, np.zeros(2)),
         (3, np.zeros(3)),
@@ -459,17 +453,27 @@ def test_slice_model_structure():
         slice_model(4, endo_count=4)
 
 
-def test_draw_instance_shapes_and_default_radius():
+def test_draw_instance_shapes_and_default_radius(monkeypatch):
     model = slice_model(4)
-    inst, big_g, big_h = draw_instance(model, 5, np.random.default_rng(1))
-    assert inst.W1.shape == (5, 4)
-    assert inst.W2.shape == (5, 4)
-    assert big_g.shape == (5,)
-    assert big_h.shape == (4,)
+    draw = draw_instance(model, 5, np.random.default_rng(1))
+    assert draw.W1.shape == (5, 4)
+    assert draw.W2.shape == (5, 2)  # the latent support, as draw_factors gives it
+    assert draw.G.shape == (5,)
+    assert draw.H.shape == (4,)
+    # the check passes every block the one ball radius, by default
+    # |theta0| + 50 sigma
+    radii = []
+
+    def record(args):
+        radii.append(args[-1])
+        return np.zeros(len(args[3])), np.zeros(len(args[3])), 0, 0
+
+    monkeypatch.setattr(cgmt_lab, "_tail_chunk", record)
+    tail_dominance_check(model, 5, 300, c_grid=[0.0], max_workers=1)
     expect = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
-    assert inst.ball_radius == pytest.approx(expect)
-    inst2, _, _ = draw_instance(model, 5, np.random.default_rng(1), ball_radius=40.0)
-    assert inst2.ball_radius == 40.0
+    assert radii == [pytest.approx(expect)] * 2
+    tail_dominance_check(model, 5, 4, c_grid=[0.0], ball_radius=40.0, max_workers=1)
+    assert radii[-1] == 40.0
 
 
 # ------------------------------------------------------------- tail check
@@ -526,9 +530,9 @@ def test_tail_chunk_matches_single_instance_solver():
     model = slice_model(4)
     report = tail_dominance_check(model, n=3, reps=64, seed=7, max_workers=1)
     empties = 0
+    radius = default_radius(model)
     for r in range(64):
-        inst, big_g, big_h = draw_instance(model, 3, np.random.default_rng([7, r]))
-        sol = solve_ao(inst, big_g, big_h)
+        sol = solve_ao(model, draw_instance(model, 3, np.random.default_rng([7, r])), radius)
         assert abs(sol.value - report.phi_ao[r]) <= 1e-12 * abs(report.phi_ao[r])
         if sol.feasible_empty:
             empties += 1
@@ -587,40 +591,44 @@ def test_tail_rejects_zero_reps(monkeypatch):
     for bad in ([np.nan, 1.0], [1.0, np.inf], [[1.0, 2.0]], np.nan):
         with pytest.raises(ValueError):
             tail_dominance_check(slice_model(4), 3, 4, c_grid=bad)
+    # the ball must hold theta0
+    below = 0.99 * float(np.linalg.norm(slice_model(4).true_coef))
+    with pytest.raises(ValueError, match="below"):
+        tail_dominance_check(slice_model(4), 3, 4, ball_radius=below)
+
+
+def test_tail_default_workers_follow_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU solves its blocks serially, whatever the
+    # host's CPU count
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cgmt_lab.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cgmt_lab.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cgmt_lab, "ProcessPoolExecutor", no_pool)
+    report = tail_dominance_check(slice_model(4), 3, 257, seed=0)
+    assert report.phi_po.shape == (257,)
 
 
 def test_ao_batch_rejects_draws_of_another_model(monkeypatch):
-    # a batch is reduced with the first draw's theta0, ball and diagonals,
-    # so a draw that differs there, or in shape, is refused before any draw
-    # is scanned; equal values in other arrays are the same model
+    # a draw of another shape is refused when the batch is stacked, before
+    # any draw is scanned
     model = slice_model(4)
+    radius = default_radius(model)
     draws = [draw_instance(model, 3, np.random.default_rng([3, r])) for r in range(3)]
-    inst, big_g, big_h = draws[1]
-    same = dataclasses.replace(inst, theta0=inst.theta0.copy(), endo_eigs=inst.endo_eigs.copy())
-    assert len(cgmt_lab._solve_ao_draws([draws[0], (same, big_g, big_h)])) == 2
+    draw = draws[1]
 
     def unreachable(*args):
         raise AssertionError("a draw was scanned before the batch was checked")
 
     monkeypatch.setattr(cgmt_lab, "_ao_prepare", unreachable)
     wider = draw_instance(model, 4, np.random.default_rng([3, 1]))
-    other_model = [
-        (dataclasses.replace(inst, ball_radius=2.0 * inst.ball_radius), big_g, big_h),
-        (dataclasses.replace(inst, theta0=0.5 * inst.theta0), big_g, big_h),
-        (dataclasses.replace(inst, signal_eigs=2.0 * inst.signal_eigs), big_g, big_h),
-        (dataclasses.replace(inst, endo_eigs=2.0 * inst.endo_eigs), big_g, big_h),
-    ]
-    for draw in other_model:
-        with pytest.raises(ValueError, match="share"):
-            cgmt_lab._solve_ao_draws([draws[0], draw, draws[2]])
-    # another shape is refused when the draws are stacked
-    for draw in (wider, (inst, big_g[:2], big_h), (inst, big_g, big_h[:3])):
+    for other in (wider, dataclasses.replace(draw, G=draw.G[:2]), dataclasses.replace(draw, H=draw.H[:3])):
         with pytest.raises(ValueError):
-            cgmt_lab._solve_ao_draws([draws[0], draw, draws[2]])
+            cgmt_lab._solve_ao_draws(model, [draws[0], other, draws[2]], radius)
 
 
 def test_ao_rejects_overlapping_supports():
-    inst, big_g, big_h = ao_instance(1)
-    inst = dataclasses.replace(inst, endo_eigs=np.array([0.5, 4.0]))
+    model = EndogenousModel.build(AO_SIGNAL, np.array([0.5, 4.0]), AO_THETA0)
     with pytest.raises(ValueError):
-        solve_ao(inst, big_g, big_h)
+        solve_ao(model, ao_instance(1), AO_RADIUS)

@@ -9,6 +9,7 @@ from a last-axis layout in the last bit; the scalar references are compared
 with tolerances for that reason.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,11 @@ from ridgeless_iv.cgmt_lab import (
 )
 
 COMPONENTS = (1, 2, 9)
+
+
+def default_radius(model):
+    """tail_dominance_check's default ball radius, |theta0| + 50 sigma."""
+    return float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
 
 
 def tikhonov_reference(alpha, sv2, tau2):
@@ -196,7 +202,7 @@ def test_broadcast_scan_equals_flat_scan(p, n):
     # every (node, position) pair spelled out by repeat and tile
     model = slice_model(p)
     draws = [draw_instance(model, n, np.random.default_rng([11, rep])) for rep in range(3)]
-    batch = _ao_reduce(draws)
+    batch = _ao_reduce(model, draws, default_radius(model))
     for j in range(len(draws)):
         prep = _ao_prepare(batch, j)
         one = {k: batch.red[k][..., j : j + 1] for k in cgmt_lab._PHI_KEYS}
@@ -219,9 +225,8 @@ def test_batched_reduction_matches_batch_of_one(p, n):
     # has H_J = 0, which keeps its eigenvectors unrolled
     model = slice_model(p)
     draws = [draw_instance(model, n, np.random.default_rng([5, rep])) for rep in range(16)]
-    inst, big_g, big_h = draws[3]
-    draws[3] = inst, big_g, np.where(model.signal_eigs > 0.0, 0.0, big_h)
-    batch = _ao_reduce(draws)
+    draws[3] = dataclasses.replace(draws[3], H=np.where(model.signal_eigs > 0.0, 0.0, draws[3].H))
+    batch = _ao_reduce(model, draws, default_radius(model))
     m, evec, hhat = batch.red["m"], batch.red["evec"], batch.red["hhat"]
     # draw 3's block is diag(1 / sig_J), and its eigenpairs stay as eigh
     # returns them; every other draw moves its H-direction eigenvector
@@ -236,7 +241,7 @@ def test_batched_reduction_matches_batch_of_one(p, n):
     np.testing.assert_allclose(np.linalg.norm(evec[:, :-1, rolled], axis=0), 1.0, rtol=1e-12)
     np.testing.assert_allclose(np.einsum("icb,ib->cb", evec, hhat)[:, rolled], 0.0, atol=1e-12)
     for j, draw in enumerate(draws):
-        alone = _ao_reduce([draw])
+        alone = _ao_reduce(model, [draw], default_radius(model))
         for key, arr in alone.red.items():
             want = arr[..., 0]
             np.testing.assert_allclose(
