@@ -3,12 +3,20 @@ instrumental-variable baseline."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import cholesky_lower, cholesky_solve, default_rank_tol, gelsy_lstsq
+from .matops import (
+    cholesky_lower,
+    cholesky_solve,
+    default_rank_tol,
+    gelsy_lstsq,
+    lower_tail_qr,
+    lower_tail_qr_solve,
+)
 # the benchmark's tracer looks this name up here (ROADMAP item 4)
 from .matops import pseudoinverse  # noqa: F401
 from .sampling import Dataset
@@ -60,39 +68,78 @@ def _result(x, y, theta, iterations=None) -> FitResult:
     )
 
 
-# relative residual |X theta - Y| / |Y| above which the Cholesky answer is
+# relative residual |X theta - Y| / |Y| above which the refined answer is
 # not accepted and the design itself is solved
 _RESID_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=16)
+def _strict_upper(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False  # shared by every fit of size n
+    return mask
+
+
+def _lower_tail(x: np.ndarray) -> bool:
+    """True when x is wider than tall and its trailing n x n block is
+    exactly lower triangular, as every compressed sample is.  A general
+    design fails on row 0, so it pays an O(n) look only."""
+    n, p = x.shape
+    if p <= n or x[0, p - n + 1 :].any():
+        return False
+    return not np.logical_and(x[:, p - n :], _strict_upper(n)).any()
+
+
+def _cholesky_solver(x: np.ndarray):
+    # min-norm solve r -> X^T (X X^T)^-1 r, None for a numerically singular Gram
+    factor, full_rank = cholesky_lower(x @ x.T)
+    if full_rank:
+        pivots = np.diag(factor) ** 2
+        # false for a rank-deficient Gram, and for one that overflowed to inf (nan)
+        full_rank = pivots.min() > default_rank_tol(len(x)) * pivots.max()
+    return (lambda r: x.T @ cholesky_solve(factor, r)) if full_rank else None
+
+
+def _qr_solver(x: np.ndarray):
+    # min-norm solve r -> Q R^-T r, None when R's diagonal has a negligible
+    # entry, judged as gelsy judges singular values
+    factor, t = lower_tail_qr(x)
+    diag = np.abs(np.diagonal(factor, x.shape[1] - x.shape[0]))
+    full_rank = diag.min() > default_rank_tol(max(x.shape)) * diag.max()
+    return (lambda r: lower_tail_qr_solve(factor, t, r)) if full_rank else None
 
 
 def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Least-norm solution of X theta = Y: theta = X^T (X X^T)^+ Y.
 
-    The Gram X X^T is Cholesky-factored and the dual system solved, then
-    theta is refined once with the dual solve of the residual Y - X theta,
-    which takes the relative residual to working precision on Grams with
-    condition numbers near 1e10.  The factor and the solves run without
-    the GIL (matops.cholesky_lower), so repetitions on a thread pool do
-    not queue behind one another's.  When the factorization fails, its
-    smallest squared pivot ratio is at or below default_rank_tol(n), or the
-    refined answer's relative residual is above 1e-12, X itself is solved
-    by a rank-revealing QR (matops.gelsy_lstsq, singular values below
-    default_rank_tol(max(n, p)) times the largest treated as zero), again
-    without the GIL.  That gives the min-norm least-squares answer for any
+    A design wider than tall whose trailing n x n block is exactly lower
+    triangular, as a compressed sample's Bartlett block is, is solved from
+    a QR of X^T that starts from that triangle (matops.lower_tail_qr):
+    about 2 (p - n) n^2 flops, and no Gram.  Any other design has its Gram
+    X X^T Cholesky-factored.  Either factor gives the min-norm solve
+    r -> X^+ r.  theta = X^+ Y is refined once with the solve of the
+    residual Y - X theta, which takes the relative residual to working
+    precision on Grams with condition numbers near 1e10.
+
+    The QR counts as singular when an entry of |diag R| is at or below
+    default_rank_tol(max(n, p)) times the largest, as gelsy treats
+    singular values; the Cholesky factor when it fails or a squared pivot
+    is at or below default_rank_tol(n) times the largest.  A singular
+    factor, or a refined answer whose relative residual is above 1e-12,
+    gives way to a rank-revealing QR of X itself (matops.gelsy_lstsq,
+    singular values below default_rank_tol(max(n, p)) times the largest
+    treated as zero).  That gives the min-norm least-squares answer for any
     rank without squaring the condition number, as a pseudoinverse of the
-    Gram would.
+    Gram would.  Every factor and solve runs without the GIL, so
+    repetitions on a thread pool do not queue behind one another's.
     """
     x, y = _check_xy(x, y)
-    factor, full_rank = cholesky_lower(x @ x.T)
-    if full_rank:
-        pivots = np.diag(factor) ** 2
-        # false for a rank-deficient Gram, and for one that overflowed to inf (nan)
-        full_rank = pivots.min() > default_rank_tol(len(y)) * pivots.max()
-    if full_rank:
-        theta = x.T @ cholesky_solve(factor, y)
+    solve = _qr_solver(x) if _lower_tail(x) else _cholesky_solver(x)
+    if solve is not None:
+        theta = solve(y)
         # refine theta itself, not the dual vector: X^T alpha loses digits to
         # cancellation when alpha is large, the small correction does not
-        theta += x.T @ cholesky_solve(factor, y - x @ theta)
+        theta += solve(y - x @ theta)
         fit = _result(x, y, theta)
         if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
             return fit
@@ -351,7 +398,7 @@ def split_sample_lasso_iv(
     else:
         y2 = y[half2]
 
-    v2 = x[np.ix_(half2, exo_idx)]
+    v2 = x.take(half2, 0).take(exo_idx, 1)
     lam = config.penalty(float(y2.std()), half2.size, exo_idx.size)
     theta[exo_idx] = _lasso_theta(v2, y2, lam, config, checked=True)
     return _result(x, y, theta)

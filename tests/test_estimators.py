@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ridgeless_iv import estimators
-from references import ridge
+from references import lower_tail_design, ridge
 from ridgeless_iv.cgmt_lab import slice_model
 from ridgeless_iv.covariance import EndogenousModel
 from ridgeless_iv.estimators import (
@@ -18,7 +18,7 @@ from ridgeless_iv.estimators import (
     plugin_lambda,
     split_sample_lasso_iv,
 )
-from ridgeless_iv.harness import setup_model
+from ridgeless_iv.harness import repetition_seed, setup_model
 from ridgeless_iv.sampling import sample_dataset
 
 
@@ -64,16 +64,21 @@ def test_min_norm_rank_deficient_rows():
     assert np.allclose(x @ fit.theta_hat, y)
 
 
-@pytest.mark.parametrize("design", ["duplicated_row", "tall"])
+@pytest.mark.parametrize("design", ["duplicated_row", "tall", "lower_tail_duplicated_row"])
 def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
-    # a singular Gram skips the Cholesky answer; X itself is solved by a
-    # rank-revealing QR, which gives the pseudoinverse answer pinv(X) Y
+    # a singular Gram, or an R with a negligible diagonal entry, skips the
+    # factored answer; X itself is solved by a rank-revealing QR, which
+    # gives the pseudoinverse answer pinv(X) Y
     rng = np.random.default_rng(23)
     if design == "duplicated_row":
         x = rng.standard_normal((6, 20))
         x[5] = x[2]
-    else:  # p < n: the Gram has rank p
+    elif design == "tall":  # p < n: the Gram has rank p
         x = rng.standard_normal((12, 5))
+    else:  # a later row repeating an earlier one keeps the block lower triangular
+        x = lower_tail_design(rng, 8, 3)
+        x[6] = x[2]
+        assert estimators._lower_tail(x)
     y = rng.standard_normal(x.shape[0])
     calls = []
     gelsy_lstsq = estimators.gelsy_lstsq
@@ -87,6 +92,67 @@ def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
     assert calls == ["gelsy"]
     ref = scipy.linalg.pinv(x) @ y
     assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def count_routes(monkeypatch):
+    # the factorizations and the fallback each fit calls, in order
+    calls = []
+    for name in ("lower_tail_qr", "cholesky_lower", "gelsy_lstsq"):
+        real = getattr(estimators, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(estimators, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("head", [0, 1, 4, 37])
+def test_min_norm_lower_tail_route_matches_pinv(head, monkeypatch):
+    # a design wider than tall with a lower-triangular trailing block takes
+    # the structured QR; a square one (head 0) takes the Cholesky route
+    rng = np.random.default_rng(41)
+    calls = count_routes(monkeypatch)
+    for n in (1, 3, 12, 50):
+        x = lower_tail_design(rng, n, head)
+        y = rng.standard_normal(n)
+        del calls[:]
+        fit = min_norm_interpolator(x, y)
+        assert calls == (["lower_tail_qr"] if head else ["cholesky_lower"])
+        ref = scipy.linalg.pinv(x) @ y
+        assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("row", [0, 17])
+def test_min_norm_entry_above_block_diagonal_takes_cholesky(row, monkeypatch):
+    # one nonzero above the trailing block's diagonal, in the row-0 look or
+    # past it, sends the design to the Gram
+    rng = np.random.default_rng(43)
+    n, head = 30, 6
+    x = lower_tail_design(rng, n, head)
+    y = rng.standard_normal(n)
+    x[row, head + row + 5] = 0.25
+    calls = count_routes(monkeypatch)
+    fit = min_norm_interpolator(x, y)
+    assert calls == ["cholesky_lower"]
+    ref = scipy.linalg.pinv(x) @ y
+    assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("setup", ["ii", "iv"])
+def test_flat_tail_setups_never_fall_back(setup, monkeypatch):
+    # the structured QR interpolates the compressed samples at the top of
+    # the full-scale grid, so no repetition pays for a second solve
+    calls = count_routes(monkeypatch)
+    for n in (700, 1000):
+        data = sample_dataset(setup_model(setup, n), n, repetition_seed(0, n, 0))
+        assert data.compressed
+        del calls[:]
+        fit = min_norm_interpolator(data.X, data.Y)
+        assert calls == ["lower_tail_qr"]
+        resid = np.linalg.norm(data.X @ fit.theta_hat - data.Y) / np.linalg.norm(data.Y)
+        assert resid <= 1e-12
 
 
 def test_min_norm_inexact_cholesky_answer_falls_back(monkeypatch):
@@ -377,6 +443,32 @@ def test_instrument_features_match_ix_gather(setup):
     rows = np.random.default_rng(2).permutation(100)[:50]
     want = data.W1[np.ix_(rows, support)] * np.sqrt(sig[support])[None, :]
     got = estimators._instrument_features(data, rows)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_second_stage_slice_matches_ix_gather(monkeypatch):
+    # the row take then the column take picks the same bits as the np.ix_
+    # gather, in the same C order, which the second-stage lasso's sums
+    # depend on
+    model = setup_model("vii", 100)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+    data = sample_dataset(model, 100, seed=8)
+    seen = []
+    real = estimators._lasso_theta
+
+    def recording(x, y, *args, **kwargs):
+        seen.append(x)
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_lasso_theta", recording)
+    split_sample_lasso_iv(data, endo_idx)
+    rng = np.random.default_rng([np.uint64(data.seed), np.uint64(0x51F7)])
+    half2 = rng.permutation(100)[50:]
+    exo_idx = np.setdiff1d(np.arange(model.p), endo_idx)
+    want = data.X[np.ix_(half2, exo_idx)]
+    got = seen[-1]
     assert got.shape == want.shape
     assert got.flags.c_contiguous and want.flags.c_contiguous
     assert got.tobytes() == want.tobytes()

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import ridgeless_iv
+from references import lower_tail_design
 from ridgeless_iv import matops
 from ridgeless_iv.matops import (
     InvalidMatrix,
@@ -18,6 +19,8 @@ from ridgeless_iv.matops import (
     cholesky_lower,
     cholesky_solve,
     gelsy_lstsq,
+    lower_tail_qr,
+    lower_tail_qr_solve,
     pseudoinverse,
     psd_eigvals,
 )
@@ -148,6 +151,47 @@ def test_gelsy_lstsq_releases_the_gil():
     a = rng.standard_normal((900, 1000))
     b = rng.standard_normal(900)
     assert_releases_the_gil(lambda: gelsy_lstsq(a, b, 1e-12))
+
+
+@pytest.mark.parametrize("n, head", [(1, 1), (5, 1), (40, 7), (33, 90)])
+def test_lower_tail_qr_matches_scipy_bit_for_bit(n, head):
+    rng = np.random.default_rng(19)
+    x = lower_tail_design(rng, n, head)
+    x_in = x.copy()
+    factor, t = lower_tail_qr(x)
+    nb = min(matops._QR_BLOCK, n)
+    r, v, ref_t, info = scipy.linalg.lapack.dtpqrt(0, nb, x[:, head:].T, x[:, :head].T)
+    assert info == 0
+    assert np.array_equal(factor[:, head:].T, r)
+    assert np.array_equal(factor[:, :head].T, v)
+    assert np.array_equal(t.T, ref_t)
+    assert np.array_equal(x, x_in)  # input untouched
+
+
+@pytest.mark.parametrize("head", [0, 1, 6, 60])
+def test_lower_tail_qr_solve_is_min_norm(head):
+    # one solve, unrefined, on designs of head width 0, 1 and several
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 9, 50):
+        x = lower_tail_design(rng, n, head)
+        y = rng.standard_normal(n)
+        y_in = y.copy()
+        factor, t = lower_tail_qr(x)
+        theta = lower_tail_qr_solve(factor, t, y)
+        ref = scipy.linalg.pinv(x) @ y
+        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(y, y_in)
+
+
+def test_lower_tail_qr_rejects_tall_or_empty_designs():
+    for shape in ((3, 2), (0, 4), (4,)):
+        with pytest.raises(ValueError, match="1 <= n <= p"):
+            lower_tail_qr(np.ones(shape))
+
+
+def test_lower_tail_qr_releases_the_gil():
+    x = lower_tail_design(np.random.default_rng(37), 1500, 300)
+    assert_releases_the_gil(lambda: lower_tail_qr(x))
 
 
 def test_lapack_signature_mismatch_raises_import_error():

@@ -249,3 +249,19 @@ def test_compressed_route_agrees_in_law_with_direct():
     z = np.abs(mc - md) / np.hypot(sc, sd)
     print(f"[compressed vs direct] means {mc} vs {md}, |z| {z}")
     assert np.all(z <= 4.0)
+
+
+@pytest.mark.parametrize("dof", [None, 5.0])
+def test_compressed_trailing_block_is_lower_triangular(dof):
+    # min_norm_interpolator's structured QR needs the trailing n columns of
+    # a compressed sample exactly lower triangular; the t mixing scales
+    # whole rows and keeps it so
+    law = ("gaussian", None) if dof is None else ("student_t", dof)
+    cases = [(flat_tail_model(), 5)]
+    cases += [(setup_model(sid, n), n) for sid in ("ii", "iv") for n in (24, 100, 400)]
+    for model, n in cases:
+        data = sample_dataset(model, n, repetition_seed(3, n, 0), *law)
+        assert data.compressed and data.X.shape[1] > n
+        block = data.X[:, -n:]
+        assert not np.triu(block, 1).any()
+        assert np.all(np.diag(block) > 0)
