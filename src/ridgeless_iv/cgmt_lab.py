@@ -432,13 +432,14 @@ def _ao_reduce(model: EndogenousModel, draws, radius: float) -> _AoBatch:
     logarithmic nodes up to sqrt(max signal) (R + |b|), and the roots of
     |P_perp c| = nu |H_J| + slack, where the window opens or closes, moved
     a hair inside it.  Draws of different shapes (the stacking refuses
-    them), or a model with overlapping supports, raise ValueError.
+    them), or a nonorthogonal model (overlapping supports), raise
+    ValueError.
     """
+    if model.split_kind == "nonorthogonal":
+        raise ValueError("the comparison solver needs disjoint signal and latent supports")
     sig, theta0, radius = model.signal_eigs, model.true_coef, float(radius)
     sig_root, endo_root = np.sqrt(sig), np.sqrt(model.endo_eigs)
     sig_j, lat = sig > 0.0, endo_root > 0.0
-    if np.any(sig_j & lat):
-        raise ValueError("the comparison solver needs disjoint signal and latent supports")
     w2 = np.stack([d.W2 for d in draws])
     xi = np.stack([d.xi for d in draws])
     big_g = np.stack([d.G for d in draws])
@@ -628,21 +629,18 @@ def solve_ao(model: EndogenousModel, draw: TailDraw, radius: float) -> AoSolutio
 # ------------------------------------------------------------ tail check
 
 
-def slice_model(p: int = 4, endo_count: int | None = None) -> EndogenousModel:
+def slice_model(p: int = 4) -> EndogenousModel:
     """Tiny identity-basis model with the experiment-grade spectrum shape.
 
-    Top half of the eigenvalues goes to the latent-noise block, bottom half
-    to the signal block; whitened endogeneity 2/i on the latent support and
+    The top p // 2 eigenvalues go to the latent-noise block, the rest to the
+    signal block; whitened endogeneity 2/i on the latent support and
     coefficients 20/sqrt(i) throughout.
     """
     if p < 2:
         raise ValueError("need p >= 2")
-    k = endo_count if endo_count is not None else p // 2
-    if not 1 <= k < p:
-        raise ValueError(f"endogenous count {k} outside [1, {p - 1}]")
     idx = np.arange(1, p + 1, dtype=float)
     eigs = 300.0 / idx / (np.log(idx + 1.0) * math.e / 2.0) ** 2
-    endo, sig = split_eigs(eigs, k)
+    endo, sig = split_eigs(eigs, p // 2)
     return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), 2.0 / idx)
 
 
@@ -683,13 +681,12 @@ def tail_dominance_check(
     model: EndogenousModel,
     n: int,
     reps: int,
-    c_grid=None,
     seed: int = 0,
-    ball_radius: float | None = None,
     grid_size: int = 20,
     max_workers: int | None = None,
 ) -> TailReport:
-    """Empirical tails of the primary and comparison optima on a c grid.
+    """Empirical tails of the primary and comparison optima on a c grid of
+    grid_size quantiles (5% to 99%) of the feasible primary optima.
 
     A grid point counts as a violation when the primary tail exceeds twice
     the comparison tail by more than three combined standard errors.  Both
@@ -698,27 +695,17 @@ def tail_dominance_check(
     them is flagged as empty.  Per-repetition seeding and fixed block
     boundaries keep the result identical whether blocks run serially or
     across worker processes, by default one per CPU this process may run
-    on.  The coefficient ball has radius ball_radius, by default |theta0| +
-    50 sigma.  A scalar c_grid is a one-point grid.  A check with no rows,
-    no repetition or no threshold, a grid that is not 1-d or has a
-    non-finite entry, or a ball radius below |theta0|, raises ValueError
-    before any draw is solved.
+    on.  The coefficient ball has radius |theta0| + 50 sigma.  A check with
+    no rows, no repetition or no threshold raises ValueError before any
+    draw is solved.
     """
     if n < 1:
         raise ValueError("need at least one row per instance")
     if reps < 1:
         raise ValueError("need at least one repetition")
-    if c_grid is not None:
-        c_grid = np.atleast_1d(np.asarray(c_grid, dtype=float))
-        if c_grid.ndim != 1 or not np.all(np.isfinite(c_grid)):
-            raise ValueError("threshold grid must be a finite scalar or 1-d sequence")
-    if (c_grid.size if c_grid is not None else grid_size) < 1:
+    if grid_size < 1:
         raise ValueError("need at least one threshold")
-    theta_norm = float(np.linalg.norm(model.true_coef))
-    if ball_radius is None:
-        ball_radius = theta_norm + 50.0 * math.sqrt(model.noise_var)
-    elif ball_radius < theta_norm:
-        raise ValueError(f"ball radius {ball_radius:g} below |theta0| = {theta_norm:g}")
+    ball_radius = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
 
     jobs = [
         (model, n, seed, range(lo, min(lo + _TAIL_CHUNK, reps)), ball_radius)
@@ -739,11 +726,10 @@ def tail_dominance_check(
     po_infeasible = sum(r[2] for r in results)
     ao_empty = sum(r[3] for r in results)
 
-    if c_grid is None:
-        finite = phi_po[np.isfinite(phi_po)]
-        if finite.size == 0:
-            raise NoFeasiblePoint("no feasible primary repetition to place the grid")
-        c_grid = np.quantile(finite, np.linspace(0.05, 0.99, grid_size))
+    finite = phi_po[np.isfinite(phi_po)]
+    if finite.size == 0:
+        raise NoFeasiblePoint("no feasible primary repetition to place the grid")
+    c_grid = np.quantile(finite, np.linspace(0.05, 0.99, grid_size))
 
     p_po = np.array([float(np.mean(phi_po > c)) for c in c_grid])
     p_ao = np.array([float(np.mean(phi_ao >= c)) for c in c_grid])

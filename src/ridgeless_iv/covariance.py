@@ -171,11 +171,11 @@ def split_eigs(base_eigs: np.ndarray, k: int, leak: float = 0.0) -> tuple[np.nda
 # the model
 
 
-_SPLIT_KINDS = ("orthogonal", "nonorthogonal", "exogenous")
-
-
 def latent_support(endo_eigs: np.ndarray) -> np.ndarray:
-    """Mask of the latent-noise eigenvalues above the rank cutoff."""
+    """Mask of the latent-noise eigenvalues above default_rank_tol(p) times
+    the largest: the support a pseudo-inverse sees (endo_rank, whitened_cross,
+    the pseudo-inverse functionals), which must not invert rounding.  A draw
+    keeps every positive entry instead (sampling._latent_width)."""
     top = endo_eigs.max(initial=0.0)
     p = endo_eigs.size
     return endo_eigs > default_rank_tol(p) * top if top > 0 else np.zeros(p, bool)
@@ -189,9 +189,7 @@ class EndogenousModel:
     and latent-noise blocks, true_coef the coefficient vector.
     whitened_cross is the (latent block)^(-1/2) covariate-error covariance;
     it vanishes off the block's support (endo_support).  noise_var is the
-    error variance.  split_kind ("orthogonal", "nonorthogonal" or
-    "exogenous") names how the blocks were split; it selects the condition
-    mode and the norm bound's constant.
+    error variance.  split_kind is read off the two diagonals.
 
     Construction validates the model: the vectors must be finite and of one
     length, the eigenvalues nonnegative, noise_var finite and positive, and
@@ -205,7 +203,6 @@ class EndogenousModel:
     true_coef: np.ndarray
     whitened_cross: np.ndarray
     noise_var: float
-    split_kind: str
 
     def __post_init__(self):
         shape = np.shape(self.signal_eigs)
@@ -218,8 +215,6 @@ class EndogenousModel:
             if name.endswith("_eigs") and np.any(v < 0):
                 raise InvalidModel(f"{name} has negative entries")
             object.__setattr__(self, name, v)
-        if self.split_kind not in _SPLIT_KINDS:
-            raise InvalidModel(f"unknown split kind {self.split_kind!r}")
         if np.any(self.whitened_cross[~self.endo_support] != 0.0):
             raise InvalidModel("whitened_cross is nonzero off the latent-noise support")
         noise_var = float(self.noise_var)
@@ -242,7 +237,6 @@ class EndogenousModel:
         true_coef,
         whitened_cross=None,
         noise_sd: float | None = None,
-        split_kind: str = "orthogonal",
     ) -> "EndogenousModel":
         """Model from a whitened endogeneity request and a noise level.
 
@@ -263,7 +257,7 @@ class EndogenousModel:
             noise_sd = 2.0 * math.sqrt(energy) if energy > 0 else 1.0
         if not noise_sd > 0:
             raise InvalidModel(f"noise_sd must be positive, got {noise_sd}")
-        return cls(signal_eigs, endo, true_coef, realized, float(noise_sd) ** 2, split_kind)
+        return cls(signal_eigs, endo, true_coef, realized, float(noise_sd) ** 2)
 
     @property
     def p(self) -> int:
@@ -272,6 +266,17 @@ class EndogenousModel:
     @property
     def total_eigs(self) -> np.ndarray:
         return self.endo_eigs + self.signal_eigs
+
+    @property
+    def split_kind(self) -> str:
+        """"exogenous" with no positive latent eigenvalue, "nonorthogonal"
+        when the signal diagonal is positive on a latent coordinate, else
+        "orthogonal".  It selects the condition mode and the norm bound's
+        constant; the CGMT comparison solver refuses "nonorthogonal"."""
+        latent = self.endo_eigs > 0.0
+        if not latent.any():
+            return "exogenous"
+        return "nonorthogonal" if np.any(self.signal_eigs[latent] > 0.0) else "orthogonal"
 
     @property
     def endo_support(self) -> np.ndarray:

@@ -177,20 +177,20 @@ def _family_eigs(profile: dict, n: int) -> np.ndarray:
     return eigs
 
 
-def _split(profile: dict, n: int) -> tuple[str, float]:
-    """The profile's split kind, and the share n^-alpha of the latent block
-    that a nonorthogonal split leaves in the signal block (0 for the
-    orthogonal split)."""
+def _split(profile: dict, n: int) -> float:
+    """The share n^-alpha of the latent block that the profile's
+    nonorthogonal split leaves in the signal block (0 for the orthogonal
+    split)."""
     split, alpha = profile.get("split", "orthogonal"), profile.get("alpha")
     if split == "orthogonal":
         if alpha is not None:
             raise InvalidConfig("alpha applies only to the nonorthogonal split")
-        return split, 0.0
+        return 0.0
     if split != "nonorthogonal":
         raise InvalidConfig(f"unknown split {split!r}")
     if alpha is None or not alpha > 1.0:
         raise InvalidAlpha(f"nonorthogonal split needs a leakage exponent alpha > 1, got {alpha}")
-    return split, float(n) ** (-alpha)
+    return float(n) ** (-alpha)
 
 
 def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
@@ -206,24 +206,24 @@ def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):
 
 
 def _profile_blocks(profile: dict, n: int, extend: int = 0):
-    """The profile's split kind, truncation level k, signal and latent
-    diagonals (the latent block extended by extend coordinates past k), and
-    its coefficient and cross vectors (None for cross kind "none")."""
+    """The profile's truncation level k, signal and latent diagonals (the
+    latent block extended by extend coordinates past k), and its
+    coefficient and cross vectors (None for cross kind "none")."""
     eigs = _family_eigs(profile, n)
     if profile.get("rotation", "pattern") not in ("pattern", None):
         raise InvalidConfig(f"unknown rotation {profile['rotation']!r}")
-    split, leak = _split(profile, n)
+    leak = _split(profile, n)
     k = truncation_level(eigs, n)
     if k is None:
         raise InvalidSpectrum("no truncation level within the spectrum")
     endo, sig = split_eigs(eigs, k + extend, leak)
     theta = _profile_vector(profile.get("coef"), _COEF_RULES, "inverse_sqrt", eigs.size)
     cross = _profile_vector(profile.get("cross"), _CROSS_RULES, "none", eigs.size)
-    return split, k, sig, endo, theta, cross
+    return k, sig, endo, theta, cross
 
 
 def _custom_model(profile: dict, n: int) -> EndogenousModel:
-    split, _, sig, endo, theta, rho = _profile_blocks(profile, n)
+    _, sig, endo, theta, rho = _profile_blocks(profile, n)
     if rho is not None and profile.get("rotation", "pattern") == "pattern":
         rho = PatternRotation(rho.size).matvec(rho)
     noise_sd = profile.get("noise_sd")
@@ -233,7 +233,6 @@ def _custom_model(profile: dict, n: int) -> EndogenousModel:
         theta,
         rho,
         noise_sd=float(noise_sd) if noise_sd is not None else None,
-        split_kind=split,
     )
 
 
@@ -283,7 +282,7 @@ def _window_model(n: int, head_coef: bool = False, shifted: bool = False) -> End
     shift = k // 5 if shifted else 0
     if k < 1 or (shifted and shift < 1):
         raise InvalidConfig(f"endogenous window is empty at n={n}")
-    split, kstar, sig, endo, theta, cross = _profile_blocks(_PROFILES["iii"], n, shift)
+    kstar, sig, endo, theta, cross = _profile_blocks(_PROFILES["iii"], n, shift)
     if k > kstar:
         raise InvalidConfig(f"endogenous window exceeds the latent block at n={n}")
     if head_coef:
@@ -291,7 +290,7 @@ def _window_model(n: int, head_coef: bool = False, shifted: bool = False) -> End
     window = np.r_[shift:k, kstar : kstar + shift]
     rho = np.zeros(cross.size)
     rho[window] = cross[window] / np.sqrt(endo[window])
-    return EndogenousModel.build(sig, endo, theta, rho, split_kind=split)
+    return EndogenousModel.build(sig, endo, theta, rho)
 
 
 # setup id -> model factory
@@ -627,13 +626,16 @@ def _pin_malloc_thresholds() -> None:
     """Pin glibc's mmap and trim thresholds at the ceiling (32 and 64 MB)
     that its adaptive rule reaches on its own after freeing one large block.
 
-    A repetition allocates and frees a few MB of arrays (X, W1, the Gram).
-    Left adaptive, the thresholds follow the largest block freed so far, so
-    the heap is trimmed (or the block unmapped) after most repetitions and
-    the next one faults the same pages in again: about 7,500 page faults
-    per 16-repetition setup ii sweep over n = 100..400, a quarter of its
-    CPU time in the kernel; with two workers each trim also has to flush
-    the TLB of the CPU running the other.  Pinned, freed blocks below
+    A repetition allocates and frees a few MB of arrays (X, W1, and the copy
+    of X that a compressed fit factors by QR).  Left adaptive, the
+    thresholds follow the largest block freed so far, so the heap is
+    trimmed (or the block unmapped) after most repetitions and the next one
+    faults the same pages in again.  On the 16-repetition setup ii batch
+    over n = 100..400 with two workers and one BLAS thread (2-core host,
+    two 12 s loops each), pinned thresholds gave 6 minor page faults per
+    batch and 0.4-0.5 s of system time per loop, adaptive ones 3,200-3,900
+    faults per batch and 2.4-2.6 s; with two workers each trim also has to
+    flush the TLB of the CPU running the other.  Pinned, freed blocks below
     64 MB stay in the heap for the next repetition.  A no-op where the C
     library has no mallopt.
     """
@@ -767,8 +769,7 @@ CONDITION_GRID = tuple(range(100, 801, 100))
 
 def _family_fixed_p_identity(n: int) -> EndogenousModel:
     # fixed dimension: the signal block cannot absorb a growing sample
-    endo, sig = split_eigs(np.ones(50), 0)
-    return EndogenousModel.build(sig, endo, np.full(50, 0.5), noise_sd=1.0, split_kind="exogenous")
+    return EndogenousModel.build(np.ones(50), np.zeros(50), np.full(50, 0.5), noise_sd=1.0)
 
 
 # the condition mode of each family is its models' split kind

@@ -204,15 +204,17 @@ class BoundReport:
         return [row]
 
 
-def rmse_upper_bound(
-    model: EndogenousModel, n: int, delta: float, B: float, C1: float = 32.0
-) -> BoundReport:
+_C1 = 32.0  # the risk bound's printed constant
+
+
+def rmse_upper_bound(model: EndogenousModel, n: int, delta: float, B: float) -> BoundReport:
     """Closed-form risk bound at ball radius B, plus the principal part.
 
     The literal bound is (1 + gamma) B^2 tr(signal)/n - leftover noise with
     gamma = C1 (sqrt(log(1/d)/r) + sqrt(log(1/d)/n) + sqrt(rank/n)); the
     principal part is (1 + eta)(1 v sigma) psi(t), psi(t) = t + t^2, at
     t = (pinv-cross norm + |theta0|) sqrt(tr(signal)/n), constants dropped.
+    C1 is the printed constant 32.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -222,7 +224,7 @@ def rmse_upper_bound(
     r, _ = effective_ranks(model.signal_eigs)
     rank_u = model.endo_rank()
     log_term = math.log(1.0 / delta)
-    gamma = C1 * (
+    gamma = _C1 * (
         math.sqrt(log_term / r) + math.sqrt(log_term / n) + math.sqrt(rank_u / n)
     )
     tr_sig = float(model.signal_eigs.sum())
@@ -238,7 +240,7 @@ def rmse_upper_bound(
         eta_delta=eta,
         rmse_bound=literal,
         rmse_principal=principal,
-        constants_used={"C1": C1, "ball_radius": B},
+        constants_used={"C1": _C1, "ball_radius": B},
         flags={"gamma_le_1": gamma <= 1.0},
     )
 
@@ -370,6 +372,8 @@ def evaluate_conditions(model_factory, n_grid) -> ConditionReport:
         seq["rank_ratio"][i] = model.endo_rank() / n
         seq["eff_dim"][i] = n / big_r
         seq["aliasing"][i] = float(np.linalg.norm(model.true_coef)) * math.sqrt(tr_sig / n)
+        if "cross_rank" in seq:
+            seq["cross_rank"][i] = (n / big_r) * (float(model.endo_eigs @ sig) / tr_sq)
         if mode == "orthogonal":
             seq["endo"][i] = pinv_cross_norm(model) * math.sqrt(tr_sig / n)
         elif mode == "nonorthogonal":
@@ -379,10 +383,7 @@ def evaluate_conditions(model_factory, n_grid) -> ConditionReport:
                 if s_tilde > 0
                 else math.inf
             )
-            seq["cross_rank"][i] = (n / big_r) * (float(model.endo_eigs @ sig) / tr_sq)
             seq["mixed"][i] = cross_signal_energy(model)
-        else:
-            seq["cross_rank"][i] = (n / big_r) * (float(model.endo_eigs @ sig) / tr_sq)
 
     for name, values in seq.items():
         if not np.all(np.isfinite(values)) or np.any(values < 0):

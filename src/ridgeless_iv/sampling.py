@@ -50,7 +50,9 @@ class Dataset:
 
 
 def _latent_width(model: EndogenousModel) -> int:
-    # 1 + the last index where the latent-noise block is nonzero, 0 if none
+    """1 + the last index where the latent-noise block is positive (0 if
+    none).  Every positive entry counts, with no rank cutoff as in
+    covariance.latent_support: a draw needs the covariance as it is."""
     nz = np.flatnonzero(model.endo_eigs)
     return int(nz[-1]) + 1 if nz.size else 0
 

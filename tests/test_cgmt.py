@@ -23,7 +23,7 @@ from ridgeless_iv.cgmt_lab import (
     solve_po,
     tail_dominance_check,
 )
-from ridgeless_iv.covariance import EndogenousModel
+from ridgeless_iv.covariance import EndogenousModel, split_eigs
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.harness import setup_model
 from ridgeless_iv.metrics import projected_rmse
@@ -79,6 +79,14 @@ def ao_instance(trial):
 def default_radius(model):
     """tail_dominance_check's default ball radius, |theta0| + 50 sigma."""
     return float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
+
+
+def slice_with(p, k):
+    """slice_model(p) with the top k coordinates latent instead of p // 2:
+    the same spectrum, coefficients and whitened endogeneity 2/i."""
+    base = slice_model(p)
+    endo, sig = split_eigs(base.total_eigs, k)
+    return EndogenousModel.build(sig, endo, base.true_coef, 2.0 / np.arange(1.0, p + 1))
 
 
 def po_draw(w1, w2, xi):
@@ -224,7 +232,7 @@ def test_drawn_instance_matches_sampled_dataset():
     # same seed, same factor stream: the surrogate instance rebuilds the
     # sampled design bit for bit (the same elementwise products); setup i
     # at n = 10 has p = 50 columns and a latent block on fewer of them
-    for model, n in ((slice_model(4), 5), (slice_model(6, 2), 5), (setup_model("i", 10), 10)):
+    for model, n in ((slice_model(4), 5), (slice_with(6, 2), 5), (setup_model("i", 10), 10)):
         for seed in (0, 7, 42):
             draw = draw_instance(model, n, np.random.default_rng(seed))
             data = sample_dataset(model, n, seed)
@@ -319,13 +327,13 @@ def _ao_checks(model, draw, radius, x):
     return gap, np.linalg.norm(x + model.true_coef, axis=-1) - radius
 
 
-@pytest.mark.parametrize("p, endo_count", [(6, 2), (5, 1)])
-def test_ao_beats_random_search_in_four_signal_dims(p, endo_count):
+@pytest.mark.parametrize("p, k", [(6, 2), (5, 1)])
+def test_ao_beats_random_search_in_four_signal_dims(p, k):
     # four signal coordinates, beyond the grid reference: no point of a
     # seeded search (uniform over the ball, and perturbations of the
     # reported point at scales 1e-6..1e-1 of the radius) that satisfies the
     # exact cone and the ball has a larger objective
-    model = slice_model(p, endo_count)
+    model = slice_with(p, k)
     sig = model.signal_eigs
     radius = default_radius(model)
     feasible = 0
@@ -434,23 +442,20 @@ def test_instance_validation():
 
 
 def test_slice_model_structure():
-    model = slice_model(6, endo_count=2)
-    assert model.p == 6
-    assert model.endo_rank() == 2
-    idx = np.arange(1.0, 7.0)
+    # the top p // 2 = 3 coordinates are latent
+    model = slice_model(7)
+    assert model.p == 7
+    assert model.endo_rank() == 3
+    idx = np.arange(1.0, 8.0)
     eigs = 300.0 / idx / (np.log(idx + 1.0) * math.e / 2.0) ** 2
-    np.testing.assert_allclose(model.endo_eigs[:2], eigs[:2])
-    assert np.all(model.endo_eigs[2:] == 0.0)
+    np.testing.assert_allclose(model.endo_eigs[:3], eigs[:3])
+    assert np.all(model.endo_eigs[3:] == 0.0)
     np.testing.assert_allclose(model.signal_eigs + model.endo_eigs, eigs)
     np.testing.assert_allclose(model.true_coef, 20.0 / np.sqrt(idx))
-    np.testing.assert_allclose(model.whitened_cross[:2], 2.0 / idx[:2])
-    assert np.all(model.whitened_cross[2:] == 0.0)
+    np.testing.assert_allclose(model.whitened_cross[:3], 2.0 / idx[:3])
+    assert np.all(model.whitened_cross[3:] == 0.0)
     with pytest.raises(ValueError):
         slice_model(1)
-    with pytest.raises(ValueError):
-        slice_model(4, endo_count=0)
-    with pytest.raises(ValueError):
-        slice_model(4, endo_count=4)
 
 
 def test_draw_instance_shapes_and_default_radius(monkeypatch):
@@ -460,8 +465,7 @@ def test_draw_instance_shapes_and_default_radius(monkeypatch):
     assert draw.W2.shape == (5, 2)  # the latent support, as draw_factors gives it
     assert draw.G.shape == (5,)
     assert draw.H.shape == (4,)
-    # the check passes every block the one ball radius, by default
-    # |theta0| + 50 sigma
+    # the check passes every block the one ball radius, |theta0| + 50 sigma
     radii = []
 
     def record(args):
@@ -469,29 +473,31 @@ def test_draw_instance_shapes_and_default_radius(monkeypatch):
         return np.zeros(len(args[3])), np.zeros(len(args[3])), 0, 0
 
     monkeypatch.setattr(cgmt_lab, "_tail_chunk", record)
-    tail_dominance_check(model, 5, 300, c_grid=[0.0], max_workers=1)
+    tail_dominance_check(model, 5, 300, max_workers=1)
     expect = float(np.linalg.norm(model.true_coef)) + 50.0 * math.sqrt(model.noise_var)
     assert radii == [pytest.approx(expect)] * 2
-    tail_dominance_check(model, 5, 4, c_grid=[0.0], ball_radius=40.0, max_workers=1)
-    assert radii[-1] == 40.0
 
 
 # ------------------------------------------------------------- tail check
 
 
-def test_tail_degenerate_threshold():
-    model = slice_model(4)
-    report = tail_dominance_check(model, 3, 24, c_grid=[-1.0], seed=0)
+def test_tail_degenerate_threshold(monkeypatch):
+    # every optimum ties at 1.0, so every quantile threshold is 1.0: the
+    # primary tail counts values strictly above it (none), the comparison
+    # tail values at or above it (all), and no threshold is a violation
+    def tied(args):
+        count = len(args[3])
+        return np.ones(count), np.ones(count), 0, 0
+
+    monkeypatch.setattr(cgmt_lab, "_tail_chunk", tied)
+    report = tail_dominance_check(slice_model(4), 3, 24, seed=0, grid_size=3)
+    np.testing.assert_array_equal(report.c_grid, np.ones(3))
+    np.testing.assert_array_equal(report.p_phi_gt, np.zeros(3))
+    np.testing.assert_array_equal(report.p_phi_ao_ge, np.ones(3))
     assert report.violations == 0
-    assert report.p_phi_gt[0] == 1.0
-    assert report.p_phi_ao_ge[0] == 1.0
     row = report.rows()[0]
-    assert row["c"] == -1.0
+    assert row["c"] == 1.0
     assert row["violation"] is False
-    # a scalar threshold is a one-point grid
-    scalar = tail_dominance_check(model, 3, 24, c_grid=-1.0, seed=0)
-    assert scalar.c_grid.shape == (1,)
-    assert scalar.rows() == report.rows()
 
 
 def test_tail_small_rep_slack():
@@ -585,16 +591,6 @@ def test_tail_rejects_zero_reps(monkeypatch):
         tail_dominance_check(slice_model(4), 0, 4)
     with pytest.raises(ValueError):
         tail_dominance_check(slice_model(4), 3, 4, grid_size=0)
-    with pytest.raises(ValueError):
-        tail_dominance_check(slice_model(4), 3, 4, c_grid=[])
-    # a threshold grid must be one-dimensional and finite
-    for bad in ([np.nan, 1.0], [1.0, np.inf], [[1.0, 2.0]], np.nan):
-        with pytest.raises(ValueError):
-            tail_dominance_check(slice_model(4), 3, 4, c_grid=bad)
-    # the ball must hold theta0
-    below = 0.99 * float(np.linalg.norm(slice_model(4).true_coef))
-    with pytest.raises(ValueError, match="below"):
-        tail_dominance_check(slice_model(4), 3, 4, ball_radius=below)
 
 
 def test_tail_default_workers_follow_cpu_affinity(monkeypatch):

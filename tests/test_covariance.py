@@ -282,7 +282,6 @@ GOOD = {
     "true_coef": [1.0, -2.0, 0.5],
     "whitened_cross": [0.5, 0.0, 0.0],
     "noise_sd": 1.0,
-    "split_kind": "orthogonal",
 }
 
 
@@ -303,7 +302,6 @@ GOOD = {
         ("true_coef", [1.0, 2.0]),
         ("true_coef", 1.0),
         ("whitened_cross", 0.5),
-        ("split_kind", "diagonal"),
     ],
 )
 def test_model_rejects_invalid_fields(field, value):

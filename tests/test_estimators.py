@@ -507,9 +507,7 @@ def test_lasso_iv_rejects_compressed_sample():
     endo[:2] = 1.0
     w = np.zeros(p)
     w[:2] = 0.5
-    model = EndogenousModel.build(
-        eigs, endo, 1.0 / np.arange(1, p + 1), w, split_kind="nonorthogonal"
-    )
+    model = EndogenousModel.build(eigs, endo, 1.0 / np.arange(1, p + 1), w)
     data = sample_dataset(model, n, seed=8)
     assert data.X.shape == (n, 3 + 1 + n)
     with pytest.raises(InvalidData, match="compressed"):

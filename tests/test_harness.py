@@ -11,8 +11,10 @@ from click.testing import CliRunner
 from ridgeless_iv import harness
 from ridgeless_iv.cli import main
 from ridgeless_iv.covariance import EndogenousModel, truncation_level
+from ridgeless_iv.cgmt_lab import slice_model
 from ridgeless_iv.harness import (
     CONDITION_FAMILIES,
+    CONDITION_GRID,
     ESTIMATOR_NAMES,
     OUTPUT_DIR_ENV,
     SETUP_IDS,
@@ -124,6 +126,29 @@ def test_setup_modes_and_grids():
     assert default_grid("vii", full_scale=True) == tuple(range(100, 1001, 100))
     with pytest.raises(UnknownSetup):
         default_grid("custom")
+
+
+@pytest.mark.parametrize(
+    "source, kind",
+    [(sid, "orthogonal" if sid in ("i", "ii", "v") else "nonorthogonal") for sid in SETUP_IDS]
+    + [
+        ("logpoly_orthogonal", "orthogonal"),
+        ("expnoise_orthogonal", "orthogonal"),
+        ("logpoly_nonorthogonal", "nonorthogonal"),
+        ("fixed_p_identity", "exogenous"),
+        ("slice", "orthogonal"),
+    ],
+)
+def test_split_kind_matches_the_profile_split(source, kind):
+    # the kind read off the vectors is the split the setup's profile (iii's
+    # for vii-ix), the family or the slice makes, at every size they take
+    if source == "slice":
+        models = [slice_model(p) for p in range(2, 9)]
+    elif source in CONDITION_FAMILIES:
+        models = [CONDITION_FAMILIES[source](n) for n in CONDITION_GRID]
+    else:
+        models = [setup_model(source, n) for n in range(100, 1001, 100)]
+    assert [model.split_kind for model in models] == [kind] * len(models)
 
 
 # ------------------------------------------------------------------- configs

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ridgeless_iv.covariance import EndogeneityTooStrong, EndogenousModel, PatternRotation
+from ridgeless_iv.covariance import (
+    EndogeneityTooStrong,
+    EndogenousModel,
+    PatternRotation,
+    split_eigs,
+)
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.harness import _custom_model
 from ridgeless_iv.matops import InvalidMatrix, NotPSD
@@ -41,11 +46,11 @@ def split_profile(profile, n, alpha=None):
     return model.endo_eigs, model.signal_eigs
 
 
-def setup_i_model(n, split="orthogonal", alpha=None):
+def setup_i_model(n, alpha=None):
     endo, sig = split_profile(LOG_POLY, n, alpha)
     idx = np.arange(1, endo.size + 1, dtype=float)
     rho = PatternRotation(endo.size).matvec(2.0 / idx)
-    return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), rho, split_kind=split)
+    return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), rho)
 
 
 def tiny_model(rho=0.5, noise_sd=1.0):
@@ -53,11 +58,9 @@ def tiny_model(rho=0.5, noise_sd=1.0):
     return EndogenousModel.build([0.0, 1.0], [1.0, 0.0], np.zeros(2), [rho, 0.0], noise_sd)
 
 
-def exogenous_model(signal_eigs, true_coef, noise_sd, split_kind="orthogonal"):
+def exogenous_model(signal_eigs, true_coef, noise_sd):
     p = np.size(signal_eigs)
-    return EndogenousModel.build(
-        signal_eigs, np.zeros(p), true_coef, noise_sd=noise_sd, split_kind=split_kind
-    )
+    return EndogenousModel.build(signal_eigs, np.zeros(p), true_coef, noise_sd=noise_sd)
 
 
 def whitened(cross_cov, endo_eigs):
@@ -394,7 +397,7 @@ def test_norm_bound_needs_positive_residual_noise():
 
 
 def test_norm_bound_regression_constants_nonorthogonal():
-    model = setup_i_model(300, split="nonorthogonal", alpha=1.01)
+    model = setup_i_model(300, alpha=1.01)
     report = norm_upper_bound(model, 300, 0.1)
     assert report.constants_used["C2"] == 160.0
     assert report.eta1 == pytest.approx(0.17224325221915546, rel=1e-12)
@@ -429,13 +432,13 @@ def logpoly_nonorthogonal_family(n, alpha=2.0):
     endo, sig = split_profile(LOG_POLY, n, alpha)
     idx = np.arange(1, endo.size + 1, dtype=float)
     omega = 0.5 / idx / (np.log(idx + 1.0) * math.e / 2) ** 2
-    return EndogenousModel.build(
-        sig, endo, 20.0 / np.sqrt(idx), whitened(omega, endo), split_kind="nonorthogonal"
-    )
+    return EndogenousModel.build(sig, endo, 20.0 / np.sqrt(idx), whitened(omega, endo))
 
 
-def fixed_p_identity_family(n, p=50, split_kind="exogenous"):
-    return exogenous_model(np.ones(p), np.ones(p) / p, 1.0, split_kind)
+def fixed_p_identity_family(n, p=50, latent=0):
+    """p unit eigenvalues, the first latent of them in the latent block."""
+    endo, sig = split_eigs(np.ones(p), latent)
+    return EndogenousModel.build(sig, endo, np.ones(p) / p, noise_sd=1.0)
 
 
 GRID = tuple(range(100, 801, 100))
@@ -451,12 +454,10 @@ def test_conditions_grid_validation():
 def test_conditions_mode_is_the_models_split_kind():
     grid = (100, 200, 300)
     assert evaluate_conditions(fixed_p_identity_family, grid).mode == "exogenous"
+    # one grid, one mode: a factory whose split kind changes with n (here
+    # exogenous, exogenous, then orthogonal) is rejected
     with pytest.raises(ValueError, match="split kind"):
-        evaluate_conditions(lambda n: fixed_p_identity_family(n, split_kind="sideways"), grid)
-    # one grid, one mode: a factory whose split kind changes with n is rejected
-    mixed = {100: "exogenous", 200: "exogenous", 300: "orthogonal"}
-    with pytest.raises(ValueError, match="split kind"):
-        evaluate_conditions(lambda n: fixed_p_identity_family(n, split_kind=mixed[n]), grid)
+        evaluate_conditions(lambda n: fixed_p_identity_family(n, latent=int(n == 300)), grid)
 
 
 def test_conditions_orthogonal_family_all_decreasing():

@@ -27,7 +27,7 @@ def flat_tail_model(p=12, k=2):
     i = np.arange(1, p + 1, dtype=float)
     w = np.zeros(p)
     w[:k] = 0.4 / i[:k]
-    return EndogenousModel.build(sig, endo, 1.0 / np.sqrt(i), w, 1.5, "nonorthogonal")
+    return EndogenousModel.build(sig, endo, 1.0 / np.sqrt(i), w, 1.5)
 
 
 def identity_model(p, noise_sd=1.0):
@@ -265,3 +265,13 @@ def test_compressed_trailing_block_is_lower_triangular(dof):
         block = data.X[:, -n:]
         assert not np.triu(block, 1).any()
         assert np.all(np.diag(block) > 0)
+
+
+def test_latent_support_rules_differ_below_the_rank_cutoff():
+    # setup ii at n = 1000 has latent eigenvalues below default_rank_tol(p)
+    # times the largest: the pseudo-inverse's support drops them (44
+    # columns), the draw keeps every positive one (67 columns of W2)
+    model = setup_model("ii", 1000)
+    assert model.endo_rank() == 44
+    data = sample_dataset(model, 1000, seed=0)
+    assert data.W2.shape == (1000, 67)
