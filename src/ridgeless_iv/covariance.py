@@ -22,10 +22,6 @@ import numpy as np
 from .matops import default_rank_tol
 
 
-class InvalidProfile(ValueError):
-    """Pattern rotation asked for below two coordinates, or degenerate."""
-
-
 class InvalidSpectrum(ValueError):
     """Eigenvalue vector is empty, increasing, negative, or all zero."""
 
@@ -65,10 +61,7 @@ def _gram_schmidt_pattern(p: int) -> np.ndarray:
             v[j] = 1.0
             for _ in range(2):
                 v -= u[:, :j] @ (u[:, :j].T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-10:
-            raise InvalidProfile(f"pattern rotation degenerate at column {j + 1}")
-        u[:, j] = v / nrm
+        u[:, j] = v / np.linalg.norm(v)
     return u
 
 
@@ -86,7 +79,7 @@ class PatternRotation:
 
     def __init__(self, p: int):
         if p < 2:
-            raise InvalidProfile("rotation needs p >= 2")
+            raise ValueError(f"pattern rotation needs p >= 2, got {p}")
         self.p = p
         if p < self._DENSE_BELOW:
             self._dense = _gram_schmidt_pattern(p)
@@ -193,7 +186,9 @@ class EndogenousModel:
 
     Construction validates the model: the vectors must be finite and of one
     length, the eigenvalues nonnegative, noise_var finite and positive, and
-    the joint factor-and-error covariance positive semidefinite.  build
+    the covariate-error energy |whitened_cross|^2 at most noise_var, which
+    is when the joint factor-and-error covariance is positive semidefinite
+    (joint_min_eigenvalue's 2x2 pencil).  build
     takes a noise level instead of a variance and projects a whitened
     request onto the support.
     """
@@ -226,8 +221,6 @@ class EndogenousModel:
             raise EndogeneityTooStrong(
                 f"covariate-error energy {energy:g} exceeds noise variance {noise_var:g}"
             )
-        if self.joint_min_eigenvalue() < -1e-8:
-            raise EndogeneityTooStrong("joint factor covariance not positive semidefinite")
 
     @classmethod
     def build(

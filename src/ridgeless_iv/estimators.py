@@ -13,12 +13,10 @@ from .matops import (
     cholesky_lower,
     cholesky_solve,
     default_rank_tol,
-    gelsy_lstsq,
     lower_tail_qr,
     lower_tail_qr_solve,
+    pseudoinverse,
 )
-# the benchmark's tracer looks this name up here (ROADMAP item 4)
-from .matops import pseudoinverse  # noqa: F401
 from .sampling import Dataset
 
 
@@ -126,7 +124,7 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     singular values; the Cholesky factor when it fails or a squared pivot
     is at or below default_rank_tol(n) times the largest.  A singular
     factor, or a refined answer whose relative residual is above 1e-12,
-    gives way to a rank-revealing QR of X itself (matops.gelsy_lstsq,
+    gives way to a rank-revealing QR of X itself (matops.pseudoinverse,
     singular values below default_rank_tol(max(n, p)) times the largest
     treated as zero).  That gives the min-norm least-squares answer for any
     rank without squaring the condition number, as a pseudoinverse of the
@@ -143,7 +141,7 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
         fit = _result(x, y, theta)
         if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
             return fit
-    theta = gelsy_lstsq(x, y, default_rank_tol(max(x.shape)))
+    theta = pseudoinverse(x, y, default_rank_tol(max(x.shape)))
     return _result(x, y, theta)
 
 
@@ -177,8 +175,8 @@ def lasso_cd(
     x: np.ndarray,
     y: np.ndarray,
     lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = 1e-6,
+    max_iter: int = 2_000,
     *,
     _checked: bool = False,
 ) -> FitResult:
@@ -257,24 +255,12 @@ def plugin_lambda(sigma_hat: float, n: int, p: int) -> float:
     return 1.1 * sigma_hat * math.sqrt(2.0 * math.log(2.0 * max(p, 1)) / n)
 
 
-def _lasso_theta(x, y, lam, config, checked=False) -> np.ndarray:
+def _lasso_theta(x, y, lam, checked=False) -> np.ndarray:
     try:
-        fit = lasso_cd(x, y, lam, tol=config.tol, max_iter=config.max_iter, _checked=checked)
+        fit = lasso_cd(x, y, lam, _checked=checked)
         return fit.theta_hat
     except ConvergenceFailure as fail:  # keep the best iterate
         return fail.result.theta_hat
-
-
-@dataclass(frozen=True)
-class LassoIVConfig:
-    lambda_rule: object = None  # callable (sigma_hat, n, p) -> lam; default plug-in
-    tol: float = 1e-6
-    max_iter: int = 2_000
-
-    def penalty(self, sigma_hat: float, n: int, p: int) -> float:
-        if self.lambda_rule is not None:
-            return float(self.lambda_rule(sigma_hat, n, p))
-        return plugin_lambda(sigma_hat, n, p)
 
 
 def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
@@ -300,11 +286,7 @@ def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
     return w1
 
 
-def split_sample_lasso_iv(
-    data: Dataset,
-    endo_idx,
-    config: LassoIVConfig | None = None,
-) -> FitResult:
+def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) -> FitResult:
     """Two-stage baseline on a half split.
 
     Half 1 runs a first-stage lasso of each endogenous column on the
@@ -317,7 +299,9 @@ def split_sample_lasso_iv(
     themselves collinear on the estimation half cannot be separated by any
     instrument set and are rejected outright.  Half 2 removes the estimated
     endogenous contribution from Y and runs a lasso on the exogenous
-    columns.  The half split is a permutation drawn from the dataset seed,
+    columns.  Each lasso's penalty is lambda_rule(sigma_hat, n, p) of its
+    response's standard deviation, its row count and its column count.
+    The half split is a permutation drawn from the dataset seed,
     so refits are reproducible.  A compressed sample (sampling.Dataset) has
     no model-coordinate instruments and raises InvalidData.
 
@@ -326,7 +310,6 @@ def split_sample_lasso_iv(
     fits are zero, so those skip lasso_cd, and it gives the correlations
     the marginal screening ranks.
     """
-    config = config or LassoIVConfig()
     if data.compressed:  # the instruments are W1 columns in model coordinates
         raise InvalidData("lasso_iv needs a sample in the model's columns, not a compressed one")
     x, y = _check_xy(data.X, data.Y)
@@ -368,10 +351,10 @@ def split_sample_lasso_iv(
 
         for j, col in enumerate(endo_idx):
             target = x[half1, col]
-            lam = config.penalty(float(target.std()), half1.size, f1.shape[1])
+            lam = float(lambda_rule(float(target.std()), half1.size, f1.shape[1]))
             cand = None
             if not _zero_is_optimal(corr[:, j] / half1.size, lam):
-                coef = _lasso_theta(f1, target, lam, config)
+                coef = _lasso_theta(f1, target, lam)
                 cand = f1 @ coef if np.any(coef) else None
             unit = fresh_direction(cand) if cand is not None else None
             if unit is None:
@@ -399,6 +382,6 @@ def split_sample_lasso_iv(
         y2 = y[half2]
 
     v2 = x.take(half2, 0).take(exo_idx, 1)
-    lam = config.penalty(float(y2.std()), half2.size, exo_idx.size)
-    theta[exo_idx] = _lasso_theta(v2, y2, lam, config, checked=True)
+    lam = float(lambda_rule(float(y2.std()), half2.size, exo_idx.size))
+    theta[exo_idx] = _lasso_theta(v2, y2, lam, checked=True)
     return _result(x, y, theta)

@@ -190,7 +190,10 @@ def _split(profile: dict, n: int) -> float:
         raise InvalidConfig(f"unknown split {split!r}")
     if alpha is None or not alpha > 1.0:
         raise InvalidAlpha(f"nonorthogonal split needs a leakage exponent alpha > 1, got {alpha}")
-    return float(n) ** (-alpha)
+    leak = float(n) ** (-alpha)
+    if 1.0 - leak == 1.0:  # split_eigs would leave no share in the signal block
+        raise InvalidConfig(f"alpha {alpha} leaks nothing at n={n}: n^-alpha rounds away against 1")
+    return leak
 
 
 def _profile_vector(rule: dict | None, rules: dict, default_kind: str, p: int):

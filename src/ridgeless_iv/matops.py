@@ -2,7 +2,7 @@
 module that calls scipy's LAPACK.
 
 All routines are pure: they never mutate their inputs and hold no state, so
-results can be shared freely across threads.  The eigensolvers are numpy's
+results can be shared freely across threads.  The eigensolver is numpy's
 and the LAPACK routines come from the capsules of scipy's cython_lapack
 extension module, so nothing here imports scipy.linalg.
 """
@@ -168,8 +168,9 @@ def cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def gelsy_lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b for a vector b.
+def pseudoinverse(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
+    """x = a^+ b, the minimum-norm least-squares solution of a x = b for a
+    vector b.
 
     LAPACK gelsy: a rank-revealing QR with column pivoting, which treats
     singular values below rcond times the largest as zero, on the workspace
@@ -277,26 +278,6 @@ def _check_sym(a: np.ndarray) -> np.ndarray:
     if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
         raise InvalidMatrix("matrix is not symmetric")
     return 0.5 * (a + a.T)
-
-
-def pseudoinverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD matrix via eigendecomposition.
-
-    Eigenvalues at or below tol * lambda_max, tol = default_rank_tol(dim),
-    are treated as exact zeros.  A negative eigenvalue below -tol *
-    lambda_max raises NotPSD.
-    """
-    lam, q = np.linalg.eigh(_check_sym(a))
-    # eigenvector signs cancel in q inv(lam) q^T, so they are left as eigh
-    # gives them; the descending order fixes the summation order of that product
-    lam, q = lam[::-1].copy(), q[:, ::-1].copy()
-    lmax = lam[0] if lam.size else 0.0
-    cutoff = default_rank_tol(a.shape[0]) * max(lmax, 0.0)
-    if lam.size and lam[-1] < -cutoff and lam[-1] < -1e-14 * max(abs(lmax), 1.0):
-        raise NotPSD(f"eigenvalue {lam[-1]:g} below tolerance {-cutoff:g}")
-    inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-    out = (q * inv) @ q.T
-    return 0.5 * (out + out.T)
 
 
 def psd_eigvals(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,13 @@ from ridgeless_iv.covariance import (
     split_eigs,
     truncation_level,
 )
-from ridgeless_iv.harness import InvalidAlpha, InvalidConfig, _custom_model, _family_eigs
+from ridgeless_iv.harness import (
+    _PROFILES,
+    InvalidAlpha,
+    InvalidConfig,
+    _custom_model,
+    _family_eigs,
+)
 
 SETUP_I = {
     "family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2,
@@ -149,6 +155,11 @@ def test_rotation_p2_exchange():
     assert np.allclose(dense_rotation(2), [[0.0, 1.0], [1.0, 0.0]])
 
 
+def test_rotation_needs_two_coordinates():
+    with pytest.raises(ValueError, match="p >= 2"):
+        PatternRotation(1)
+
+
 def test_rotation_orthonormal_small():
     for p in range(2, 12):
         u = dense_rotation(p)
@@ -212,6 +223,14 @@ def test_split_nonorthogonal_validation_and_limits():
     assert float(endo @ sig) <= 1e-7
 
 
+def test_split_rejects_alpha_that_leaks_nothing():
+    # at n = 100, 100^-10 = 1e-20 rounds away against 1, which would leave
+    # the blocks exactly orthogonal under a nonorthogonal request
+    with pytest.raises(InvalidConfig, match=r"alpha 10\.0 .* n=100"):
+        _custom_model({**_PROFILES["iii"], "alpha": 10.0}, 100)
+    assert _custom_model({**_PROFILES["iii"], "alpha": 8.0}, 100).split_kind == "nonorthogonal"
+
+
 def test_split_identities_dense():
     rng = np.random.default_rng(2)
     eigs = np.sort(rng.uniform(0.5, 4.0, 6))[::-1]
@@ -244,6 +263,18 @@ def test_assemble_hand_example():
     assert np.allclose(model.cross_cov, [0.5, 0.0])
     assert model.resid_noise_var == pytest.approx(0.75)
     assert model.joint_min_eigenvalue() >= -1e-8
+
+
+def test_assemble_accepts_energy_at_the_noise_variance():
+    # |w|^2 is just below noise_var, so the joint covariance is PSD; the
+    # closed form of its 2x2 pencil cancels at this scale and reads an
+    # eigenvalue near -3e-5, which must not reject the model
+    w = np.array([398197.2106396361, 220454.89594527942, 539366.972962896, 0.0])
+    model = EndogenousModel.build(
+        np.array([0.0, 0, 0, 1]), np.array([1.0, 1, 1, 0]), np.ones(4), w,
+        noise_sd=705746.492184402,
+    )
+    assert float(w @ w) <= model.noise_var
 
 
 def test_assemble_exogenous():

@@ -11,7 +11,6 @@ from ridgeless_iv.covariance import EndogenousModel
 from ridgeless_iv.estimators import (
     ConvergenceFailure,
     InvalidData,
-    LassoIVConfig,
     SingularDesign,
     lasso_cd,
     min_norm_interpolator,
@@ -81,15 +80,15 @@ def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
         assert estimators._lower_tail(x)
     y = rng.standard_normal(x.shape[0])
     calls = []
-    gelsy_lstsq = estimators.gelsy_lstsq
+    pseudoinverse = estimators.pseudoinverse
 
     def counted(*args):
-        calls.append("gelsy")
-        return gelsy_lstsq(*args)
+        calls.append("pseudoinverse")
+        return pseudoinverse(*args)
 
-    monkeypatch.setattr(estimators, "gelsy_lstsq", counted)
+    monkeypatch.setattr(estimators, "pseudoinverse", counted)
     fit = min_norm_interpolator(x, y)
-    assert calls == ["gelsy"]
+    assert calls == ["pseudoinverse"]
     ref = scipy.linalg.pinv(x) @ y
     assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -97,7 +96,7 @@ def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
 def count_routes(monkeypatch):
     # the factorizations and the fallback each fit calls, in order
     calls = []
-    for name in ("lower_tail_qr", "cholesky_lower", "gelsy_lstsq"):
+    for name in ("lower_tail_qr", "cholesky_lower", "pseudoinverse"):
         real = getattr(estimators, name)
 
         def counted(*args, _name=name, _real=real):
@@ -331,7 +330,7 @@ def test_lasso_iv_empty_endo_is_half2_lasso():
     half2 = rng.permutation(100)[50:]
     y2 = data.Y[half2]
     lam = plugin_lambda(float(y2.std()), 50, 30)
-    direct = lasso_cd(data.X[half2], y2, lam, tol=1e-6, max_iter=2000)
+    direct = lasso_cd(data.X[half2], y2, lam)
     assert np.allclose(fit.theta_hat, direct.theta_hat)
 
 
@@ -423,8 +422,7 @@ def test_lasso_iv_certified_columns_skip_lasso(monkeypatch):
         return fit
 
     monkeypatch.setattr(estimators, "lasso_cd", counting)
-    cfg = LassoIVConfig(lambda_rule=lambda s, n, p: 10.0)
-    fit = split_sample_lasso_iv(data, endo_idx=[0, 1, 2], config=cfg)
+    fit = split_sample_lasso_iv(data, endo_idx=[0, 1, 2], lambda_rule=lambda s, n, p: 10.0)
     assert calls == [0]
     assert np.all(fit.theta_hat[3:] == 0.0)
     assert np.all(np.isfinite(fit.theta_hat[:3]))
@@ -493,8 +491,8 @@ def test_lasso_iv_rejects_too_many_endo():
 def test_lasso_iv_custom_penalty_rule():
     model = baseline_model()
     data = sample_dataset(model, 90, seed=44)
-    cfg = LassoIVConfig(lambda_rule=lambda s, n, p: 10.0)  # huge penalty kills exo part
-    fit = split_sample_lasso_iv(data, endo_idx=[0], config=cfg)
+    # a huge penalty kills the exogenous part
+    fit = split_sample_lasso_iv(data, endo_idx=[0], lambda_rule=lambda s, n, p: 10.0)
     assert np.all(fit.theta_hat[1:] == 0.0)
 
 

@@ -494,6 +494,16 @@ def test_model_errors_carry_setup_context():
         run_setup(cfg)
 
 
+def test_one_value_profile_with_a_cross_rule_exits_2(tmp_path):
+    # one coordinate has no truncation level, and could not be rotated
+    profile = {"family": "explicit", "values": [1.0], "cross": {"kind": "inverse"}}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"setup": "custom", "n_grid": [100], "profile": profile}))
+    args = ["simulate", "--config", str(path), "--output-dir", str(tmp_path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+
+
 # --------------------------------------------------------------------- runs
 
 

@@ -6,6 +6,8 @@ workload of each kind under the tracer and checks every span shows up."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from ridgeless_iv import cgmt_lab, estimators, harness
 from ridgeless_iv.harness import ExperimentConfig, run_setup
 
@@ -61,3 +63,13 @@ def test_tracer_spans_reach_every_layer():
     calls = {name: summary[f"cgmt_lab.{name}"]["calls"] for name in ("prepare", "primary", "climb")}
     assert calls == {"prepare": 8, "primary": 8, "climb": 1}
     assert rebound(before) == set()
+
+
+def test_fallback_solve_is_the_pseudoinverse_span():
+    # a duplicated row makes the Gram singular, so the fit falls back to the
+    # rank-revealing solve, once
+    x = np.random.default_rng(23).standard_normal((6, 20))
+    x[5] = x[2]
+    with load_tracer_class()().installed() as tracer:
+        estimators.min_norm_interpolator(x, np.ones(6))
+    assert tracer.summary()["matops.pseudoinverse"]["calls"] == 1
