@@ -13,7 +13,10 @@ with disjoint signal and latent supports it reduces to the objective's root
 nu and one inner product t, each (nu, t) pair splitting the ball budget into
 a Tikhonov secular equation and a trust-region problem on a sphere.  A node
 scan in nu and a bracketed root of the budget give the optimum, and the
-point that attains it is checked against the cone and ball.  The Newton
+point that attains it is checked against the cone and ball.  Each min over
+the t window (_ao_window_min) is a bracketed search for a root of its
+slope, which the envelope theorem gives in closed form from the two
+kernels' multipliers (_ao_phi), in a fixed number of steps.  The Newton
 kernels take their small component axis first, (q, ...), so each sum over
 components is one add per contiguous row, not a reduction over a short last
 axis.
@@ -130,12 +133,15 @@ def _comp_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _sphere_min(m, gam, rho):
-    """w minimizing sum(m w^2 + 2 gam w) on |w| = rho, m ascending.
+    """(w, lam): w minimizing sum(m w^2 + 2 gam w) on |w| = rho, m ascending,
+    and its multiplier lam, w = -gam / (m + lam).
 
     Components come first: m and gam are (q, ...) and broadcast against rho.
     Newton on 1/|w(lam)| from a lower bound of the multiplier, then |w| is
     pinned to rho.  In the hard case |w| stays short of rho even at the pole
     lam = -m[0], and the rest of the radius goes along the first eigenvector.
+    The minimum falls by 2 lam rho per unit of radius; lam means nothing
+    where rho = 0.
     """
     live_rho = rho > 0.0
     rs = np.where(live_rho, rho, 1.0)
@@ -158,11 +164,12 @@ def _sphere_min(m, gam, rho):
     w, _, nw = at(lam)
     hard = nw < rho * (1.0 - 1e-12)
     if hard.any():
-        w, _, nw = at(np.where(hard, -m[0], lam))
+        lam = np.where(hard, -m[0], lam)
+        w, _, nw = at(lam)
         pad = np.sqrt(np.maximum(rho * rho - nw * nw, 0.0))
         w[0] += np.where(hard, np.copysign(pad, -gam[0]), 0.0)
     w *= np.where(hard, 1.0, rs / np.where(nw > 0.0, nw, 1.0))
-    return np.where(live_rho, w, 0.0)
+    return np.where(live_rho, w, 0.0), lam
 
 
 # ------------------------------------------------------------------ primary
@@ -224,7 +231,7 @@ def max_projected_error(
     anchor = part + basis @ center
     b = basis.T @ (sig * anchor)
     lam, vec = np.linalg.eigh(a)
-    w = _sphere_min(-lam[::-1], -(b @ vec)[::-1], radius)
+    w, _ = _sphere_min(-lam[::-1], -(b @ vec)[::-1], radius)
     theta_prime = anchor + basis @ (vec @ w[::-1])
     return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, m)
 
@@ -255,8 +262,7 @@ def solve_po(model: EndogenousModel, draw: TailDraw, radius: float) -> PoSolutio
 
 _NU_NODES = 24  # linear nu nodes, and again as many logarithmic ones
 _T_GRID = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, 16))
-_GOLDEN_STEPS = 24
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SLOPE_STEPS = 8
 
 
 def _cone_gap(x, sig_root, w2s, G, hz, xi):
@@ -335,34 +341,63 @@ def _ao_at_nu(r, nu):
     return at
 
 
-def _ao_phi(at, g, point=False):
+def _ao_phi(at, g, point=False, slope=False):
     """L + S at window positions g over the nu terms at (from _ao_at_nu), inf
-    where the t window is closed; with point=True also y and u, components
-    first, which needs vt, evec and hhat in at.
+    where the t window is closed; with slope=True also its derivative in g,
+    and with point=True y and u instead, components first, which needs vt,
+    evec and hhat in at.
 
     The window is [t_lo, nu |H_J|], t_lo = |P_perp c| less the draw's
     slack, the part of the certificate's cone tolerance the point may use.
-    g in [0, 1] sets |P_range(c - A y)| = W sin(pi g / 2) and the radius of
-    u off H_J to (W / |H_J|) cos(pi g / 2), W^2 = nu^2 |H_J|^2 - t_lo^2,
-    which removes the square-root ends of the window.
+    g in [0, 1] sets tau = |P_range(c - A y)| = W sin(pi g / 2) and the
+    radius of u off H_J to rho = (W / |H_J|) cos(pi g / 2), W^2 = nu^2
+    |H_J|^2 - t_lo^2, which removes the square-root ends of the window;
+    s = t / |H_J| is the length of u along H_J.
+
+    The slope follows from the envelope theorem and the multipliers of the
+    two kernels, mu of _tikhonov and lam of _sphere_min:
+      dphi/dg = -2 |alpha / (sv^2 + mu)| dtau/dg
+                + (2 w.g1 + 2 s e2 + 2 e1) ds/dg - 2 lam rho drho/dg,
+    with dtau/dg = W (pi/2) cos(pi g / 2), drho/dg = -W (pi/2) sin(pi g /
+    2) / |H_J| and ds/dg = (tau / t) dtau/dg / |H_J|.  |alpha / (sv^2 +
+    mu)| is tau / mu, which stays finite as tau -> 0 at g = 0, and tau / t
+    is taken as 1 where t_lo = tau = 0; at g = 1, cos(pi g / 2) is about
+    6e-17, not 0, and lam rho comes out near its limit |gam|.  So the slope
+    is the one-sided derivative at both ends.  It is 0 where the window is
+    closed, where H_J = 0 and on flat draws (one signal coordinate), where
+    phi does not depend on g.
     """
     nu, t_lo, pos = at["nu"], at["t_lo"], at["pos"]
-    rho = np.where(
-        at["flat"], 0.0, np.where(pos, at["width"] * np.cos(0.5 * math.pi * g) / at["hn_div"], nu)
-    )
+    angle = 0.5 * math.pi * g
+    rho = np.where(at["flat"], 0.0, np.where(pos, at["width"] * np.cos(angle) / at["hn_div"], nu))
     s = np.where(pos, np.sqrt(np.maximum(nu * nu - rho * rho, 0.0)), 0.0)
     t = s * at["hn"]
 
     alpha, sv2 = at["alpha"], at["sv2"]
     den = sv2 + _tikhonov(alpha, sv2, t * t - t_lo * t_lo)
-    coef = at["sv"] * alpha / np.where(den > 0.0, den, 1.0)
+    den = np.where(den > 0.0, den, 1.0)
+    coef = at["sv"] * alpha / den
 
     m = at["m"]
     gam = s * at["g1"] + at["g0"]
-    w = _sphere_min(m, gam, rho)
+    w, lam = _sphere_min(m, gam, rho)
     sph = (w * (m * w + 2.0 * gam)).sum(axis=0)
     sph += s * (s * at["e2"] + 2.0 * at["e1"]) + at["bb"]
     phi = np.where(at["open"], (coef * coef).sum(axis=0) + sph, np.inf)
+    if slope:
+        moves = at["open"] & pos & ~at["flat"]
+        d_tau = np.where(moves, 0.5 * math.pi * at["width"] * np.cos(angle), 0.0)
+        d_rho = np.where(moves, -0.5 * math.pi * at["width"] * np.sin(angle) / at["hn_div"], 0.0)
+        # tau / t from tau and t_lo, which stay exact as t_lo and g go to 0
+        tau = at["width"] * np.sin(angle)
+        t_ex = np.hypot(t_lo, tau)
+        d_s = np.where(t_ex > 0.0, tau / np.where(t_ex > 0.0, t_ex, 1.0), 1.0) * d_tau / at["hn_div"]
+        d_phi = (
+            -2.0 * _comp_norm(alpha / den) * d_tau
+            + 2.0 * ((w * at["g1"]).sum(axis=0) + s * at["e2"] + at["e1"]) * d_s
+            - 2.0 * lam * rho * d_rho
+        )
+        return phi, d_phi
     if not point:
         return phi
     y = np.einsum("q...,qk...->k...", coef, at["vt"])
@@ -371,30 +406,48 @@ def _ao_phi(at, g, point=False):
 
 
 def _ao_window_min(r, nu):
-    """min over the t window of L + S at one nu per draw: the grid, then a
-    golden-section search between the grid neighbours of its best node."""
+    """min over the t window of L + S at one nu per draw, and the position
+    that attains it: the grid with its slopes (_ao_phi), then a bracketed
+    search for a root of the slope below the grid's best value.
+
+    The bracket runs from lo, the lowest point seen, to hi, the grid
+    neighbour on lo's downhill side, so it holds a local minimum no higher
+    than lo.  Each step tries the minimizer of the cubic through the values
+    and slopes of the last two points searched (Nocedal & Wright 2006, eq.
+    3.59), or bisects when that falls outside the bracket or the bracket
+    has not halved over the last two steps.  A point above lo becomes hi;
+    otherwise it becomes lo, and the old lo becomes hi if the slope there
+    points back at it.  The slope may jump down where the sphere's
+    minimizer switches branches, so the values, not the slope signs alone,
+    cut the bracket.  Every call takes _SLOPE_STEPS steps, whatever its
+    draws.
+    """
     at = _ao_at_nu(r, nu[:, None])
-    rows, k = np.arange(nu.size), _T_GRID.size
-    phi = _ao_phi(at, _T_GRID[None])
+    rows, last = np.arange(nu.size), _T_GRID.size - 1
+    phi, d_phi = _ao_phi(at, _T_GRID[None], slope=True)
     j = phi.argmin(axis=1)
-    best = [phi[rows, j], _T_GRID[j]]
-
-    def at_g(g):
-        f = _ao_phi(at, g[:, None])[:, 0]
-        better = f < best[0]
-        best[:] = np.where(better, f, best[0]), np.where(better, g, best[1])
-        return f
-
-    a, b = _T_GRID[np.maximum(j - 1, 0)], _T_GRID[np.minimum(j + 1, k - 1)]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = at_g(c), at_g(d)
-    for _ in range(_GOLDEN_STEPS):
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        c, d = np.where(left, b - _INV_PHI * (b - a), d), np.where(left, c, a + _INV_PHI * (b - a))
-        fx = at_g(np.where(left, c, d))
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return best[0], best[1]
+    # the grid's ends search inward even when their slope points outward
+    k = np.where((j == 0) | ((d_phi[rows, j] < 0.0) & (j < last)), j + 1, j - 1)
+    lo, f_lo, hi = _T_GRID[j], phi[rows, j], _T_GRID[k]
+    xp, fp, dp = hi, phi[rows, k], d_phi[rows, k]
+    xq, fq, dq = lo, f_lo, d_phi[rows, j]
+    older = old = np.inf  # the bracket's widths two steps and one step back
+    for _ in range(_SLOPE_STEPS):
+        span = np.abs(hi - lo)
+        # a closed window (phi = inf) or a repeated point gives NaN here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = dp + dq - 3.0 * (fp - fq) / (xp - xq)
+            d2 = np.copysign(np.sqrt(d1 * d1 - dp * dq), xq - xp)
+            x = xq - (xq - xp) * (dq + d2 - d1) / (dq - dp + 2.0 * d2)
+        inside = ((x - lo) * (x - hi) < 0.0) & (span <= 0.5 * older)
+        x = np.where(inside, x, 0.5 * (lo + hi))
+        f, d = _ao_phi(at, x[:, None], slope=True)
+        xp, fp, dp, xq, fq, dq = xq, fq, dq, x, f[:, 0], d[:, 0]
+        above = fq > f_lo
+        hi = np.where(above, x, np.where(dq * (lo - x) < 0.0, lo, hi))
+        lo, f_lo = np.where(above, lo, x), np.where(above, f_lo, fq)
+        older, old = old, span
+    return f_lo, lo
 
 
 @dataclass(frozen=True)

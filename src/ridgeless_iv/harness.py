@@ -45,7 +45,7 @@ class InvalidConfig(ValueError):
     """Config field fails validation."""
 
 
-class InvalidAlpha(ValueError):
+class InvalidAlpha(InvalidConfig):
     """Nonorthogonal split needs a leakage exponent strictly above 1."""
 
 

@@ -2,7 +2,7 @@
 sufficient-condition checker for benign overfitting with endogeneity.
 
 effective_ranks takes a dense PSD matrix or a 1-d eigenvalue vector; the
-norm ranks and the projected error take a covariance's diagonal.  Model
+projected error takes a covariance's diagonal.  Model
 functionals read the two eigenvalue vectors of the model's diagonal blocks
 directly, which keeps dimension in the thousands cheap.
 """
@@ -60,84 +60,6 @@ def effective_ranks(sigma) -> tuple[float, float]:
     if tr <= 0 or eigs[0] <= 0:
         raise ZeroMatrix("effective ranks need a nonzero PSD matrix")
     return tr / float(eigs[0]), tr * tr / float(eigs @ eigs)
-
-
-@dataclass(frozen=True)
-class NormRankEstimate:
-    r_norm: float
-    R_norm: float
-    stderr_r: float
-    stderr_R: float
-    mc_samples: int
-    projection_checked: bool
-
-
-def _delta_method(num, den, num_scale_sq):
-    """Plug-in ranks and stderrs for (mean(num)/s)^2 and (mean(num)/mean(den))^2."""
-    m = num.size
-    a, d = float(num.mean()), float(den.mean())
-    va = float(num.var(ddof=1)) / m
-    vd = float(den.var(ddof=1)) / m
-    cad = float((num - a) @ (den - d)) / ((m - 1) * m)
-    r = a * a / num_scale_sq
-    se_r = 2.0 * a / num_scale_sq * math.sqrt(va)
-    big_r = (a / d) ** 2
-    ga, gd = 2.0 * a / d**2, -2.0 * a**2 / d**3
-    var_R = ga * ga * va + gd * gd * vd + 2.0 * ga * gd * cad
-    return r, big_r, se_r, math.sqrt(max(var_R, 0.0))
-
-
-def norm_effective_ranks(
-    sigma_diag,
-    norm: str = "l2",
-    mc_samples: int = 10_000,
-    seed: int = 0,
-) -> NormRankEstimate:
-    """Monte Carlo general-norm effective ranks of a diagonal covariance.
-
-    Draws H ~ N(0, I), evaluates the dual norm of Sigma^{1/2}H and the
-    Sigma-weighted length of the minimal dual subgradient, and returns
-    delta-method standard errors for both rank estimates.  sigma_diag is
-    the diagonal of Sigma; a 2-d input or fewer than 2 samples (no
-    standard error) raises ValueError, and a negative or non-finite entry
-    NotPSD.
-    """
-    if mc_samples < 2:
-        raise ValueError(f"standard errors need mc_samples >= 2, got {mc_samples}")
-    sigma = np.asarray(sigma_diag, dtype=float)
-    if sigma.ndim != 1:
-        raise ValueError("norm effective ranks take the covariance's diagonal as a vector")
-    top = float(_eigs_of(sigma).max(initial=0.0))
-    if top <= 0:
-        raise ZeroMatrix("norm effective ranks need a nonzero matrix")
-    root = np.sqrt(sigma)
-    sup = math.sqrt(top)
-
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal((mc_samples, sigma.size)) * root[None, :]  # rows are Sigma^{1/2} H
-
-    if norm == "l2":
-        num = np.linalg.norm(y, axis=1)
-        # v* = y/|y|; its Sigma-length is |Sigma^{1/2} y| / |y|
-        den = np.linalg.norm(y * root[None, :], axis=1) / np.where(num > 0, num, 1.0)
-        checked = True
-    elif norm == "l1":
-        num = np.abs(y).max(axis=1)
-        picks = np.abs(y).argmax(axis=1)  # argmax takes the lowest index on ties
-        den = root[picks]
-        checked = False
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-
-    r, big_r, se_r, se_R = _delta_method(num, den, sup * sup)
-    return NormRankEstimate(
-        r_norm=r,
-        R_norm=big_r,
-        stderr_r=se_r,
-        stderr_R=se_R,
-        mc_samples=mc_samples,
-        projection_checked=checked,
-    )
 
 
 # --------------------------------------------------------- model functionals

@@ -1,7 +1,14 @@
-"""Reference solvers that the tests compare the package against, and the
-designs they are compared on."""
+"""Reference solvers that the tests compare the package against, the
+designs they are compared on, and the Monte Carlo norm effective ranks that
+the rank identities are checked with."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from ridgeless_iv.cgmt_lab import _T_GRID, _ao_at_nu, _ao_phi
+from ridgeless_iv.metrics import ZeroMatrix, _eigs_of
 
 
 def ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -18,3 +25,114 @@ def lower_tail_design(rng: np.random.Generator, n: int, head: int) -> np.ndarray
     lower = np.tril(rng.standard_normal((n, n)), -1)
     lower[np.diag_indices(n)] = np.sqrt(rng.chisquare(2 * n + 5 - np.arange(n)))
     return np.hstack([rng.standard_normal((n, head)), lower])
+
+
+_GOLDEN_STEPS = 24
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_window_min(r, nu):
+    """min over the t window of L + S at one nu per draw, the way the
+    comparison solver searched it before it used the slope: the 16-position
+    grid, then 24 golden-section steps between the grid neighbours of its
+    best node, keeping the best value seen.  Returns (phi, g)."""
+    at = _ao_at_nu(r, nu[:, None])
+    rows, k = np.arange(nu.size), _T_GRID.size
+    phi = _ao_phi(at, _T_GRID[None])
+    j = phi.argmin(axis=1)
+    best = [phi[rows, j], _T_GRID[j]]
+
+    def at_g(g):
+        f = _ao_phi(at, g[:, None])[:, 0]
+        better = f < best[0]
+        best[:] = np.where(better, f, best[0]), np.where(better, g, best[1])
+        return f
+
+    a, b = _T_GRID[np.maximum(j - 1, 0)], _T_GRID[np.minimum(j + 1, k - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = at_g(c), at_g(d)
+    for _ in range(_GOLDEN_STEPS):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - _INV_PHI * (b - a), d), np.where(left, c, a + _INV_PHI * (b - a))
+        fx = at_g(np.where(left, c, d))
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return best[0], best[1]
+
+
+@dataclass(frozen=True)
+class NormRankEstimate:
+    r_norm: float
+    R_norm: float
+    stderr_r: float
+    stderr_R: float
+    mc_samples: int
+    projection_checked: bool
+
+
+def _delta_method(num, den, num_scale_sq):
+    """Plug-in ranks and stderrs for (mean(num)/s)^2 and (mean(num)/mean(den))^2."""
+    m = num.size
+    a, d = float(num.mean()), float(den.mean())
+    va = float(num.var(ddof=1)) / m
+    vd = float(den.var(ddof=1)) / m
+    cad = float((num - a) @ (den - d)) / ((m - 1) * m)
+    r = a * a / num_scale_sq
+    se_r = 2.0 * a / num_scale_sq * math.sqrt(va)
+    big_r = (a / d) ** 2
+    ga, gd = 2.0 * a / d**2, -2.0 * a**2 / d**3
+    var_R = ga * ga * va + gd * gd * vd + 2.0 * ga * gd * cad
+    return r, big_r, se_r, math.sqrt(max(var_R, 0.0))
+
+
+def norm_effective_ranks(
+    sigma_diag,
+    norm: str = "l2",
+    mc_samples: int = 10_000,
+    seed: int = 0,
+) -> NormRankEstimate:
+    """Monte Carlo general-norm effective ranks of a diagonal covariance.
+
+    Draws H ~ N(0, I), evaluates the dual norm of Sigma^{1/2}H and the
+    Sigma-weighted length of the minimal dual subgradient, and returns
+    delta-method standard errors for both rank estimates.  sigma_diag is
+    the diagonal of Sigma; a 2-d input or fewer than 2 samples (no
+    standard error) raises ValueError, and a negative or non-finite entry
+    NotPSD.
+    """
+    if mc_samples < 2:
+        raise ValueError(f"standard errors need mc_samples >= 2, got {mc_samples}")
+    sigma = np.asarray(sigma_diag, dtype=float)
+    if sigma.ndim != 1:
+        raise ValueError("norm effective ranks take the covariance's diagonal as a vector")
+    top = float(_eigs_of(sigma).max(initial=0.0))
+    if top <= 0:
+        raise ZeroMatrix("norm effective ranks need a nonzero matrix")
+    root = np.sqrt(sigma)
+    sup = math.sqrt(top)
+
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((mc_samples, sigma.size)) * root[None, :]  # rows are Sigma^{1/2} H
+
+    if norm == "l2":
+        num = np.linalg.norm(y, axis=1)
+        # v* = y/|y|; its Sigma-length is |Sigma^{1/2} y| / |y|
+        den = np.linalg.norm(y * root[None, :], axis=1) / np.where(num > 0, num, 1.0)
+        checked = True
+    elif norm == "l1":
+        num = np.abs(y).max(axis=1)
+        picks = np.abs(y).argmax(axis=1)  # argmax takes the lowest index on ties
+        den = root[picks]
+        checked = False
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
+
+    r, big_r, se_r, se_R = _delta_method(num, den, sup * sup)
+    return NormRankEstimate(
+        r_norm=r,
+        R_norm=big_r,
+        stderr_r=se_r,
+        stderr_R=se_R,
+        mc_samples=mc_samples,
+        projection_checked=checked,
+    )

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 from ridgeless_iv.cgmt_lab import slice_model, tail_dominance_check
 from ridgeless_iv.cli import main
-from references import ridge
+from references import norm_effective_ranks, ridge
 from ridgeless_iv.covariance import EndogeneityTooStrong, truncation_level
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.harness import (
@@ -34,7 +34,6 @@ from ridgeless_iv.harness import (
 from ridgeless_iv.metrics import (
     effective_ranks,
     evaluate_conditions,
-    norm_effective_ranks,
     norm_upper_bound,
 )
 from ridgeless_iv.sampling import sample_dataset

@@ -1,6 +1,8 @@
 """The batched Newton kernels of the comparison solver against per-point
-scalar references, the broadcast node scan against the flattened one, and
-the batched reduction of a chunk's draws against each draw reduced alone.
+scalar references, the broadcast node scan against the flattened one, the
+batched reduction of a chunk's draws against each draw reduced alone, and
+the window search: its slope against central differences and its minimum
+against the golden-section reference.
 
 The kernels take their component axis first.  A sum over a first axis adds
 the components in order, while numpy sums a last axis in another order
@@ -11,18 +13,24 @@ with tolerances for that reason.
 
 import dataclasses
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
 
+from references import golden_window_min
 from ridgeless_iv import cgmt_lab
 from ridgeless_iv.cgmt_lab import (
+    _SLOPE_STEPS,
     _T_GRID,
     _ao_at_nu,
     _ao_phi,
     _ao_prepare,
     _ao_reduce,
+    _ao_window_min,
+    _solve_ao_draws,
     _sphere_min,
+    _tail_chunk,
     _tikhonov,
     draw_instance,
     slice_model,
@@ -156,7 +164,7 @@ def test_sphere_min_matches_scalar_reference(q):
     gam = rng.standard_normal((q, points))
     rho = rng.uniform(0.1, 4.0, points)
     rho[0] = 0.0  # w = 0
-    w = _sphere_min(m, gam, rho)
+    w, _ = _sphere_min(m, gam, rho)
     assert w.shape == (q, points)
     for j in range(points):
         want = np.array(sphere_reference(m[:, 0], gam[:, j], rho[j]))
@@ -174,7 +182,7 @@ def test_sphere_min_hard_case(q):
     gam = np.full((q, 1), 0.1)
     gam[0] = 0.0
     rho = np.array([1.0])
-    w = _sphere_min(m, gam, rho)[:, 0]
+    w = _sphere_min(m, gam, rho)[0][:, 0]
     want = np.array(sphere_reference(m[:, 0], gam[:, 0], 1.0))
     np.testing.assert_allclose(w[1:], want[1:], rtol=1e-12, atol=1e-15)
     assert abs(w[0]) == pytest.approx(abs(want[0]), rel=1e-12)
@@ -188,7 +196,7 @@ def test_sphere_min_scalar_radius():
     # the primary side passes one sphere: (q,) vectors and a 0-d radius
     m = np.array([-1.0, 0.5, 2.0])
     gam = np.array([0.3, -0.2, 0.7])
-    w = _sphere_min(m, gam, np.float64(1.5))
+    w, _ = _sphere_min(m, gam, np.float64(1.5))
     assert w.shape == (3,)
     np.testing.assert_allclose(w, sphere_reference(m, gam, 1.5), rtol=1e-8, atol=1e-12)
 
@@ -253,3 +261,174 @@ def test_batched_reduction_matches_batch_of_one(p, n):
         prep, prep_alone = _ao_prepare(batch, j), _ao_prepare(alone, 0)
         assert (prep.top, prep.top_g) == (prep_alone.top, prep_alone.top_g)
         assert prep.starts_feasible == prep_alone.starts_feasible
+
+
+# ----------------------------------------------------------- window slope
+
+
+def window_at(model, draws, node, **changes):
+    """_ao_phi's terms for the draws at their node-th nu node, laid out as
+    _ao_window_min lays them out: draws (B, 1) against positions (1, K).
+    changes replaces reduced arrays (components first, draws last)."""
+    batch = _ao_reduce(model, draws, default_radius(model))
+    red = {**batch.red, **changes}
+    return _ao_at_nu({k: red[k] for k in cgmt_lab._PHI_KEYS}, red["nodes"][node][:, None])
+
+
+def assert_slope_matches(at, g, h=1e-5):
+    # at h = 1e-5 the central difference meets the slope to about 1e-6 on
+    # these draws, its truncation and rounding errors together
+    _, slope = _ao_phi(at, g, slope=True)
+    central = (_ao_phi(at, g + h) - _ao_phi(at, g - h)) / (2.0 * h)
+    np.testing.assert_allclose(slope, central, rtol=1e-5)
+
+
+INTERIOR = np.array([[0.07, 0.23, 0.5, 0.81, 0.96]])
+
+
+@pytest.mark.parametrize("p, n", [(4, 3), (20, 5)])
+def test_window_slope_matches_central_differences(p, n):
+    model = slice_model(p)
+    draws = [draw_instance(model, n, np.random.default_rng([17, rep])) for rep in range(12)]
+    checked = 0
+    for node in (8, 20, 40):
+        phi, slope = _ao_phi(window_at(model, draws, node), INTERIOR, slope=True)
+        open_ = np.isfinite(phi[:, 0])
+        # a closed window has no slope
+        np.testing.assert_array_equal(slope[~open_], 0.0)
+        if open_.any():
+            assert_slope_matches(window_at(model, list(compress(draws, open_)), node), INTERIOR)
+        checked += int(open_.sum())
+    assert checked >= 12
+
+
+def test_window_slope_hard_case_sphere():
+    # with gam[0] = 0 at every position, the wider spheres of these windows
+    # take the hard case, lam = -m[0], and the narrower ones do not
+    model = slice_model(20)
+    draws = [draw_instance(model, 5, np.random.default_rng([19, rep])) for rep in range(4)]
+    batch = _ao_reduce(model, draws, default_radius(model))
+    g1, g0 = batch.red["g1"].copy(), batch.red["g0"].copy()
+    g1[0], g0[0] = 0.0, 0.0
+    at = window_at(model, draws, 30, g1=g1, g0=g0)
+    g = np.linspace(0.02, 0.98, 25)[None]
+    rho = at["width"] * np.cos(0.5 * math.pi * g) / at["hn_div"]
+    s = np.sqrt(np.maximum(at["nu"] ** 2 - rho**2, 0.0))
+    _, lam = _sphere_min(at["m"], s * at["g1"] + at["g0"], rho)
+    hard = lam == -at["m"][0]
+    assert hard.any(axis=1).all() and not hard.all(axis=1).any()
+    assert_slope_matches(at, g)
+
+
+def test_window_slope_is_zero_where_phi_ignores_the_position():
+    # with H_J = 0, u has no direction along H, and with one signal
+    # coordinate (slice_model(2)) it has no room off H: phi is flat in g.
+    # With H_J = 0 the window is open only where P_perp c = 0, so the draw's
+    # P_perp c is zeroed by hand
+    model = slice_model(20)
+    draw = draw_instance(model, 5, np.random.default_rng([23, 0]))
+    no_h = dataclasses.replace(draw, H=np.where(model.signal_eigs > 0.0, 0.0, draw.H))
+    zero = np.zeros((5, 1))
+    flat = slice_model(2)
+    flat_draw = draw_instance(flat, 2, np.random.default_rng(1))
+    g = np.array([[0.0, 0.3, 0.7, 1.0]])
+    for at in (window_at(model, [no_h], 20, pc=zero, pg=zero), window_at(flat, [flat_draw], -1)):
+        phi, slope = _ao_phi(at, g, slope=True)
+        assert np.isfinite(phi).all()
+        np.testing.assert_array_equal(phi, np.broadcast_to(phi[:, :1], phi.shape))
+        np.testing.assert_array_equal(slope, 0.0)
+
+
+@pytest.mark.parametrize("p, n", [(4, 3), (20, 5)])
+def test_window_slope_ends_are_one_sided_limits(p, n):
+    # at g = 0 and g = 1 a factor of the chain rule vanishes while another
+    # grows without bound (1/mu as tau -> 0, lam as rho -> 0); the slope
+    # takes their product's limit, so it is continuous up to the ends and
+    # is the one-sided derivative there.  L's part at g = 0 is
+    # -2 |alpha / sv^2| W pi/2, and the slope at g = 1 is pi W |gam| / |H_J|
+    model = slice_model(p)
+    draws = [draw_instance(model, n, np.random.default_rng([29, rep])) for rep in range(12)]
+    at = window_at(model, draws, 20)
+    ends = np.array([[0.0, 1e-9, 1.0 - 1e-9, 1.0]])
+    phi, slope = _ao_phi(at, ends, slope=True)
+    open_ = np.isfinite(phi[:, 0])
+    assert open_.sum() >= 6
+    np.testing.assert_allclose(slope[open_, 0], slope[open_, 1], rtol=1e-6)
+    np.testing.assert_allclose(slope[open_, 3], slope[open_, 2], rtol=1e-6)
+    assert (slope[open_, 3] >= 0.0).all() and (slope[open_, 3] > 0.0).any()
+    assert (slope[open_, 0] != 0.0).all()
+
+
+# ---------------------------------------------------------- window search
+
+
+def window_searches(monkeypatch, solve):
+    """(r, nu) of every window search that solve() makes."""
+    seen, search = [], cgmt_lab._ao_window_min
+
+    def spy(r, nu):
+        seen.append((r, nu))
+        return search(r, nu)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cgmt_lab, "_ao_window_min", spy)
+        solve()
+    return seen
+
+
+def climb_windows(monkeypatch, model, n, seed, reps):
+    job = (model, n, seed, range(reps), default_radius(model))
+    return window_searches(monkeypatch, lambda: _tail_chunk(job))
+
+
+def test_window_search_never_above_golden_reference(monkeypatch):
+    # the slope search against the golden section it replaced, per draw
+    # and nu: never higher by more than 1e-12 relative, also where the
+    # grid's best node is an end of the window
+    # draw 6 of the seed-1 tail-check pin, alone
+    model = slice_model(4)
+    pin_draw = draw_instance(model, 3, np.random.default_rng([1, 6]))
+    windows = window_searches(
+        monkeypatch, lambda: _solve_ao_draws(model, [pin_draw], default_radius(model))
+    )
+    for seed in range(4):
+        windows += climb_windows(monkeypatch, slice_model(4), 3, seed, 64)
+        windows += climb_windows(monkeypatch, slice_model(20), 5, seed, 32)
+    count = at_end = 0
+    for r, nu in windows:
+        phi, g = _ao_window_min(r, nu)
+        ref, _ = golden_window_min(r, nu)
+        open_ = np.isfinite(ref)
+        np.testing.assert_array_equal(np.isfinite(phi), open_)
+        assert (phi[open_] <= ref[open_] + 1e-12 * np.abs(ref[open_])).all()
+        # the position returned attains the value returned (up to the last
+        # bits, since a Newton kernel stops when its whole batch has converged)
+        again = _ao_phi(_ao_at_nu(r, nu[:, None]), g[:, None])[:, 0]
+        np.testing.assert_allclose(again[open_], phi[open_], rtol=1e-14)
+        grid = _ao_phi(_ao_at_nu(r, nu[:, None]), _T_GRID[None])
+        end = np.isin(grid.argmin(axis=1), (0, _T_GRID.size - 1)) & open_
+        at_end += int(end.sum())
+        count += int(open_.sum())
+    assert count >= 2000
+    assert at_end >= 10
+
+
+def test_window_search_step_count_is_fixed(monkeypatch):
+    # every window search makes the grid call and _SLOPE_STEPS single-
+    # position calls, whatever its draws: the whole batch and each of its
+    # draws alone take the same count
+    counts = []
+    phi = cgmt_lab._ao_phi
+
+    def counting(*args, **kwargs):
+        counts[-1] += 1
+        return phi(*args, **kwargs)
+
+    windows = climb_windows(monkeypatch, slice_model(4), 3, 0, 256)
+    assert len({nu.size for _, nu in windows}) > 1
+    monkeypatch.setattr(cgmt_lab, "_ao_phi", counting)
+    for r, nu in windows:
+        for cols in [slice(None)] + [slice(j, j + 1) for j in range(min(nu.size, 8))]:
+            counts.append(0)
+            _ao_window_min({k: v[..., cols] for k, v in r.items()}, nu[cols])
+    assert set(counts) == {1 + _SLOPE_STEPS}

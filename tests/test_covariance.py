@@ -214,6 +214,9 @@ def test_split_nonorthogonal_validation_and_limits():
     prof = {"family": "explicit", "values": [4.0, 2.0, 1.0, 1.0, 1.0, 1.0]}
     with pytest.raises(InvalidAlpha):
         split_profile({**prof, "split": "nonorthogonal", "alpha": 1.0}, 2)
+    # a profile fault like any other, which the command line maps to exit 2
+    with pytest.raises(InvalidConfig):
+        split_profile({**prof, "split": "nonorthogonal", "alpha": 0.5}, 2)
     eigs = np.array([4.0, 2.0, 1.0])
     for k in (0, 1, 2):
         endo, sig = split_eigs(eigs, k, 50.0 ** (-1.01))

@@ -20,13 +20,13 @@ from ridgeless_iv.metrics import (
     effective_ranks,
     eta_delta,
     evaluate_conditions,
-    norm_effective_ranks,
     norm_upper_bound,
     pinv_cross_norm,
     projected_rmse,
     rmse_upper_bound,
 )
 from ridgeless_iv.sampling import sample_dataset
+from references import norm_effective_ranks
 
 LOG_POLY = {
     "family": "log_poly", "scale": 300.0, "beta": 2.0, "log_factor": math.e / 2,
