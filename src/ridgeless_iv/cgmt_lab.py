@@ -391,7 +391,8 @@ def _ao_phi(at, g, point=False, slope=False):
         # tau / t from tau and t_lo, which stay exact as t_lo and g go to 0
         tau = at["width"] * np.sin(angle)
         t_ex = np.hypot(t_lo, tau)
-        d_s = np.where(t_ex > 0.0, tau / np.where(t_ex > 0.0, t_ex, 1.0), 1.0) * d_tau / at["hn_div"]
+        ratio = np.where(t_ex > 0.0, tau / np.where(t_ex > 0.0, t_ex, 1.0), 1.0)
+        d_s = ratio * d_tau / at["hn_div"]
         d_phi = (
             -2.0 * _comp_norm(alpha / den) * d_tau
             + 2.0 * ((w * at["g1"]).sum(axis=0) + s * at["e2"] + at["e1"]) * d_s

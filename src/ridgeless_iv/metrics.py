@@ -2,9 +2,9 @@
 sufficient-condition checker for benign overfitting with endogeneity.
 
 effective_ranks takes a dense PSD matrix or a 1-d eigenvalue vector; the
-projected error takes a covariance's diagonal.  Model
-functionals read the two eigenvalue vectors of the model's diagonal blocks
-directly, which keeps dimension in the thousands cheap.
+projected error takes a covariance's diagonal.  Model functionals read the
+two eigenvalue vectors of the model's diagonal blocks directly, which keeps
+dimension in the thousands cheap.
 """
 
 from __future__ import annotations
