@@ -187,10 +187,11 @@ class EndogenousModel:
     Construction validates the model: the vectors must be finite and of one
     length, the eigenvalues nonnegative, noise_var finite and positive, and
     the covariate-error energy |whitened_cross|^2 at most noise_var, which
-    is when the joint factor-and-error covariance is positive semidefinite
-    (joint_min_eigenvalue's 2x2 pencil).  build
-    takes a noise level instead of a variance and projects a whitened
-    request onto the support.
+    is when the joint factor-and-error covariance is positive semidefinite:
+    its eigenvalues are 1 but for a 2x2 pencil on the whitened_cross
+    direction and the error, whose determinant is noise_var minus that
+    energy.  build takes a noise level instead of a variance and projects
+    a whitened request onto the support.
     """
 
     signal_eigs: np.ndarray
@@ -288,15 +289,3 @@ class EndogenousModel:
         """Error variance left after the covariate-explained part."""
         w = self.whitened_cross
         return max(self.noise_var - float(w @ w), 0.0)
-
-    def joint_min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the joint factor-and-error covariance.
-
-        The (2p+1)-dim matrix is block [[I,0,0],[0,I,rho],[0,rho^T,s2]];
-        all eigenvalues are 1 except the pair from the 2x2 pencil on
-        (rho direction, error), so no dense assembly is needed.
-        """
-        s2 = self.noise_var
-        r2 = float(self.whitened_cross @ self.whitened_cross)
-        lo = 0.5 * (1.0 + s2 - math.sqrt((1.0 - s2) ** 2 + 4.0 * r2))
-        return min(1.0, lo)

@@ -199,7 +199,10 @@ def lasso_cd(
         x, y = _check_xy(x, y)
     n, p = x.shape
     if _zero_is_optimal(x.T @ y / n, lam):
-        return _result(x, y, np.zeros(p), iterations=0)
+        # the zero fit's residual is y itself, so no product with x is
+        # needed; a contiguous copy sums as y - x @ 0 would
+        resid = np.ascontiguousarray(y)
+        return FitResult(np.zeros(p), float(resid @ resid) / n, 0.0, iterations=0)
     col_sq = (x * x).sum(axis=0) / n
     theta = np.zeros(p)
     resid = y.copy()
@@ -293,9 +296,10 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
     instrument features, then least squares of Y on the fitted endogenous
     values.  A column whose lasso selects nothing, or whose fitted value
     adds no new direction to the fits already accepted, falls back to
-    marginal screening, walking down the correlation order and never
-    reusing an instrument already taken, so the second stage stays well
-    posed under weak or shared instruments.  Endogenous columns that are
+    marginal screening: it tries the instruments by |correlation| / norm,
+    the highest unused score first, and never reuses an instrument an
+    earlier column's screening took, so the second stage stays well posed
+    under weak or shared instruments.  Endogenous columns that are
     themselves collinear on the estimation half cannot be separated by any
     instrument set and are rejected outright.  Half 2 removes the estimated
     endogenous contribution from Y and runs a lasso on the exogenous
@@ -305,10 +309,12 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
     so refits are reproducible.  A compressed sample (sampling.Dataset) has
     no model-coordinate instruments and raises InvalidData.
 
-    One product of the half-1 instrument features with every endogenous
-    column serves the whole first stage: it certifies which columns' lasso
-    fits are zero, so those skip lasso_cd, and it gives the correlations
-    the marginal screening ranks.
+    One product of the endogenous columns with the half-1 instrument
+    features serves the whole first stage: it certifies which columns'
+    lasso fits are zero, so those skip lasso_cd, and gives the scores the
+    screening picks from, one argmax per pick (ties go to the lower index).
+    A fit costs about that product, the rank check, the lstsq and the
+    second-stage screen.
     """
     if data.compressed:  # the instruments are W1 columns in model coordinates
         raise InvalidData("lasso_iv needs a sample in the model's columns, not a compressed one")
@@ -319,7 +325,6 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
         raise ValueError("endogenous index out of range")
     if endo_idx.size >= n / 2:
         raise ValueError("need fewer endogenous columns than half the sample")
-    exo_idx = np.setdiff1d(np.arange(p), endo_idx)
 
     rng = np.random.default_rng([np.uint64(data.seed), np.uint64(0x51F7)])
     perm = rng.permutation(n)
@@ -333,46 +338,55 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
         endo1 = x[np.ix_(half1, endo_idx)]
         if np.linalg.matrix_rank(endo1) < endo_idx.size:
             raise SingularDesign("endogenous columns are collinear on the first-stage half")
-        corr = f1.T @ endo1
-        col_norm = np.linalg.norm(f1, axis=0)
-        scores = np.abs(corr) / np.where(col_norm > 0, col_norm, 1.0)[:, None]
-        taken = np.zeros(f1.shape[1], dtype=bool)
+        targets = np.ascontiguousarray(endo1.T)
+        sigma = targets.std(axis=1)
+        # |correlation| of each endogenous column (a row) with each instrument
+        scores = np.abs(targets @ f1)
+        # the zero certificate reads only the largest entry of |X^T y| / n,
+        # and dividing by n keeps the entries' order
+        peak = scores.max(axis=1, initial=0.0) / half1.size
+        col_norm = np.sqrt(np.einsum("ij,ij->j", f1, f1))
+        usable = col_norm > 0
+        # an unusable or taken instrument scores -1, below any real score
+        scores /= np.where(usable, col_norm, 1.0)
+        scores[:, ~usable] = -1.0
         fitted = np.empty((half1.size, endo_idx.size))
-        basis = np.zeros((half1.size, 0))
+        basis = np.empty_like(fitted)  # its first j columns span the accepted fits
 
-        def fresh_direction(v):
-            # component of v outside the accepted fits, None if negligible
-            nrm = float(np.linalg.norm(v))
+        def fresh_direction(v, j):
+            # component of v outside the first j accepted fits, None if negligible
+            nrm = math.sqrt(float(v @ v))
             if nrm <= 0.0:
                 return None
-            resid = v - basis @ (basis.T @ v)
-            rnorm = float(np.linalg.norm(resid))
+            accepted = basis[:, :j]
+            resid = v - accepted @ (accepted.T @ v)
+            rnorm = math.sqrt(float(resid @ resid))
             return resid / rnorm if rnorm > 1e-8 * nrm else None
 
-        for j, col in enumerate(endo_idx):
-            target = x[half1, col]
-            lam = float(lambda_rule(float(target.std()), half1.size, f1.shape[1]))
-            cand = None
-            if not _zero_is_optimal(corr[:, j] / half1.size, lam):
+        for j, target in enumerate(targets):
+            lam = float(lambda_rule(float(sigma[j]), half1.size, f1.shape[1]))
+            cand = unit = None
+            if not _zero_is_optimal(peak[j : j + 1], lam):
                 coef = _lasso_theta(f1, target, lam)
-                cand = f1 @ coef if np.any(coef) else None
-            unit = fresh_direction(cand) if cand is not None else None
+                if np.any(coef):
+                    cand = f1 @ coef
+                    unit = fresh_direction(cand, j)
             if unit is None:
                 # weak or shared instruments: marginal screening
-                score = np.where(taken | (col_norm == 0), -1.0, scores[:, j])
-                for pick in np.argsort(score)[::-1]:
+                score = scores[j]
+                while True:
+                    pick = int(score.argmax())
                     if score[pick] < 0:
                         raise SingularDesign("ran out of usable instruments")
                     zcol = f1[:, pick]
                     cand = zcol * (float(zcol @ target) / float(zcol @ zcol))
-                    unit = fresh_direction(cand)
+                    unit = fresh_direction(cand, j)
                     if unit is not None:
-                        taken[pick] = True
                         break
-                else:
-                    raise SingularDesign("ran out of usable instruments")
+                    score[pick] = -1.0  # adds no new direction for this column
+                scores[j + 1 :, pick] = -1.0  # taken
             fitted[:, j] = cand
-            basis = np.hstack([basis, unit[:, None]])
+            basis[:, j] = unit
         beta, _, rank, _ = np.linalg.lstsq(fitted, y[half1], rcond=None)
         if rank < endo_idx.size:
             raise SingularDesign("first-stage fitted values are collinear")
@@ -381,7 +395,14 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
     else:
         y2 = y[half2]
 
-    v2 = x.take(half2, 0).take(exo_idx, 1)
-    lam = float(lambda_rule(float(y2.std()), half2.size, exo_idx.size))
-    theta[exo_idx] = _lasso_theta(v2, y2, lam, checked=True)
+    # the exogenous columns are the runs between endogenous ones: a slice
+    # per run copies row segments, where a column take copies entry by entry
+    cuts = np.r_[-1, endo_idx, p]
+    runs = [x[half2, a + 1 : b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a + 1]
+    # one run is already a fresh C-ordered copy
+    v2 = runs[0] if len(runs) == 1 else np.hstack([np.empty((half2.size, 0)), *runs])
+    lam = float(lambda_rule(float(y2.std()), half2.size, v2.shape[1]))
+    exo = np.ones(p, dtype=bool)
+    exo[endo_idx] = False
+    theta[exo] = _lasso_theta(v2, y2, lam, checked=True)
     return _result(x, y, theta)

@@ -1,6 +1,8 @@
-"""Reference solvers that the tests compare the package against, the
-designs they are compared on, and the Monte Carlo norm effective ranks that
-the rank identities are checked with."""
+"""Reference solvers that the tests compare the package against (among
+them the column-by-column lasso IV), the designs they are compared on, the
+closed-form smallest eigenvalue of a model's joint covariance, and the
+Monte Carlo norm effective ranks that the rank identities are checked
+with."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +10,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ridgeless_iv.cgmt_lab import _T_GRID, _ao_at_nu, _ao_phi
+from ridgeless_iv.estimators import (
+    FitResult,
+    InvalidData,
+    SingularDesign,
+    _check_xy,
+    _instrument_features,
+    _lasso_theta,
+    _result,
+    _zero_is_optimal,
+    plugin_lambda,
+)
 from ridgeless_iv.metrics import ZeroMatrix, _eigs_of
+from ridgeless_iv.sampling import Dataset
 
 
 def ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -58,6 +72,101 @@ def golden_window_min(r, nu):
         fx = at_g(np.where(left, c, d))
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return best[0], best[1]
+
+
+def joint_min_eigenvalue(model) -> float:
+    """Smallest eigenvalue of the model's joint factor-and-error covariance.
+
+    The (2p+1)-dim matrix is block [[I,0,0],[0,I,rho],[0,rho^T,s2]];
+    all eigenvalues are 1 except the pair from the 2x2 pencil on
+    (rho direction, error), so no dense assembly is needed.
+    """
+    s2 = model.noise_var
+    r2 = float(model.whitened_cross @ model.whitened_cross)
+    lo = 0.5 * (1.0 + s2 - math.sqrt((1.0 - s2) ** 2 + 4.0 * r2))
+    return min(1.0, lo)
+
+
+def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) -> FitResult:
+    """The two-stage baseline as the package ran it column by column
+    before its first stage was batched: one std per target, an argsort of
+    every instrument score per screened column, an hstack per accepted
+    fit.  The package must return the same bytes."""
+    if data.compressed:  # the instruments are W1 columns in model coordinates
+        raise InvalidData("lasso_iv needs a sample in the model's columns, not a compressed one")
+    x, y = _check_xy(data.X, data.Y)
+    n, p = x.shape
+    endo_idx = np.asarray(sorted(set(int(i) for i in np.atleast_1d(endo_idx))), dtype=int)
+    if endo_idx.size and (endo_idx.min() < 0 or endo_idx.max() >= p):
+        raise ValueError("endogenous index out of range")
+    if endo_idx.size >= n / 2:
+        raise ValueError("need fewer endogenous columns than half the sample")
+    exo_idx = np.setdiff1d(np.arange(p), endo_idx)
+
+    rng = np.random.default_rng([np.uint64(data.seed), np.uint64(0x51F7)])
+    perm = rng.permutation(n)
+    half1, half2 = perm[: n // 2], perm[n // 2 :]
+
+    theta = np.zeros(p)
+    if endo_idx.size:
+        f1 = _instrument_features(data, half1)
+        if f1.shape[1] == 0:
+            raise SingularDesign("model has no instruments")
+        endo1 = x[np.ix_(half1, endo_idx)]
+        if np.linalg.matrix_rank(endo1) < endo_idx.size:
+            raise SingularDesign("endogenous columns are collinear on the first-stage half")
+        corr = f1.T @ endo1
+        col_norm = np.linalg.norm(f1, axis=0)
+        scores = np.abs(corr) / np.where(col_norm > 0, col_norm, 1.0)[:, None]
+        taken = np.zeros(f1.shape[1], dtype=bool)
+        fitted = np.empty((half1.size, endo_idx.size))
+        basis = np.zeros((half1.size, 0))
+
+        def fresh_direction(v):
+            # component of v outside the accepted fits, None if negligible
+            nrm = float(np.linalg.norm(v))
+            if nrm <= 0.0:
+                return None
+            resid = v - basis @ (basis.T @ v)
+            rnorm = float(np.linalg.norm(resid))
+            return resid / rnorm if rnorm > 1e-8 * nrm else None
+
+        for j, col in enumerate(endo_idx):
+            target = x[half1, col]
+            lam = float(lambda_rule(float(target.std()), half1.size, f1.shape[1]))
+            cand = None
+            if not _zero_is_optimal(corr[:, j] / half1.size, lam):
+                coef = _lasso_theta(f1, target, lam)
+                cand = f1 @ coef if np.any(coef) else None
+            unit = fresh_direction(cand) if cand is not None else None
+            if unit is None:
+                # weak or shared instruments: marginal screening
+                score = np.where(taken | (col_norm == 0), -1.0, scores[:, j])
+                for pick in np.argsort(score)[::-1]:
+                    if score[pick] < 0:
+                        raise SingularDesign("ran out of usable instruments")
+                    zcol = f1[:, pick]
+                    cand = zcol * (float(zcol @ target) / float(zcol @ zcol))
+                    unit = fresh_direction(cand)
+                    if unit is not None:
+                        taken[pick] = True
+                        break
+                else:
+                    raise SingularDesign("ran out of usable instruments")
+            fitted[:, j] = cand
+            basis = np.hstack([basis, unit[:, None]])
+        beta, _, rank, _ = np.linalg.lstsq(fitted, y[half1], rcond=None)
+        if rank < endo_idx.size:
+            raise SingularDesign("first-stage fitted values are collinear")
+        theta[endo_idx] = beta
+        y2 = y[half2] - x[np.ix_(half2, endo_idx)] @ beta
+    else:
+        y2 = y[half2]
+
+    v2 = x.take(half2, 0).take(exo_idx, 1)
+    lam = float(lambda_rule(float(y2.std()), half2.size, exo_idx.size))
+    theta[exo_idx] = _lasso_theta(v2, y2, lam, checked=True)
+    return _result(x, y, theta)
 
 
 @dataclass(frozen=True)

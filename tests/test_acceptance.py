@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 from ridgeless_iv.cgmt_lab import slice_model, tail_dominance_check
 from ridgeless_iv.cli import main
-from references import norm_effective_ranks, ridge
+from references import joint_min_eigenvalue, norm_effective_ranks, ridge
 from ridgeless_iv.covariance import EndogeneityTooStrong, truncation_level
 from ridgeless_iv.estimators import min_norm_interpolator
 from ridgeless_iv.harness import (
@@ -213,7 +213,7 @@ def test_criterion_04_model_validation():
         model = setup_model(sid, 100)
         energy = float(model.whitened_cross @ model.whitened_cross)
         max_energy_ratio = max(max_energy_ratio, energy / model.noise_var)
-        min_joint_eig = min(min_joint_eig, model.joint_min_eigenvalue())
+        min_joint_eig = min(min_joint_eig, joint_min_eigenvalue(model))
 
     # dense oracle for the closed-form joint minimum eigenvalue, one setup
     model = setup_model("i", 100)
@@ -223,7 +223,7 @@ def test_criterion_04_model_validation():
     joint[p:-1, -1] = model.whitened_cross
     joint[-1, -1] = model.noise_var
     dense_min = float(scipy.linalg.eigvalsh(joint)[0])
-    oracle_gap = abs(dense_min - model.joint_min_eigenvalue())
+    oracle_gap = abs(dense_min - joint_min_eigenvalue(model))
 
     rejected = False
     try:

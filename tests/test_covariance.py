@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from references import joint_min_eigenvalue
 from ridgeless_iv.covariance import (
     EndogeneityTooStrong,
     EndogenousModel,
@@ -265,7 +266,7 @@ def test_assemble_hand_example():
     )
     assert np.allclose(model.cross_cov, [0.5, 0.0])
     assert model.resid_noise_var == pytest.approx(0.75)
-    assert model.joint_min_eigenvalue() >= -1e-8
+    assert joint_min_eigenvalue(model) >= -1e-8
 
 
 def test_assemble_accepts_energy_at_the_noise_variance():
@@ -367,7 +368,7 @@ def test_joint_min_eig_matches_dense():
     joint[2 * p, p : 2 * p] = rho
     joint[2 * p, 2 * p] = model.noise_var
     dense_min = np.linalg.eigvalsh(joint).min()
-    assert model.joint_min_eigenvalue() == pytest.approx(dense_min, abs=1e-10)
+    assert joint_min_eigenvalue(model) == pytest.approx(dense_min, abs=1e-10)
 
 
 def test_setup_ii_model_accepts_default_noise():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import references
 from ridgeless_iv import estimators
 from references import lower_tail_design, ridge
 from ridgeless_iv.cgmt_lab import slice_model
@@ -293,6 +294,23 @@ def test_lasso_zero_screen_leaves_zero_penalty_to_sweep():
     assert fit.iterations == 1
 
 
+def test_lasso_certified_zero_fit_loss_is_response_energy():
+    # a certified zero fit takes its loss from y alone, with the bytes of
+    # the residual y - X 0, a contiguous array, also when y is strided
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((40, 60))
+    ys = rng.standard_normal((40, 2))
+    y = ys[:, 0].copy()
+    for target in (y, ys[:, 1]):
+        fit = lasso_cd(x, target, 2.0 * np.abs(x.T @ target).max() / 40)
+        assert fit.iterations == 0
+        assert fit.theta_hat.shape == (60,) and not fit.theta_hat.any()
+        assert fit.norm_l2 == 0.0
+        resid = target - x @ np.zeros(60)
+        assert fit.train_loss == float(resid @ resid) / 40
+    assert lasso_cd(x, y, 1e3).train_loss == float(y @ y) / 40
+
+
 def test_lasso_convergence_failure_carries_iterate():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((20, 40))
@@ -395,24 +413,9 @@ def test_lasso_iv_instrument_exhaustion():
         split_sample_lasso_iv(data, endo_idx=[0, 1])
 
 
-def test_lasso_iv_zero_screen_matches_full_sweep(monkeypatch):
-    # the screen only skips work: with it switched off every lasso runs its
-    # coordinate sweep, and the fits must agree bit for bit
-    model = setup_model("vii", 100)
-    endo_idx = np.flatnonzero(model.whitened_cross)
-    data = [sample_dataset(model, 100, seed) for seed in (3, 4, 5)]
-    screened = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
-    monkeypatch.setattr(estimators, "_zero_is_optimal", lambda corr, lam: False)
-    swept = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
-    for a, b in zip(screened, swept):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_lasso_iv_certified_columns_skip_lasso(monkeypatch):
-    # a huge penalty certifies every first-stage column: only the
-    # second-stage lasso runs, and it is screened too
-    model = baseline_model()
-    data = sample_dataset(model, 90, seed=44)
+@pytest.fixture
+def lasso_calls(monkeypatch):
+    # iteration count of every lasso_cd fit the lasso IV runs
     calls = []
     real = estimators.lasso_cd
 
@@ -422,10 +425,99 @@ def test_lasso_iv_certified_columns_skip_lasso(monkeypatch):
         return fit
 
     monkeypatch.setattr(estimators, "lasso_cd", counting)
+    return calls
+
+
+def test_lasso_iv_zero_screen_matches_full_sweep(monkeypatch, lasso_calls):
+    # the screen only skips work: with it switched off every lasso runs its
+    # coordinate sweep, and the fits must agree bit for bit
+    model = setup_model("vii", 100)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+    data = [sample_dataset(model, 100, seed) for seed in (3, 4, 5)]
+    screened = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
+    lasso_calls.clear()
+    monkeypatch.setattr(estimators, "_zero_is_optimal", lambda corr, lam: False)
+    swept = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
+    # nothing is certified, so every first-stage column runs lasso_cd, and
+    # the second stage once per fit: a first stage that certified columns
+    # without asking _zero_is_optimal would fall short here
+    assert len(lasso_calls) == len(data) * (endo_idx.size + 1)
+    assert all(passes > 0 for passes in lasso_calls)
+    for a, b in zip(screened, swept):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_lasso_iv_certified_columns_skip_lasso(lasso_calls):
+    # a huge penalty certifies every first-stage column: only the
+    # second-stage lasso runs, and it is screened too
+    model = baseline_model()
+    data = sample_dataset(model, 90, seed=44)
     fit = split_sample_lasso_iv(data, endo_idx=[0, 1, 2], lambda_rule=lambda s, n, p: 10.0)
-    assert calls == [0]
+    assert lasso_calls == [0]
     assert np.all(fit.theta_hat[3:] == 0.0)
     assert np.all(np.isfinite(fit.theta_hat[:3]))
+
+
+# The first stage scores every column against every instrument at once and
+# picks by argmax; references.split_sample_lasso_iv is the column-by-column
+# version it replaced, and the two must return the same bytes.
+
+
+def assert_matches_reference(data, endo_idx, **kwargs):
+    got = split_sample_lasso_iv(data, endo_idx, **kwargs)
+    want = references.split_sample_lasso_iv(data, endo_idx, **kwargs)
+    assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+    assert got.train_loss == want.train_loss and got.norm_l2 == want.norm_l2
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+@pytest.mark.parametrize("setup", ["vii", "viii", "ix"])
+def test_lasso_iv_matches_reference(setup, n):
+    model = setup_model(setup, n)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+    for seed in (0, 1, 2):
+        assert_matches_reference(sample_dataset(model, n, seed), endo_idx)
+
+
+def test_lasso_iv_student_t_matches_reference():
+    model = setup_model("vii", 200)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+    for seed in (0, 1, 2):
+        data = sample_dataset(model, 200, seed, instrument_dist="student_t", dof=5.0)
+        assert_matches_reference(data, endo_idx)
+
+
+def test_lasso_iv_unfresh_top_pick_matches_reference():
+    # both columns' lasso fits load instrument 0, so the second column
+    # screens, and its top pick, instrument 0, adds no new direction
+    eigs = np.array([1.0, 0.05, 0.0, 0.0, 0.0, 0.0])
+    for seed in (3, 4, 5):
+        assert_matches_reference(shared_instrument_dataset(eigs, seed=seed), [0, 1])
+
+
+def test_lasso_iv_all_endogenous_matches_reference():
+    # no exogenous column is left for the second stage
+    data = shared_instrument_dataset(np.array([1.0, 0.6]))
+    fit = split_sample_lasso_iv(data, [0, 1])
+    assert fit.theta_hat.shape == (2,)
+    assert_matches_reference(data, [0, 1])
+
+
+def test_lasso_iv_first_stage_lasso_matches_reference(lasso_calls):
+    # a third of the plug-in penalty sends first-stage columns through
+    # lasso_cd, some to nonzero fits
+    model = setup_model("vii", 100)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+
+    def rule(sigma, n, p):
+        return 0.3 * plugin_lambda(sigma, n, p)
+
+    for seed in (0, 1):
+        data = sample_dataset(model, 100, seed)
+        lasso_calls.clear()
+        split_sample_lasso_iv(data, endo_idx, lambda_rule=rule)
+        assert sum(passes > 0 for passes in lasso_calls[:-1]) >= 2
+        assert_matches_reference(data, endo_idx, lambda_rule=rule)
 
 
 @pytest.mark.parametrize("setup", ["vii", "slice"])
@@ -447,12 +539,9 @@ def test_instrument_features_match_ix_gather(setup):
 
 
 def test_second_stage_slice_matches_ix_gather(monkeypatch):
-    # the row take then the column take picks the same bits as the np.ix_
-    # gather, in the same C order, which the second-stage lasso's sums
-    # depend on
-    model = setup_model("vii", 100)
-    endo_idx = np.flatnonzero(model.whitened_cross)
-    data = sample_dataset(model, 100, seed=8)
+    # the slices of the exogenous runs (one for vii, three for ix) pick the
+    # same bits as the np.ix_ gather, in the same C order, which the
+    # second-stage lasso's sums depend on
     seen = []
     real = estimators._lasso_theta
 
@@ -461,15 +550,19 @@ def test_second_stage_slice_matches_ix_gather(monkeypatch):
         return real(x, y, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "_lasso_theta", recording)
-    split_sample_lasso_iv(data, endo_idx)
-    rng = np.random.default_rng([np.uint64(data.seed), np.uint64(0x51F7)])
-    half2 = rng.permutation(100)[50:]
-    exo_idx = np.setdiff1d(np.arange(model.p), endo_idx)
-    want = data.X[np.ix_(half2, exo_idx)]
-    got = seen[-1]
-    assert got.shape == want.shape
-    assert got.flags.c_contiguous and want.flags.c_contiguous
-    assert got.tobytes() == want.tobytes()
+    for setup in ("vii", "ix"):
+        model = setup_model(setup, 100)
+        endo_idx = np.flatnonzero(model.whitened_cross)
+        data = sample_dataset(model, 100, seed=8)
+        split_sample_lasso_iv(data, endo_idx)
+        rng = np.random.default_rng([np.uint64(data.seed), np.uint64(0x51F7)])
+        half2 = rng.permutation(100)[50:]
+        exo_idx = np.setdiff1d(np.arange(model.p), endo_idx)
+        want = data.X[np.ix_(half2, exo_idx)]
+        got = seen[-1]
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lasso_iv_rejects_nonfinite_design():
