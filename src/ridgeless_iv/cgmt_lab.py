@@ -26,14 +26,15 @@ model and the ball radius as arguments.  The comparison draws of one
 tail-check chunk are reduced together (_ao_reduce): one SVD of the stacked
 latent designs, one eigh of the projected signal blocks and the nu nodes of
 every draw, laid out draws last as the climb reads them: vectors (q, B),
-scalars (B,), nodes (N, B).  Each draw is then scanned on its own column (a
-stacked scan is memory-bound and slower), and the draws with a feasible
-node are refined as one batch.
+scalars (B,), nodes (N, B).  The draws are then scanned together from the
+top node down (_ao_scan), each Newton point stopping on its own, and the
+draws with a feasible node are refined as one batch.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -79,6 +80,11 @@ class PoSolution:
 
 @dataclass(frozen=True)
 class AoSolution:
+    """A comparison optimum: its value and the point that attains it, or 0
+    and no point with feasible_empty set.  starts_feasible is 1 + the index
+    of the draw's top feasible nu node in the scan, 0 when no node is
+    feasible."""
+
     value: float
     point: np.ndarray | None
     feasible_empty: bool
@@ -137,8 +143,9 @@ def _sphere_min(m, gam, rho):
     and its multiplier lam, w = -gam / (m + lam).
 
     Components come first: m and gam are (q, ...) and broadcast against rho.
-    Newton on 1/|w(lam)| from a lower bound of the multiplier, then |w| is
-    pinned to rho.  In the hard case |w| stays short of rho even at the pole
+    Newton on 1/|w(lam)| from a lower bound of the multiplier, each point
+    stopping at its first step within 1e-13 of |lam|, then |w| is pinned to
+    rho.  In the hard case |w| stays short of rho even at the pole
     lam = -m[0], and the rest of the radius goes along the first eigenvector.
     The minimum falls by 2 lam rho per unit of radius; lam means nothing
     where rho = 0.
@@ -153,13 +160,16 @@ def _sphere_min(m, gam, rho):
         w = -gam / den
         return w, den, _comp_norm(w)
 
+    run = live_rho
     for _ in range(_MAX_STEPS):
         w, den, nw = at(lam)
-        live = live_rho & (nw > rho)
+        # a stopped point is not live, so its step is 0
+        live = run & (nw > rho)
         slope = np.where(live, (w * w / den).sum(axis=0), 1.0)
         step = np.where(live, (1.0 / rs - 1.0 / np.where(live, nw, 1.0)) * nw**3 / slope, 0.0)
         lam = lam + step
-        if (step <= 1e-13 * np.abs(lam)).all():
+        run = live & (step > 1e-13 * np.abs(lam))
+        if not run.any():
             break
     w, _, nw = at(lam)
     hard = nw < rho * (1.0 - 1e-12)
@@ -294,13 +304,16 @@ def _tikhonov(alpha, sv2, tau2):
     """mu >= 0 with |mu alpha / (sv2 + mu)|^2 = tau2, components of alpha and
     sv2 first: Newton on 1/|r| in kappa = 1/mu, which is concave, so the
     iterates approach from below, starting from the largest one-component
-    lower bound on kappa.  tau2 <= 0 gives mu = 0 (least squares), tau2 >=
-    |alpha|^2 gives inf."""
+    lower bound on kappa; each point stops at its first step within 1e-13
+    of its kappa, so its bytes do not depend on the other points of the
+    call.  tau2 <= 0 gives mu = 0 (least squares), tau2 >= |alpha|^2 gives
+    inf."""
     a2 = alpha * alpha
     act = (tau2 > 0.0) & (tau2 < a2.sum(axis=0))
     target = 1.0 / np.sqrt(np.where(act, tau2, 1.0))
     bound = (np.abs(alpha) * target - 1.0) / np.where(sv2 > 0.0, sv2, np.inf)
     kap = np.where(act, bound.max(axis=0, initial=0.0), 0.0)
+    run = act
     for _ in range(_MAX_STEPS):
         den = 1.0 + kap * sv2
         r2 = a2 / (den * den)
@@ -308,8 +321,9 @@ def _tikhonov(alpha, sv2, tau2):
         slope = np.where(act, (r2 * sv2 / den).sum(axis=0), 1.0)
         # an inactive point has target = nr = slope = 1, so its step is 0
         step = (target - 1.0 / nr) * nr**3 / slope
-        kap += step
-        if (step <= 1e-13 * kap).all():
+        np.add(kap, step, out=kap, where=run)
+        run = run & (step > 1e-13 * kap)
+        if not run.any():
             break
     return np.where(act, 1.0 / np.where(act, kap, 1.0), np.where(tau2 > 0.0, np.inf, 0.0))
 
@@ -458,7 +472,8 @@ class _AoBatch:
     red holds the arrays _ao_phi reads, the point's bases and the scanned
     nu nodes, draws last: vectors (q, B), scalars (B,), nodes (N, B), vt
     (r, k, B) and evec (s, s, B).  cert holds the certificate's arrays,
-    draws first: cone data and its tolerance.
+    draws first: cone data and its tolerance.  scan is the node scan of
+    every draw (_ao_scan), run once, when it is first read.
     """
 
     red: dict
@@ -466,11 +481,16 @@ class _AoBatch:
     model: EndogenousModel
     radius: float
 
+    @functools.cached_property
+    def scan(self):
+        return _ao_scan(self)
+
 
 @dataclass(frozen=True)
 class _AoPrepared:
     """One draw's node scan: the top feasible node (index, best window
-    position and L + S there) and the count of feasible nodes."""
+    position and L + S there) and starts_feasible, 1 + the top's index, or
+    0 when no node is feasible (then the top is node 0)."""
 
     top: int
     top_g: float
@@ -555,23 +575,65 @@ def _ao_reduce(model: EndogenousModel, draws, radius: float) -> _AoBatch:
     return _AoBatch(red, cert, model, radius)
 
 
-def _ao_prepare(batch: _AoBatch, j: int) -> _AoPrepared:
-    """Scan draw j of a reduced batch on its nu nodes times window positions.
+_SCAN_NODES = 8  # nu nodes per round of the scan
+_SCAN_POINTS = 8192  # components x nodes x positions x draws per _ao_phi call
 
-    The draw's column is laid out as a batch of one, nodes (1, N, 1)
-    against positions (1, 1, K).
+
+def _ao_scan(batch: _AoBatch):
+    """The top feasible node of every draw of a batch: arrays (top, top_g,
+    top_phi, starts_feasible) over the draws, as _AoPrepared holds them.
+
+    A node is feasible when L + S <= R^2 at one of the window positions
+    _T_GRID.  The scan runs from the top node down, _SCAN_NODES nodes a
+    round, over the draws with no feasible node yet, laid out draws and
+    nodes (P, _SCAN_NODES, 1) against positions (1, 1, K) in blocks of
+    about _SCAN_POINTS points.  Most draws are settled in the first round;
+    a draw with no feasible node goes through every node and takes node 0
+    as its top.  Every point keeps its own sums over components and its own
+    Newton stops, so L + S comes out with the bytes of a scan of all nodes.
     """
-    red = batch.red
-    one = {k: red[k][..., j : j + 1] for k in _PHI_KEYS}
-    phi = _ao_phi(_ao_at_nu(one, red["nodes"][None, :, j, None]), _T_GRID[None, None])[0]
-    ok = phi.min(axis=1) <= batch.radius * batch.radius
-    top = int(np.flatnonzero(ok)[-1]) if ok.any() else 0
-    best = phi[top].argmin()
-    return _AoPrepared(top, float(_T_GRID[best]), float(phi[top, best]), int(ok.sum()))
+    red, r2 = batch.red, batch.radius * batch.radius
+    nodes = red["nodes"]
+    size, count = nodes.shape
+    top, best = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    top_phi, found = np.zeros(count), np.zeros(count, dtype=bool)
+    comps = max(red["ua"].shape[0], red["m"].shape[0])
+    pending = np.arange(count)
+    for hi in range(size, 0, -_SCAN_NODES):
+        lo = max(hi - _SCAN_NODES, 0)
+        per = max(_SCAN_POINTS // (comps * (hi - lo) * _T_GRID.size), 1)
+        for start in range(0, pending.size, per):
+            idx = pending[start : start + per]
+            # take, not [..., idx], keeps the block's draws contiguous, so a
+            # sum over components adds its rows in order, as a scan of all
+            # nodes does
+            block = {k: np.take(red[k], idx, axis=-1) for k in _PHI_KEYS}
+            at = _ao_at_nu(block, np.take(nodes[lo:hi], idx, axis=1).T[..., None])
+            phi = _ao_phi(at, _T_GRID[None, None])
+            ok = phi.min(axis=2) <= r2
+            hit = ok.any(axis=1)
+            # the last feasible node of the round, else node lo
+            at_node = np.where(hit, hi - lo - 1 - ok[:, ::-1].argmax(axis=1), 0)
+            rows = phi[np.arange(idx.size), at_node]
+            settle = hit | (lo == 0)
+            pos = rows[settle].argmin(axis=1)
+            done = idx[settle]
+            top[done], best[done] = lo + at_node[settle], pos
+            top_phi[done], found[done] = rows[settle, pos], hit[settle]
+        pending = pending[~found[pending]]
+    return top, _T_GRID[best], top_phi, np.where(found, top + 1, 0)
 
 
-def _ao_climb(batch: _AoBatch, live, preps):
-    """Refine the top nodes of the live draws of a batch at once and certify.
+def _ao_prepare(batch: _AoBatch, j: int) -> _AoPrepared:
+    """Draw j's row of the batch's node scan; the first call runs the scan
+    of every draw (_ao_scan), later calls read their own row."""
+    top, top_g, top_phi, starts = batch.scan
+    return _AoPrepared(int(top[j]), float(top_g[j]), float(top_phi[j]), int(starts[j]))
+
+
+def _ao_climb(batch: _AoBatch, live):
+    """Refine the scanned top nodes of the live draws of a batch at once and
+    certify.
 
     F(nu) = min_t (L + S) - R^2 is first checked exactly at the nodes above
     the scanned top, since the grid may miss a narrow window.  Between the
@@ -583,12 +645,11 @@ def _ao_climb(batch: _AoBatch, live, preps):
     """
     r = {k: v[..., live] for k, v in batch.red.items()}
     nodes = r["nodes"]
-    top = np.array([preps[j].top for j in live])
-    g_lo = np.array([preps[j].top_g for j in live])
+    top, g_lo, top_phi, _ = (v[live] for v in batch.scan)
     lo = nodes[top, np.arange(top.size)]
     hi = lo.copy()
     r2 = batch.radius * batch.radius
-    f_lo = np.array([preps[j].top_phi for j in live]) - r2
+    f_lo = top_phi - r2
     f_hi = np.full(lo.size, np.inf)
 
     def window(idx, x):
@@ -643,17 +704,18 @@ def _ao_climb(batch: _AoBatch, live, preps):
 def _solve_ao_draws(model: EndogenousModel, draws, radius: float) -> list[AoSolution]:
     """Comparison optima of draws of the model in the ball of one radius.
 
-    The draws are reduced together and each is scanned on its own; the ones
-    with a feasible node are refined as one batch, and the rest report 0
-    with the feasible_empty flag, as does a draw whose refined point fails
-    the certificate.
+    The draws are reduced together and scanned together, from the top node
+    down: the scan runs inside the first _ao_prepare, which is called once
+    per draw.  The ones with a feasible node are refined as one batch, and
+    the rest report 0 with the feasible_empty flag, as does a draw whose
+    refined point fails the certificate.
     """
     batch = _ao_reduce(model, draws, radius)
     preps = [_ao_prepare(batch, j) for j in range(len(draws))]
     sols = [AoSolution(0.0, None, True, prep.starts_feasible) for prep in preps]
     live = np.flatnonzero([prep.starts_feasible for prep in preps])
     if live.size:
-        ok, vals, points = _ao_climb(batch, live, preps)
+        ok, vals, points = _ao_climb(batch, live)
         for j, good, val, point in zip(live, ok, vals, points):
             if good:
                 sols[j] = AoSolution(float(val), point, False, preps[j].starts_feasible)
@@ -717,8 +779,9 @@ _TAIL_CHUNK = 256
 def _tail_chunk(args):
     """Solve one block of repetitions: primary exactly, comparison batched.
 
-    The draws of one block share their shapes by construction, so the whole
-    block is refined in one call instead of one Python-level loop per draw.
+    The draws of one block share their shapes by construction, so the
+    comparison side reduces, scans and refines the whole block in batched
+    calls; only the primary solve runs once per draw.
     """
     model, n, seed, rep_ids, radius = args
     draws = [draw_instance(model, n, np.random.default_rng([seed, r])) for r in rep_ids]

@@ -1,8 +1,10 @@
 """The batched Newton kernels of the comparison solver against per-point
-scalar references, the broadcast node scan against the flattened one, the
-batched reduction of a chunk's draws against each draw reduced alone, and
-the window search: its slope against central differences and its minimum
-against the golden-section reference.
+scalar references and each point alone against the point inside a larger
+call, the broadcast node scan against the flattened one and the chunk's
+top-down scan against a scan of every node, the batched reduction of a
+chunk's draws against each draw reduced alone, and the window search: its
+slope against central differences and its minimum against the
+golden-section reference.
 
 The kernels take their component axis first.  A sum over a first axis adds
 the components in order, while numpy sums a last axis in another order
@@ -35,6 +37,7 @@ from ridgeless_iv.cgmt_lab import (
     draw_instance,
     slice_model,
 )
+from ridgeless_iv.harness import setup_model
 
 COMPONENTS = (1, 2, 9)
 
@@ -201,6 +204,102 @@ def test_sphere_min_scalar_radius():
     np.testing.assert_allclose(w, sphere_reference(m, gam, 1.5), rtol=1e-8, atol=1e-12)
 
 
+# ------------------------------------------------------- per-point stopping
+
+
+def chunk_batch(model, n, seed, reps):
+    """The reduced batch of the tail-check chunk of seed and rep ids reps."""
+    draws = [draw_instance(model, n, np.random.default_rng([seed, rep])) for rep in reps]
+    return _ao_reduce(model, draws, default_radius(model))
+
+
+def scan_every_node(batch):
+    """L + S of every draw at every nu node and window position in one
+    _ao_phi call: draws (B, N, 1) against positions (1, 1, K)."""
+    r = {k: batch.red[k] for k in cgmt_lab._PHI_KEYS}
+    return _ao_phi(_ao_at_nu(r, batch.red["nodes"].T[..., None]), _T_GRID[None, None])
+
+
+def kernel_points(monkeypatch, batch):
+    """The arguments scan_every_node hands each Newton kernel, spread to one
+    column per point: (q, M) vectors and an M-vector."""
+    seen = {}
+    with monkeypatch.context() as patch:
+        for name in ("_tikhonov", "_sphere_min"):
+            kernel = getattr(cgmt_lab, name)
+
+            def spy(*args, kernel=kernel, name=name):
+                seen[name] = args
+                return kernel(*args)
+
+            patch.setattr(cgmt_lab, name, spy)
+        scan_every_node(batch)
+    points = {}
+    for name, (vec_a, vec_b, scalar) in seen.items():
+        shape = np.broadcast_shapes(vec_a.shape[1:], vec_b.shape[1:], np.shape(scalar))
+        q = vec_a.shape[0]
+        spread = [np.broadcast_to(v, (q,) + shape).reshape(q, -1) for v in (vec_a, vec_b)]
+        points[name] = (*spread, np.broadcast_to(scalar, shape).ravel())
+    return points
+
+
+def tikhonov_next_step(alpha, sv2, tau2, mu):
+    """The Newton step in kappa that _tikhonov would take from the root mu
+    it returned, with the kernel's own arithmetic, and that kappa."""
+    kap = 1.0 / mu
+    den = 1.0 + kap * sv2
+    r2 = alpha * alpha / (den * den)
+    nr = np.sqrt(r2.sum(axis=0))
+    return (1.0 / np.sqrt(tau2) - 1.0 / nr) * nr**3 / (r2 * sv2 / den).sum(axis=0), kap
+
+
+def assert_each_point_alone(kernel, args, out, stiff):
+    """The stiff points, and the others in 16 runs, each called apart, get
+    the bytes they got inside the whole call."""
+    assert stiff.any() and not stiff.all()
+    for part in [np.flatnonzero(stiff)] + np.array_split(np.flatnonzero(~stiff), 16):
+        # take keeps the points contiguous, as the scan lays them out
+        alone = kernel(*(np.take(a, part, axis=-1) for a in args))
+        for got, want in zip(alone, out):
+            np.testing.assert_array_equal(got, want[..., part])
+
+
+def test_tikhonov_points_stop_on_their_own(monkeypatch):
+    # the whole-chunk scan of the criterion-10 chunk of reps 256-511 holds a
+    # point whose steps alternate at the rounding floor, +-1.04e-13 of its
+    # kappa, out of step with other such points: a stop taken for the whole
+    # call at once would never come, and the call would run all _MAX_STEPS
+    # steps.  Each point stops at its own first small step, so the stiff
+    # points and the others get their bytes alone
+    batch = chunk_batch(slice_model(4), 3, 0, range(256, 512))
+    args = kernel_points(monkeypatch, batch)["_tikhonov"]
+    mu = _tikhonov(*args)
+    inner = (mu > 0.0) & np.isfinite(mu)
+    step, kap = tikhonov_next_step(*(a[..., inner] for a in args), mu[inner])
+    stiff = np.zeros(mu.size, dtype=bool)
+    stiff[inner] = step > 1e-13 * kap
+    assert_each_point_alone(lambda *a: (_tikhonov(*a),), args, (mu,), stiff)
+
+
+def test_sphere_min_points_stop_on_their_own(monkeypatch):
+    # slice_model(20)'s spheres settle in one to about ten steps.  One sphere
+    # is added by hand: its pole is lam = 0 and its radius a hair above
+    # |w| there, with gam[0] = 1e-40, so Newton grows lam about 1.5x a step
+    # from 3e-40 and takes over 40 steps, while its steps stay far above
+    # 1e-13 |lam|.  The spheres that settle first keep their own bytes
+    batch = chunk_batch(slice_model(20), 5, 1, range(32))
+    m, gam, rho = kernel_points(monkeypatch, batch)["_sphere_min"]
+    slow_m, slow_gam = np.zeros((m.shape[0], 1)), np.zeros((m.shape[0], 1))
+    slow_m[:, 0] = np.arange(m.shape[0])
+    slow_gam[:3, 0] = (1e-40, 0.3, -0.2)
+    args = (np.hstack((m, slow_m)), np.hstack((gam, slow_gam)), np.append(rho, 0.1**0.5 * (1 + 1e-15)))
+    out = _sphere_min(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(cgmt_lab, "_MAX_STEPS", 30)
+        assert _sphere_min(*args)[1][-1] < out[1][-1]
+    assert_each_point_alone(_sphere_min, args, out, np.arange(rho.size + 1) == rho.size)
+
+
 # ------------------------------------------------------------ node scan
 
 
@@ -221,6 +320,32 @@ def test_broadcast_scan_equals_flat_scan(p, n):
         )
         np.testing.assert_array_equal(wide, flat.reshape(nodes.size, k))
         assert prep.top_phi == wide[prep.top].min()
+
+
+@pytest.mark.parametrize(
+    "model, n, reps, some_empty",
+    [(slice_model(4), 3, 256, True), (setup_model("ii", 10), 10, 64, False)],
+    ids=["slice4", "ii"],
+)
+def test_top_down_scan_matches_every_node(model, n, reps, some_empty):
+    # the chunk's scan, from the top node down over the unsettled draws,
+    # against L + S of every draw at every node and position: the same top
+    # (the last feasible node), the same best position and the same bytes
+    # there.  starts_feasible is 1 + the top's index, and 0 (with node 0
+    # as the top) on a draw with no feasible node
+    batch = chunk_batch(model, n, 0, range(reps))
+    phi = scan_every_node(batch)
+    ok = phi.min(axis=2) <= batch.radius**2
+    empty = 0
+    for j in range(reps):
+        prep = _ao_prepare(batch, j)
+        feasible = np.flatnonzero(ok[j])
+        top = feasible[-1] if feasible.size else 0
+        best = phi[j, top].argmin()
+        assert (prep.top, prep.top_g, prep.top_phi) == (top, _T_GRID[best], phi[j, top, best])
+        assert prep.starts_feasible == (top + 1 if feasible.size else 0)
+        empty += feasible.size == 0
+    assert (empty > 0) == some_empty
 
 
 # ------------------------------------------------------- batched reduction
@@ -402,7 +527,9 @@ def test_window_search_never_above_golden_reference(monkeypatch):
         np.testing.assert_array_equal(np.isfinite(phi), open_)
         assert (phi[open_] <= ref[open_] + 1e-12 * np.abs(ref[open_])).all()
         # the position returned attains the value returned (up to the last
-        # bits, since a Newton kernel stops when its whole batch has converged)
+        # bits: the climb gathers its draws with [..., live], which leaves
+        # the components contiguous, and numpy then adds them in an order
+        # that depends on the number of positions)
         again = _ao_phi(_ao_at_nu(r, nu[:, None]), g[:, None])[:, 0]
         np.testing.assert_allclose(again[open_], phi[open_], rtol=1e-14)
         grid = _ao_phi(_ao_at_nu(r, nu[:, None]), _T_GRID[None])
