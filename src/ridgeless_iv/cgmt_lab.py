@@ -7,7 +7,8 @@ replaces the instrument factor by two independent Gaussian vectors and keeps
 everything else.  The primary side is solved exactly: one SVD of the design
 gives the affine slice of the ball, and the trust-region step on its sphere
 is the batched kernel _sphere_min (More & Sorensen 1983) that the comparison
-side shares.  The comparison side is solved by the CGMT scalarization
+side shares; a tail-check chunk stacks its designs and solves them in one
+pass (_po_solve).  The comparison side is solved by the CGMT scalarization
 (Thrampoulidis, Oymak & Hassibi 2015; Thrampoulidis, Abbasi & Hassibi 2018):
 with disjoint signal and latent supports it reduces to the objective's root
 nu and one inner product t, each (nu, t) pair splitting the ball budget into
@@ -185,6 +186,130 @@ def _sphere_min(m, gam, rho):
 # ------------------------------------------------------------------ primary
 
 
+def _dots(x, y):
+    # row by row x . y as BLAS dot products, the bytes of a 1-D x @ y
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+@dataclass(frozen=True)
+class _PoBatch:
+    """The primary problems of B designs (B, n, p) with right-hand sides xi
+    (B, n) in one ball, for one theta0 and signal diagonal.  solved is every
+    problem's optimum from one stacked solve (_po_solve), run when it is
+    first read; row(j) is problem j's."""
+
+    designs: np.ndarray
+    xi: np.ndarray
+    radius: float
+    theta0: np.ndarray
+    sig: np.ndarray
+
+    @functools.cached_property
+    def solved(self):
+        return _po_solve(self)
+
+    def row(self, j: int) -> PoSolution:
+        """Problem j's optimum, or its NoFeasiblePoint."""
+        values, points, null_dims, failures = self.solved
+        if failures[j]:
+            raise NoFeasiblePoint(failures[j])
+        return PoSolution(float(values[j]), points[j], int(null_dims[j]))
+
+
+def _po_batch(model: EndogenousModel, draws, radius: float) -> _PoBatch:
+    """The primary problems of draws of the model in the ball of the given
+    radius, stacked (draws of different shapes raise ValueError)."""
+    w1, w2 = np.stack([d.W1 for d in draws]), np.stack([d.W2 for d in draws])
+    designs = factor_design(w1, w2, model.signal_eigs, model.endo_eigs)
+    xi = np.stack([d.xi for d in draws])
+    return _PoBatch(designs, xi, float(radius), model.true_coef, model.signal_eigs)
+
+
+_PO_ENTRIES = 1 << 20  # entries of the (B, p, p) right singular vectors per block
+
+
+def _po_solve(batch: _PoBatch):
+    """Every problem of a batch solved at once: (values, points, null_dims)
+    over the problems and a list of failures, each None or the message of
+    the problem's NoFeasiblePoint.
+
+    The problems go in blocks of _PO_ENTRIES // p^2 (at least one), which
+    bounds the memory of the stacked factors on large models (_po_block).
+    """
+    count, _, p = batch.designs.shape
+    per = max(_PO_ENTRIES // (p * p), 1)
+    blocks = [_po_block(batch, slice(lo, lo + per)) for lo in range(0, count, per)]
+    values, points, ranks, failures = zip(*blocks)
+    return (
+        np.concatenate(values), np.concatenate(points), p - np.concatenate(ranks),
+        [f for part in failures for f in part],
+    )
+
+
+def _po_block(batch: _PoBatch, rows: slice):
+    """The problems rows of a batch: (values, points, ranks, failures).
+
+    One SVD of the stacked designs gives each design's rank (at the cutoff
+    of matops.default_rank_tol), its min-norm particular solution and an
+    orthonormal null-space basis.  The problems are solved in groups of one
+    rank, usually a single group: stacked products, one eigh of the (B, m,
+    m) null-space blocks, and one _sphere_min call, components first (m,
+    B), where the maximization of s'As + 2b's on the null-space sphere is
+    the minimization with the spectrum of A and the linear term negated.
+    """
+    x, xi = batch.designs[rows], batch.xi[rows]
+    big_r, theta0, sig = batch.radius, batch.theta0, batch.sig
+    count, n, p = x.shape
+    left, sv, vt = np.linalg.svd(x)
+    cut = default_rank_tol(max(n, p)) * sv.max(axis=1, initial=0.0, keepdims=True)
+    ranks = np.count_nonzero(sv > cut, axis=1)
+    values, points = np.empty(count), np.empty((count, p))
+    failures = [None] * count
+    for rank in np.unique(ranks):
+        idx = np.flatnonzero(ranks == rank)
+        # one group, the usual case, needs no gather
+        x_g, xi_g, u, s, v = (
+            a if idx.size == count else np.take(a, idx, axis=0)
+            for a in (x, xi, left[..., :rank], sv[:, :rank], vt)
+        )
+        part = (v[:, :rank].mT @ ((u.mT @ xi_g[..., None]) / s[..., None]))[..., 0]
+        resid = (x_g @ part[..., None])[..., 0] - xi_g
+        gap = np.sqrt(_dots(resid, resid))
+        inconsistent = gap > _FEAS_REL * (1.0 + np.sqrt(_dots(xi_g, xi_g)))
+        d = part + theta0
+        if rank == p:
+            vals, pts = _dots(part, sig * part), part
+            cause = "unique interpolant falls outside the ball"
+            empty = np.sqrt(_dots(d, d)) > big_r * (1.0 + _FEAS_REL)
+        else:
+            basis = v[:, rank:].mT
+            center = -(basis.mT @ d[..., None])[..., 0]
+            # the component of d orthogonal to the null space
+            fixed = d + (basis @ center[..., None])[..., 0]
+            rad_sq = big_r**2 - _dots(fixed, fixed)
+            cause = "coefficient ball misses the solution set"
+            empty = rad_sq < -_FEAS_REL * big_r**2
+            a = basis.mT @ (sig[:, None] * basis)
+            a = 0.5 * (a + a.mT)
+            anchor = part + (basis @ center[..., None])[..., 0]
+            b = (basis.mT @ (sig * anchor)[..., None])[..., 0]
+            lam, vec = np.linalg.eigh(a)
+            gam = (b[:, None, :] @ vec)[:, 0, ::-1]
+            w, _ = _sphere_min(
+                np.ascontiguousarray(-lam[:, ::-1].T),
+                np.ascontiguousarray(-gam.T),
+                np.sqrt(np.maximum(rad_sq, 0.0)),
+            )
+            pts = anchor + (basis @ (vec @ w[::-1].T[..., None]))[..., 0]
+            vals = _dots(pts, sig * pts)
+        values[idx], points[idx] = vals, pts
+        for k in np.flatnonzero(inconsistent | empty):
+            failures[idx[k]] = (
+                f"linear system inconsistent, residual {gap[k]:g}" if inconsistent[k] else cause
+            )
+    return values, points, ranks, failures
+
+
 def max_projected_error(
     design: np.ndarray,
     xi: np.ndarray,
@@ -195,10 +320,8 @@ def max_projected_error(
     """Global maximum of (theta - theta0)' diag(signal_eigs) (theta - theta0)
     over the interpolants {theta : design (theta - theta0) = xi, |theta| <= radius}.
 
-    Exact solve from one SVD of the design, which gives its rank, the
-    min-norm particular solution and an orthonormal null-space basis.  On
-    the null-space sphere the maximization of s'As + 2b's is the minimization
-    in _sphere_min with the spectrum of A and the linear term negated.  A
+    Exact solve from one SVD of the design, the one-design call of the
+    stacked solve (_po_solve) that the tail check runs per chunk.  A
     non-finite design or xi, or a mis-shaped xi, theta0 or signal_eigs,
     raises ValueError; an empty feasible set raises NoFeasiblePoint.
     """
@@ -213,43 +336,23 @@ def max_projected_error(
         raise ValueError("xi must be an n-vector, theta0 and signal_eigs p-vectors")
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(xi))):
         raise ValueError("design and xi must be finite")
-
-    left, sv, vt = np.linalg.svd(design)
-    rank = int(np.count_nonzero(sv > default_rank_tol(max(n, p)) * np.max(sv, initial=0.0)))
-    part = vt[:rank].T @ ((left[:, :rank].T @ xi) / sv[:rank])
-    gap = float(np.linalg.norm(design @ part - xi))
-    if gap > _FEAS_REL * (1.0 + float(np.linalg.norm(xi))):
-        raise NoFeasiblePoint(f"linear system inconsistent, residual {gap:g}")
-
-    basis = vt[rank:].T
-    m = basis.shape[1]
-    d = part + theta0
-    if m == 0:
-        if float(np.linalg.norm(d)) > ball_radius * (1.0 + _FEAS_REL):
-            raise NoFeasiblePoint("unique interpolant falls outside the ball")
-        return PoSolution(float(part @ (sig * part)), part, 0)
-
-    center = -(basis.T @ d)
-    fixed = d + basis @ center  # component of d orthogonal to the null space
-    rad_sq = ball_radius**2 - float(fixed @ fixed)
-    if rad_sq < -_FEAS_REL * ball_radius**2:
-        raise NoFeasiblePoint("coefficient ball misses the solution set")
-    radius = math.sqrt(max(rad_sq, 0.0))
-
-    a = basis.T @ (sig[:, None] * basis)
-    a = 0.5 * (a + a.T)
-    anchor = part + basis @ center
-    b = basis.T @ (sig * anchor)
-    lam, vec = np.linalg.eigh(a)
-    w, _ = _sphere_min(-lam[::-1], -(b @ vec)[::-1], radius)
-    theta_prime = anchor + basis @ (vec @ w[::-1])
-    return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, m)
+    return _PoBatch(design[None], xi[None], float(ball_radius), theta0, sig).row(0)
 
 
-def solve_po(model: EndogenousModel, draw: TailDraw, radius: float) -> PoSolution:
+def solve_po(
+    model: EndogenousModel, draw: TailDraw, radius: float, *, _chunk=None
+) -> PoSolution:
     """Exact optimum of the primary problem for one draw of the model: the
     feasible set is {theta' : X theta' = xi, |theta' + theta0| <= radius}
-    for the draw's design X (sampling.factor_design)."""
+    for the draw's design X (sampling.factor_design).
+
+    _chunk = (batch, j) reads the draw's row j of a _PoBatch of its chunk
+    (same model and radius), whose first read solves every draw of the
+    chunk; the tail check calls this once per draw, so that a tracer
+    wrapping solve_po sees one primary solve per draw."""
+    if _chunk is not None:
+        batch, j = _chunk
+        return batch.row(j)
     design = factor_design(draw.W1, draw.W2, model.signal_eigs, model.endo_eigs)
     return max_projected_error(design, draw.xi, radius, model.true_coef, model.signal_eigs)
 
@@ -643,7 +746,9 @@ def _ao_climb(batch: _AoBatch, live):
     passes the cone (gap <= feas_tol) and the ball; returns (ok, values,
     points) for the live draws in order.
     """
-    r = {k: v[..., live] for k, v in batch.red.items()}
+    # take, not [..., live], keeps the draws contiguous, so a sum over
+    # components adds its rows in order, as the scan does
+    r = {k: np.take(v, live, axis=-1) for k, v in batch.red.items()}
     nodes = r["nodes"]
     top, g_lo, top_phi, _ = (v[live] for v in batch.scan)
     lo = nodes[top, np.arange(top.size)]
@@ -653,7 +758,7 @@ def _ao_climb(batch: _AoBatch, live):
     f_hi = np.full(lo.size, np.inf)
 
     def window(idx, x):
-        phi, g = _ao_window_min({k: r[k][..., idx] for k in _PHI_KEYS}, x)
+        phi, g = _ao_window_min({k: np.take(r[k], idx, axis=-1) for k in _PHI_KEYS}, x)
         return phi - r2, g
 
     walk = top + 1 < nodes.shape[0]
@@ -777,19 +882,22 @@ _TAIL_CHUNK = 256
 
 
 def _tail_chunk(args):
-    """Solve one block of repetitions: primary exactly, comparison batched.
+    """Solve one block of repetitions, both sides batched.
 
     The draws of one block share their shapes by construction, so the
     comparison side reduces, scans and refines the whole block in batched
-    calls; only the primary solve runs once per draw.
+    calls, and the primary side solves the whole block in one stacked pass
+    (_po_solve).  solve_po is still called once per draw, each call reading
+    its own row; the first call runs the stacked solve.
     """
     model, n, seed, rep_ids, radius = args
     draws = [draw_instance(model, n, np.random.default_rng([seed, r])) for r in rep_ids]
     sols = _solve_ao_draws(model, draws, radius)
+    po = _po_batch(model, draws, radius)
     po_vals = np.full(len(draws), -math.inf)
     for j, draw in enumerate(draws):
         with contextlib.suppress(NoFeasiblePoint):
-            po_vals[j] = solve_po(model, draw, radius).value
+            po_vals[j] = solve_po(model, draw, radius, _chunk=(po, j)).value
     ao_vals = np.array([sol.value for sol in sols])
     return po_vals, ao_vals, int(np.isinf(po_vals).sum()), sum(s.feasible_empty for s in sols)
 
@@ -807,12 +915,16 @@ def tail_dominance_check(
 
     A grid point counts as a violation when the primary tail exceeds twice
     the comparison tail by more than three combined standard errors.  Both
-    optima are solved exactly; a comparison value counts only when its
-    point passes the cone and ball checks, and a draw whose point fails
-    them is flagged as empty.  Per-repetition seeding and fixed block
-    boundaries keep the result identical whether blocks run serially or
-    across worker processes, by default one per CPU this process may run
-    on.  The coefficient ball has radius |theta0| + 50 sigma.  A check with
+    optima are solved to working precision, with one known exception: the
+    window search (_ao_window_min) follows the slope at the best grid
+    position and can miss a lower minimum in the cell on the other side of
+    it, which under-reports phi_AO and so makes the check stricter, not
+    looser.  A comparison value counts only when its point passes the cone
+    and ball checks, and a draw whose point fails them is flagged as
+    empty.  Per-repetition seeding and fixed block boundaries keep the
+    result identical whether blocks run serially or across worker
+    processes, by default one per CPU this process may run on.  The
+    coefficient ball has radius |theta0| + 50 sigma.  A check with
     no rows, no repetition or no threshold raises ValueError before any
     draw is solved.
     """

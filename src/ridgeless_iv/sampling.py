@@ -84,10 +84,11 @@ def draw_factors(model: EndogenousModel, n: int, rng: np.random.Generator):
 
 def factor_design(w1, w2, signal_eigs, endo_eigs) -> np.ndarray:
     """The design W1 sqrt(signal_eigs) + W2 sqrt(latent-noise block) for W2
-    on the block's support, the first k = W2.shape[1] columns."""
-    k = w2.shape[1]
+    on the block's support, the first k = W2.shape[-1] columns; stacked
+    factors (B, n, p) and (B, n, k) give the B designs."""
+    k = w2.shape[-1]
     x = w1 * np.sqrt(signal_eigs)
-    x[:, :k] += w2 * np.sqrt(endo_eigs[:k])
+    x[..., :k] += w2 * np.sqrt(endo_eigs[:k])
     return x
 
 

@@ -1,15 +1,23 @@
 """Reference solvers that the tests compare the package against (among
-them the column-by-column lasso IV), the designs they are compared on, the
-closed-form smallest eigenvalue of a model's joint covariance, and the
-Monte Carlo norm effective ranks that the rank identities are checked
-with."""
+them the column-by-column lasso IV and the one-draw primary solve), the
+designs they are compared on, the closed-form smallest eigenvalue of a
+model's joint covariance, and the Monte Carlo norm effective ranks that
+the rank identities are checked with."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ridgeless_iv.cgmt_lab import _T_GRID, _ao_at_nu, _ao_phi
+from ridgeless_iv.cgmt_lab import (
+    _FEAS_REL,
+    _T_GRID,
+    NoFeasiblePoint,
+    PoSolution,
+    _ao_at_nu,
+    _ao_phi,
+    _sphere_min,
+)
 from ridgeless_iv.estimators import (
     FitResult,
     InvalidData,
@@ -21,6 +29,7 @@ from ridgeless_iv.estimators import (
     _zero_is_optimal,
     plugin_lambda,
 )
+from ridgeless_iv.matops import default_rank_tol
 from ridgeless_iv.metrics import ZeroMatrix, _eigs_of
 from ridgeless_iv.sampling import Dataset
 
@@ -72,6 +81,44 @@ def golden_window_min(r, nu):
         fx = at_g(np.where(left, c, d))
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return best[0], best[1]
+
+
+def max_projected_error_one(design, xi, ball_radius, theta0, sig) -> PoSolution:
+    """The primary optimum of one design, solved on its own the way
+    cgmt_lab.max_projected_error did before the stacked solve: one SVD, the
+    min-norm particular solution, and _sphere_min on the null-space sphere
+    with 1-D arrays.  Raises NoFeasiblePoint with the package's messages."""
+    left, sv, vt = np.linalg.svd(design)
+    n, p = design.shape
+    rank = int(np.count_nonzero(sv > default_rank_tol(max(n, p)) * np.max(sv, initial=0.0)))
+    part = vt[:rank].T @ ((left[:, :rank].T @ xi) / sv[:rank])
+    gap = float(np.linalg.norm(design @ part - xi))
+    if gap > _FEAS_REL * (1.0 + float(np.linalg.norm(xi))):
+        raise NoFeasiblePoint(f"linear system inconsistent, residual {gap:g}")
+
+    basis = vt[rank:].T
+    m = basis.shape[1]
+    d = part + theta0
+    if m == 0:
+        if float(np.linalg.norm(d)) > ball_radius * (1.0 + _FEAS_REL):
+            raise NoFeasiblePoint("unique interpolant falls outside the ball")
+        return PoSolution(float(part @ (sig * part)), part, 0)
+
+    center = -(basis.T @ d)
+    fixed = d + basis @ center  # component of d orthogonal to the null space
+    rad_sq = ball_radius**2 - float(fixed @ fixed)
+    if rad_sq < -_FEAS_REL * ball_radius**2:
+        raise NoFeasiblePoint("coefficient ball misses the solution set")
+    radius = math.sqrt(max(rad_sq, 0.0))
+
+    a = basis.T @ (sig[:, None] * basis)
+    a = 0.5 * (a + a.T)
+    anchor = part + basis @ center
+    b = basis.T @ (sig * anchor)
+    lam, vec = np.linalg.eigh(a)
+    w, _ = _sphere_min(-lam[::-1], -(b @ vec)[::-1], radius)
+    theta_prime = anchor + basis @ (vec @ w[::-1])
+    return PoSolution(float(theta_prime @ (sig * theta_prime)), theta_prime, m)
 
 
 def joint_min_eigenvalue(model) -> float:

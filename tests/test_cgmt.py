@@ -9,11 +9,14 @@ import pytest
 import scipy.linalg
 from scipy.stats import ks_2samp
 
+from references import max_projected_error_one
 from ridgeless_iv import cgmt_lab
 from ridgeless_iv.cgmt_lab import (
     NoFeasiblePoint,
     TailDraw,
+    _PoBatch,
     _cone_gap,
+    _po_batch,
     _row_norm,
     _signal_energy,
     draw_instance,
@@ -259,6 +262,109 @@ def test_po_distribution_matches_sampled_route():
         surrogate[r] = solve_po(model, draw, radius).value
     ks = ks_2samp(direct, surrogate).statistic
     assert ks <= 0.05
+
+
+def po_outcome(solve):
+    """A primary solve's PoSolution, or its NoFeasiblePoint message."""
+    try:
+        return solve()
+    except NoFeasiblePoint as err:
+        return str(err)
+
+
+def check_against_one_draw_reference(batch):
+    """Each row of a stacked primary batch against the one-design reference:
+    the same infeasible rows with the same messages, the same null
+    dimensions, values within 1e-14 relative.  Returns the rows' outcomes."""
+    rows = []
+    for j, (x, xi) in enumerate(zip(batch.designs, batch.xi)):
+        got = po_outcome(lambda: batch.row(j))
+        want = po_outcome(
+            lambda: max_projected_error_one(x, xi, batch.radius, batch.theta0, batch.sig)
+        )
+        if isinstance(want, str):
+            assert got == want, j
+        else:
+            assert got.null_dim == want.null_dim, j
+            assert abs(got.value - want.value) <= 1e-14 * abs(want.value), j
+        rows.append(got)
+    return rows
+
+
+def test_stacked_primary_matches_one_draw_reference():
+    # a 256-draw slice-model chunk of criterion 10 (seed 0) that holds its
+    # one infeasible draw, 9732, and 64-draw chunks of setups ii and i
+    model = slice_model(4)
+    radius = default_radius(model)
+    draws = [draw_instance(model, 3, np.random.default_rng([0, r])) for r in range(9728, 9984)]
+    batch = _po_batch(model, draws, radius)
+    rows = check_against_one_draw_reference(batch)
+    assert [j for j, row in enumerate(rows) if isinstance(row, str)] == [9732 - 9728]
+    # solve_po on one draw alone gives the bytes of its row in the chunk;
+    # with 8 or more null-space components that holds to 1e-14 only, since
+    # numpy sums a lone column of them pairwise and a chunk's row by row
+    for j in range(0, 256, 5):
+        alone = po_outcome(lambda: solve_po(model, draws[j], radius))
+        if isinstance(rows[j], str):
+            assert alone == rows[j]
+        else:
+            assert alone.value == rows[j].value
+            np.testing.assert_array_equal(alone.theta_prime, rows[j].theta_prime)
+    for name, n in (("ii", 10), ("i", 20)):
+        model = setup_model(name, n)
+        draws = [draw_instance(model, n, np.random.default_rng([3, r])) for r in range(64)]
+        rows = check_against_one_draw_reference(_po_batch(model, draws, default_radius(model)))
+        assert {row.null_dim for row in rows} == {model.p - n}
+
+
+def test_stacked_primary_edge_designs(monkeypatch):
+    # square designs of one batch, two ranks: full rank (null dimension 0),
+    # and a repeated row (rank 2 < n), each with a feasible row and every
+    # cause of an empty feasible set
+    rng = np.random.default_rng(41)
+    theta0, sig = np.array([0.3, -0.2, 0.1]), np.array([2.0, 1.0, 0.5])
+    full = rng.standard_normal((3, 3))
+    twin = rng.standard_normal((3, 3))
+    twin[2] = twin[0]
+    near = rng.standard_normal(2) * 0.3
+    designs = np.stack([full, full, twin, twin, twin])
+    xi = np.stack([
+        full @ np.array([0.2, 0.1, -0.3]),
+        full @ np.array([20.0, 0.0, 0.0]),
+        np.append(near, near[0]),
+        np.append(near, near[0] + 1.0),
+        twin @ np.array([30.0, -30.0, 30.0]),
+    ])
+    batch = _PoBatch(designs, xi, 3.0, theta0, sig)
+    rows = check_against_one_draw_reference(batch)
+    assert [row.null_dim for row in rows if not isinstance(row, str)] == [0, 1]
+    assert rows[1] == "unique interpolant falls outside the ball"
+    assert rows[3].startswith("linear system inconsistent, residual ")
+    assert rows[4] == "coefficient ball misses the solution set"
+    # each design alone, and blocks of two designs (the memory bound), keep
+    # each row's outcome
+    monkeypatch.setattr(cgmt_lab, "_PO_ENTRIES", 2 * 9)
+    blocked = _PoBatch(designs, xi, 3.0, theta0, sig)
+    for j, row in enumerate(rows):
+        for again in (
+            po_outcome(lambda: max_projected_error(designs[j], xi[j], 3.0, theta0, sig)),
+            po_outcome(lambda: blocked.row(j)),
+        ):
+            assert again == row if isinstance(row, str) else again.value == row.value
+
+    # the sphere's hard case: with xi = 0 and theta0 = 0 the linear term
+    # vanishes, so the optimum is R^2 times the top eigenvalue of the
+    # signal form on the null space; it shares a batch with ordinary rows
+    designs = rng.standard_normal((4, 2, 4))
+    xi = rng.standard_normal((4, 2))
+    xi[1] = 0.0
+    sig = np.array([3.0, 1.0, 0.5, 0.25])
+    batch = _PoBatch(designs, xi, 2.0, np.zeros(4), sig)
+    rows = check_against_one_draw_reference(batch)
+    null = scipy.linalg.null_space(designs[1])
+    top = np.linalg.eigvalsh(null.T @ (sig[:, None] * null))[-1]
+    assert rows[1].value == pytest.approx(4.0 * top, rel=1e-13)
+    assert np.linalg.norm(rows[1].theta_prime) == pytest.approx(2.0, rel=1e-13)
 
 
 # ---------------------------------------------------------- comparison side

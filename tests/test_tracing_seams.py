@@ -73,3 +73,16 @@ def test_fallback_solve_is_the_pseudoinverse_span():
     with load_tracer_class()().installed() as tracer:
         estimators.min_norm_interpolator(x, np.ones(6))
     assert tracer.summary()["matops.pseudoinverse"]["calls"] == 1
+
+
+def test_tracer_counts_each_infeasible_primary():
+    # the chunk's primaries are solved in one stacked pass, yet the tracer
+    # still sees one primary call per draw and counts each infeasible one;
+    # a ball of radius 28 (|theta0| is 28.9) leaves some draws infeasible
+    job = (cgmt_lab.slice_model(4), 3, 0, range(16), 28.0)
+    with load_tracer_class()().installed() as tracer:
+        po_vals, *_ = cgmt_lab._tail_chunk(job)
+    infeasible = int(np.isneginf(po_vals).sum())
+    assert 0 < infeasible < 16
+    assert tracer.summary()["cgmt_lab.primary"]["calls"] == 16
+    assert tracer.counts["cgmt_lab.primary.infeasible"] == infeasible
