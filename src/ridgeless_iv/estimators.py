@@ -100,7 +100,7 @@ def _cholesky_solver(x: np.ndarray):
 
 def _qr_solver(x: np.ndarray):
     # min-norm solve r -> Q R^-T r, None when R's diagonal has a negligible
-    # entry, judged as gelsy judges singular values
+    # entry, at the cutoff pseudoinverse puts on singular values
     factor, t = lower_tail_qr(x)
     diag = np.abs(np.diagonal(factor, x.shape[1] - x.shape[0]))
     full_rank = diag.min() > default_rank_tol(max(x.shape)) * diag.max()
@@ -120,16 +120,15 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     precision on Grams with condition numbers near 1e10.
 
     The QR counts as singular when an entry of |diag R| is at or below
-    default_rank_tol(max(n, p)) times the largest, as gelsy treats
+    default_rank_tol(max(n, p)) times the largest, the fallback's cutoff on
     singular values; the Cholesky factor when it fails or a squared pivot
     is at or below default_rank_tol(n) times the largest.  A singular
     factor, or a refined answer whose relative residual is above 1e-12,
-    gives way to a rank-revealing QR of X itself (matops.pseudoinverse,
-    singular values below default_rank_tol(max(n, p)) times the largest
-    treated as zero).  That gives the min-norm least-squares answer for any
-    rank without squaring the condition number, as a pseudoinverse of the
-    Gram would.  Every factor and solve runs without the GIL, so
-    repetitions on a thread pool do not queue behind one another's.
+    gives way to an SVD least-squares solve of X itself
+    (matops.pseudoinverse), the min-norm least-squares answer for any rank
+    without squaring the condition number, as a pseudoinverse of the Gram
+    would.  Every factor and solve runs without the GIL, so repetitions on
+    a thread pool do not queue behind one another's.
     """
     x, y = _check_xy(x, y)
     solve = _qr_solver(x) if _lower_tail(x) else _cholesky_solver(x)
@@ -141,7 +140,7 @@ def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
         fit = _result(x, y, theta)
         if fit.train_loss * len(y) <= (_RESID_TOL * float(np.linalg.norm(y))) ** 2:
             return fit
-    theta = pseudoinverse(x, y, default_rank_tol(max(x.shape)))
+    theta = pseudoinverse(x, y)
     return _result(x, y, theta)
 
 

@@ -2,9 +2,9 @@
 module that calls scipy's LAPACK.
 
 All routines are pure: they never mutate their inputs and hold no state, so
-results can be shared freely across threads.  The eigensolver is numpy's
-and the LAPACK routines come from the capsules of scipy's cython_lapack
-extension module, so nothing here imports scipy.linalg.
+results can be shared freely across threads.  The eigensolver and the SVD
+least squares are numpy's; the other LAPACK routines come from the capsules
+of scipy's cython_lapack extension module, so nothing imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ _POTRF = _lapack("dpotrf", "void (char *, int *, double *, int *, int *)")
 _POTRS = _lapack(
     "dpotrs", "void (char *, int *, int *, double *, int *, double *, int *, int *)"
 )
-_GELSY = _lapack(
-    "dgelsy",
-    "void (int *, int *, int *, double *, int *, double *, int *, int *, double *, int *,"
-    " double *, int *, int *)",
-)
 _TPQRT = _lapack(
     "dtpqrt",
     "void (int *, int *, int *, int *, double *, int *, double *, int *, double *, int *,"
@@ -168,35 +163,15 @@ def cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def pseudoinverse(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
+def pseudoinverse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x = a^+ b, the minimum-norm least-squares solution of a x = b for a
     vector b.
 
-    LAPACK gelsy: a rank-revealing QR with column pivoting, which treats
-    singular values below rcond times the largest as zero, on the workspace
-    size gelsy itself asks for.  Same bits as scipy.linalg.lstsq(a, b,
-    cond=rcond, lapack_driver="gelsy"), without holding the GIL.
+    numpy's lstsq (LAPACK gelsd, an SVD by divide and conquer), which treats
+    singular values at or below default_rank_tol(max(m, n)) times the
+    largest as zero.  numpy releases the GIL for the LAPACK call.
     """
-    work_a = np.array(a, dtype=float, order="F")
-    m, n = work_a.shape
-    x = np.zeros(max(m, n, 1))  # b on entry, the solution in its first n rows on exit
-    x[:m] = b
-    jpvt = np.zeros(n, dtype=np.intc)  # every column free to pivot
-    rank, info, query = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_double(0.0)
-
-    def call(work, lwork: int) -> None:
-        _GELSY(
-            _int(m), _int(n), _int(1), work_a.ctypes.data, _int(max(m, 1)), x.ctypes.data,
-            _int(x.size), jpvt.ctypes.data, ctypes.byref(ctypes.c_double(rcond)),
-            ctypes.byref(rank), work, _int(lwork), ctypes.byref(info),
-        )
-        if info.value != 0:
-            raise ValueError(f"illegal value in argument {-info.value} of gelsy")
-
-    call(ctypes.byref(query), -1)
-    work = np.empty(int(query.value))
-    call(work.ctypes.data, work.size)
-    return x[:n].copy()
+    return np.linalg.lstsq(a, b, rcond=default_rank_tol(max(a.shape)))[0]
 
 
 def lower_tail_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -67,8 +67,8 @@ def test_min_norm_rank_deficient_rows():
 @pytest.mark.parametrize("design", ["duplicated_row", "tall", "lower_tail_duplicated_row"])
 def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
     # a singular Gram, or an R with a negligible diagonal entry, skips the
-    # factored answer; X itself is solved by a rank-revealing QR, which
-    # gives the pseudoinverse answer pinv(X) Y
+    # factored answer; X itself is solved by an SVD least-squares solve,
+    # which gives the pseudoinverse answer pinv(X) Y
     rng = np.random.default_rng(23)
     if design == "duplicated_row":
         x = rng.standard_normal((6, 20))

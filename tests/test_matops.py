@@ -78,12 +78,16 @@ def assert_releases_the_gil(call):
 
     t = threading.Thread(target=ticker)
     t.start()
-    time.sleep(0.01)
-    t0 = time.perf_counter()
-    call()
-    t1 = time.perf_counter()
-    done.set()
-    t.join()
+    try:
+        time.sleep(0.01)
+        t0 = time.perf_counter()
+        call()
+        t1 = time.perf_counter()
+    finally:
+        # a call that raises must still stop the ticker, or the interpreter
+        # waits on it forever at exit
+        done.set()
+        t.join()
     # the ticker sleeps 1 ms at a time, so a call shorter than 20 ms leaves
     # too few wakes to tell a released GIL from a held one
     assert t1 - t0 >= 0.02, f"call took {t1 - t0:.3f} s, too short to judge"
@@ -106,25 +110,48 @@ def test_cholesky_releases_the_gil():
     [((40, 90), 40), ((60, 60), 60), ((90, 40), 40), ((70, 120), 25)],
     ids=["wide", "square", "tall", "rank_deficient"],
 )
-def test_pseudoinverse_matches_scipy_bit_for_bit(shape, rank):
-    # wide, square, tall and rank-deficient designs, at the cutoff the
-    # interpolator uses and at a much smaller one
+def test_pseudoinverse_is_the_truncated_svd_solve(shape, rank):
+    # wide, square, tall and rank-deficient designs against the SVD solve
+    # that keeps the singular values above the interpolator's cutoff
     rng = np.random.default_rng(13)
     m, n = shape
     a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
     b = rng.standard_normal(m)
     a_in, b_in = a.copy(), b.copy()
-    for rcond in (matops.default_rank_tol(max(m, n)), 1e-15):
-        ref = scipy.linalg.lstsq(a, b, cond=rcond, check_finite=False, lapack_driver="gelsy")
-        assert np.array_equal(pseudoinverse(a, b, rcond), ref[0])
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    r = int(np.count_nonzero(s > matops.default_rank_tol(max(m, n)) * s[0]))
+    assert r == rank
+    ref = vt[:r].T @ ((u[:, :r].T @ b) / s[:r])
+    cond = s[0] / s[r - 1]
+    x = pseudoinverse(a, b)
+    assert np.linalg.norm(x - ref) <= 1e-14 * cond * np.linalg.norm(ref)
     assert np.array_equal(a, a_in) and np.array_equal(b, b_in)  # inputs untouched
+
+
+@pytest.mark.parametrize("c, rank", [(0.5, 29), (2.0, 30)])
+def test_pseudoinverse_cuts_at_the_rank_tolerance(c, rank):
+    # a 30 x 60 design with singular values (1, ..., 1, c tau): below the
+    # cutoff tau the last direction is dropped, above it kept.  Rounding the
+    # product moves the last singular value by about eps, a 1e-4 share of
+    # c tau, and x's coordinates with it
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    v = np.linalg.qr(rng.standard_normal((60, 30)))[0]
+    s = np.ones(30)
+    s[-1] = c * matops.default_rank_tol(60)
+    b = rng.standard_normal(30)
+    x = pseudoinverse((u * s) @ v.T, b)
+    coef = u.T @ b  # x's coordinates along v are coef / s on the kept directions
+    assert abs((v[:, -1] @ x) * s[-1] / coef[-1] - (rank == 30)) <= 1e-3
+    head = v[:, :29].T @ x
+    assert np.linalg.norm(head - coef[:29]) <= 1e-3 * np.linalg.norm(coef[:29])
 
 
 def test_pseudoinverse_releases_the_gil():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((900, 1000))
     b = rng.standard_normal(900)
-    assert_releases_the_gil(lambda: pseudoinverse(a, b, 1e-12))
+    assert_releases_the_gil(lambda: pseudoinverse(a, b))
 
 
 @pytest.mark.parametrize("n, head", [(1, 1), (5, 1), (40, 7), (33, 90)])
@@ -201,7 +228,7 @@ def test_run_paths_never_import_scipy_linalg():
         )
         cgmt_lab.tail_dominance_check(cgmt_lab.slice_model(4), 3, 8, max_workers=1)
         matops.psd_eigvals(np.eye(3))
-        matops.pseudoinverse(np.ones((2, 3)), np.ones(2), 1e-12)
+        matops.pseudoinverse(np.ones((2, 3)), np.ones(2))
         assert "scipy.linalg" not in sys.modules, "a run path imported scipy.linalg"
 
         import scipy.linalg

@@ -67,7 +67,7 @@ def test_tracer_spans_reach_every_layer():
 
 def test_fallback_solve_is_the_pseudoinverse_span():
     # a duplicated row makes the Gram singular, so the fit falls back to the
-    # rank-revealing solve, once
+    # SVD least-squares solve, once
     x = np.random.default_rng(23).standard_normal((6, 20))
     x[5] = x[2]
     with load_tracer_class()().installed() as tracer:
