@@ -184,7 +184,11 @@ def lasso_cd(
     Full passes alternate with sweeps over the active set; convergence is
     declared on the KKT residual, checked after every full pass.  When
     X^T y / n already certifies theta = 0 (see _zero_is_optimal) no pass
-    runs and the zero fit comes back with iterations=0.
+    runs and the zero fit comes back with iterations=0.  split_sample_lasso_iv
+    screens each of its lassos itself and calls this only for the
+    first-stage columns and the second stage that its screens do not
+    certify: on setup vii at the plug-in penalty, about once per eight
+    baseline fits.
 
     _checked is private to split_sample_lasso_iv: its second stage passes
     float slices of a sample it has checked already, so the shape and
@@ -288,6 +292,73 @@ def _instrument_features(data: Dataset, rows: np.ndarray) -> np.ndarray:
     return w1
 
 
+def _first_stage(data: Dataset, x, y, half1, endo_idx, lambda_rule) -> np.ndarray:
+    """Coefficients of Y on the half-1 fitted endogenous columns, the first
+    stage of split_sample_lasso_iv.  Its instrument features, scores and
+    the views into them are locals, so they are all freed before the second
+    stage allocates."""
+    f1 = _instrument_features(data, half1)
+    if f1.shape[1] == 0:
+        raise SingularDesign("model has no instruments")
+    endo1 = x[np.ix_(half1, endo_idx)]
+    if np.linalg.matrix_rank(endo1) < endo_idx.size:
+        raise SingularDesign("endogenous columns are collinear on the first-stage half")
+    targets = np.ascontiguousarray(endo1.T)
+    sigma = targets.std(axis=1)
+    # |correlation| of each endogenous column (a row) with each instrument
+    scores = targets @ f1
+    np.abs(scores, out=scores)
+    # the zero certificate reads only the largest entry of |X^T y| / n,
+    # and dividing by n keeps the entries' order
+    peak = scores.max(axis=1, initial=0.0) / half1.size
+    col_norm = np.sqrt(np.einsum("ij,ij->j", f1, f1))
+    usable = col_norm > 0
+    # an unusable or taken instrument scores -1, below any real score
+    scores /= np.where(usable, col_norm, 1.0)
+    scores[:, ~usable] = -1.0
+    fitted = np.empty((half1.size, endo_idx.size))
+    basis = np.empty_like(fitted)  # its first j columns span the accepted fits
+
+    def fresh_direction(v, j):
+        # component of v outside the first j accepted fits, None if negligible
+        nrm = math.sqrt(float(v @ v))
+        if nrm <= 0.0:
+            return None
+        accepted = basis[:, :j]
+        resid = v - accepted @ (accepted.T @ v)
+        rnorm = math.sqrt(float(resid @ resid))
+        return resid / rnorm if rnorm > 1e-8 * nrm else None
+
+    for j, target in enumerate(targets):
+        lam = float(lambda_rule(float(sigma[j]), half1.size, f1.shape[1]))
+        cand = unit = None
+        if not _zero_is_optimal(peak[j : j + 1], lam):
+            coef = _lasso_theta(f1, target, lam)
+            if np.any(coef):
+                cand = f1 @ coef
+                unit = fresh_direction(cand, j)
+        if unit is None:
+            # weak or shared instruments: marginal screening
+            score = scores[j]
+            while True:
+                pick = int(score.argmax())
+                if score[pick] < 0:
+                    raise SingularDesign("ran out of usable instruments")
+                zcol = f1[:, pick]
+                cand = zcol * (float(zcol @ target) / float(zcol @ zcol))
+                unit = fresh_direction(cand, j)
+                if unit is not None:
+                    break
+                score[pick] = -1.0  # adds no new direction for this column
+            scores[j + 1 :, pick] = -1.0  # taken
+        fitted[:, j] = cand
+        basis[:, j] = unit
+    beta, _, rank, _ = np.linalg.lstsq(fitted, y[half1], rcond=None)
+    if rank < endo_idx.size:
+        raise SingularDesign("first-stage fitted values are collinear")
+    return beta
+
+
 def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) -> FitResult:
     """Two-stage baseline on a half split.
 
@@ -314,6 +385,14 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
     screening picks from, one argmax per pick (ties go to the lower index).
     A fit costs about that product, the rank check, the lstsq and the
     second-stage screen.
+
+    The second-stage screen reads no copy: X^T r over all rows, with r the
+    half-2 response y2 on its rows and 0 elsewhere, holds the half-2
+    exogenous block's X^T y2.  The block is gathered, and lasso_cd run, only
+    when that screen does not certify theta = 0.  Its sums are rounded in
+    another order than the block's, far below the screen's 1e-9 margin, so
+    a fit that only this screen certifies has every |X^T y2| / n below lam,
+    and coordinate descent would return zeros too: theta keeps its bytes.
     """
     if data.compressed:  # the instruments are W1 columns in model coordinates
         raise InvalidData("lasso_iv needs a sample in the model's columns, not a compressed one")
@@ -331,77 +410,29 @@ def split_sample_lasso_iv(data: Dataset, endo_idx, lambda_rule=plugin_lambda) ->
 
     theta = np.zeros(p)
     if endo_idx.size:
-        f1 = _instrument_features(data, half1)
-        if f1.shape[1] == 0:
-            raise SingularDesign("model has no instruments")
-        endo1 = x[np.ix_(half1, endo_idx)]
-        if np.linalg.matrix_rank(endo1) < endo_idx.size:
-            raise SingularDesign("endogenous columns are collinear on the first-stage half")
-        targets = np.ascontiguousarray(endo1.T)
-        sigma = targets.std(axis=1)
-        # |correlation| of each endogenous column (a row) with each instrument
-        scores = np.abs(targets @ f1)
-        # the zero certificate reads only the largest entry of |X^T y| / n,
-        # and dividing by n keeps the entries' order
-        peak = scores.max(axis=1, initial=0.0) / half1.size
-        col_norm = np.sqrt(np.einsum("ij,ij->j", f1, f1))
-        usable = col_norm > 0
-        # an unusable or taken instrument scores -1, below any real score
-        scores /= np.where(usable, col_norm, 1.0)
-        scores[:, ~usable] = -1.0
-        fitted = np.empty((half1.size, endo_idx.size))
-        basis = np.empty_like(fitted)  # its first j columns span the accepted fits
-
-        def fresh_direction(v, j):
-            # component of v outside the first j accepted fits, None if negligible
-            nrm = math.sqrt(float(v @ v))
-            if nrm <= 0.0:
-                return None
-            accepted = basis[:, :j]
-            resid = v - accepted @ (accepted.T @ v)
-            rnorm = math.sqrt(float(resid @ resid))
-            return resid / rnorm if rnorm > 1e-8 * nrm else None
-
-        for j, target in enumerate(targets):
-            lam = float(lambda_rule(float(sigma[j]), half1.size, f1.shape[1]))
-            cand = unit = None
-            if not _zero_is_optimal(peak[j : j + 1], lam):
-                coef = _lasso_theta(f1, target, lam)
-                if np.any(coef):
-                    cand = f1 @ coef
-                    unit = fresh_direction(cand, j)
-            if unit is None:
-                # weak or shared instruments: marginal screening
-                score = scores[j]
-                while True:
-                    pick = int(score.argmax())
-                    if score[pick] < 0:
-                        raise SingularDesign("ran out of usable instruments")
-                    zcol = f1[:, pick]
-                    cand = zcol * (float(zcol @ target) / float(zcol @ zcol))
-                    unit = fresh_direction(cand, j)
-                    if unit is not None:
-                        break
-                    score[pick] = -1.0  # adds no new direction for this column
-                scores[j + 1 :, pick] = -1.0  # taken
-            fitted[:, j] = cand
-            basis[:, j] = unit
-        beta, _, rank, _ = np.linalg.lstsq(fitted, y[half1], rcond=None)
-        if rank < endo_idx.size:
-            raise SingularDesign("first-stage fitted values are collinear")
+        beta = _first_stage(data, x, y, half1, endo_idx, lambda_rule)
         theta[endo_idx] = beta
         y2 = y[half2] - x[np.ix_(half2, endo_idx)] @ beta
     else:
         y2 = y[half2]
 
-    # the exogenous columns are the runs between endogenous ones: a slice
-    # per run copies row segments, where a column take copies entry by entry
-    cuts = np.r_[-1, endo_idx, p]
-    runs = [x[half2, a + 1 : b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a + 1]
-    # one run is already a fresh C-ordered copy
-    v2 = runs[0] if len(runs) == 1 else np.hstack([np.empty((half2.size, 0)), *runs])
-    lam = float(lambda_rule(float(y2.std()), half2.size, v2.shape[1]))
-    exo = np.ones(p, dtype=bool)
-    exo[endo_idx] = False
-    theta[exo] = _lasso_theta(v2, y2, lam, checked=True)
+    # the second-stage screen, on the half-2 response padded with zeros
+    resp = np.zeros(n)
+    resp[half2] = y2
+    corr = x.T @ resp
+    corr[endo_idx] = 0.0
+    corr /= half2.size
+    lam = float(lambda_rule(float(y2.std()), half2.size, p - endo_idx.size))
+    if not _zero_is_optimal(corr, lam):
+        # the exogenous columns are the runs between endogenous ones: a slice
+        # per run copies row segments, where a column take copies entry by entry
+        cuts = np.r_[-1, endo_idx, p]
+        runs = [x[half2, a + 1 : b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a + 1]
+        # one run is already a fresh C-ordered copy; joined runs are freed
+        # before the lasso allocates
+        v2 = runs[0] if len(runs) == 1 else np.hstack([np.empty((half2.size, 0)), *runs])
+        del runs
+        exo = np.ones(p, dtype=bool)
+        exo[endo_idx] = False
+        theta[exo] = _lasso_theta(v2, y2, lam, checked=True)
     return _result(x, y, theta)

@@ -619,7 +619,7 @@ def _run_repetition(cfg: ExperimentConfig, n: int, model, rep: int):
 
 
 # glibc mallopt parameters (malloc.h) and the values pinned for them
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
 
@@ -627,7 +627,8 @@ _TRIM_THRESHOLD_BYTES = 64 << 20
 @functools.cache
 def _pin_malloc_thresholds() -> None:
     """Pin glibc's mmap and trim thresholds at the ceiling (32 and 64 MB)
-    that its adaptive rule reaches on its own after freeing one large block.
+    that its adaptive rule reaches on its own after freeing one large block,
+    and its arena count at one.
 
     A repetition allocates and frees a few MB of arrays (X, W1, and the copy
     of X that a compressed fit factors by QR).  Left adaptive, the
@@ -639,8 +640,18 @@ def _pin_malloc_thresholds() -> None:
     batch and 0.4-0.5 s of system time per loop, adaptive ones 3,200-3,900
     faults per batch and 2.4-2.6 s; with two workers each trim also has to
     flush the TLB of the CPU running the other.  Pinned, freed blocks below
-    64 MB stay in the heap for the next repetition.  A no-op where the C
-    library has no mallopt.
+    64 MB stay in the heap for the next repetition.
+
+    Left alone, glibc gives each pool thread an arena of its own, and with
+    trimming pinned off each arena keeps its own high-water mark, so the
+    process holds one repetition's peak per thread.  Nearly every run-path
+    allocation is made with the GIL held, so one shared arena costs no lock
+    waits.  glibc fixes its arena limit when a thread first needs an arena
+    of its own after the pin, and an arena made before the pin stays in use
+    (an exited thread's goes to the next new thread), so the pin holds only
+    if no thread but the main one has allocated before the first run_setup.
+    On a 2-worker setup ii run, malloc_stats() lists one arena with the pin
+    and three without it.  A no-op where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -649,6 +660,7 @@ def _pin_malloc_thresholds() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def run_setup(cfg: ExperimentConfig, max_workers: int | None = None) -> ExperimentResult:

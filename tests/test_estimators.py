@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,13 +448,46 @@ def test_lasso_iv_zero_screen_matches_full_sweep(monkeypatch, lasso_calls):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("law", ["gaussian", "student_t"])
+@pytest.mark.parametrize("setup", ["vii", "viii", "ix"])
+def test_lasso_iv_screens_keep_theta_bytes(monkeypatch, setup, law):
+    # the second stage screens from a product over all rows, rounded
+    # differently from the gathered block's; certified or not, theta must
+    # come out byte for byte as with every screen switched off
+    model = setup_model(setup, 200)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+    data = [sample_dataset(model, 200, seed, law, 5.0) for seed in (0, 1, 2)]
+    screened = [split_sample_lasso_iv(d, endo_idx).theta_hat for d in data]
+    monkeypatch.setattr(estimators, "_zero_is_optimal", lambda corr, lam: False)
+    for d, want in zip(data, screened):
+        assert split_sample_lasso_iv(d, endo_idx).theta_hat.tobytes() == want.tobytes()
+
+
+def test_lasso_iv_peak_memory():
+    # above the dataset, a vii fit at n = 400 holds the half-1 instrument
+    # features (n/2 x p doubles) and little else: they are freed before the
+    # second stage, which gathers its half-2 block only when its screen does
+    # not certify a zero fit
+    n = 400
+    model = setup_model("vii", n)
+    endo_idx = np.flatnonzero(model.whitened_cross)
+    data = sample_dataset(model, n, seed=0)
+    tracemalloc.start()
+    try:
+        split_sample_lasso_iv(data, endo_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n // 2 * model.p * 8 + (1 << 20)
+
+
 def test_lasso_iv_certified_columns_skip_lasso(lasso_calls):
-    # a huge penalty certifies every first-stage column: only the
-    # second-stage lasso runs, and it is screened too
+    # a huge penalty certifies every first-stage column and the second
+    # stage, so no lasso runs at all
     model = baseline_model()
     data = sample_dataset(model, 90, seed=44)
     fit = split_sample_lasso_iv(data, endo_idx=[0, 1, 2], lambda_rule=lambda s, n, p: 10.0)
-    assert lasso_calls == [0]
+    assert lasso_calls == []
     assert np.all(fit.theta_hat[3:] == 0.0)
     assert np.all(np.isfinite(fit.theta_hat[:3]))
 
@@ -541,7 +575,8 @@ def test_instrument_features_match_ix_gather(setup):
 def test_second_stage_slice_matches_ix_gather(monkeypatch):
     # the slices of the exogenous runs (one for vii, three for ix) pick the
     # same bits as the np.ix_ gather, in the same C order, which the
-    # second-stage lasso's sums depend on
+    # second-stage lasso's sums depend on; with the screen switched off the
+    # second stage always gathers
     seen = []
     real = estimators._lasso_theta
 
@@ -550,6 +585,7 @@ def test_second_stage_slice_matches_ix_gather(monkeypatch):
         return real(x, y, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "_lasso_theta", recording)
+    monkeypatch.setattr(estimators, "_zero_is_optimal", lambda corr, lam: False)
     for setup in ("vii", "ix"):
         model = setup_model(setup, 100)
         endo_idx = np.flatnonzero(model.whitened_cross)

@@ -1,8 +1,13 @@
 import csv
+import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +536,34 @@ def test_run_deterministic_across_workers():
     pooled = run_setup(TINY, max_workers=4)
     assert serial.records == pooled.records
     assert serial.aggregates == pooled.aggregates
+
+
+def test_pool_shares_one_malloc_arena():
+    # glibc's malloc_stats() lists one "Arena" block per arena on stderr;
+    # after a 2-worker run in a fresh process only the main arena is left
+    if not hasattr(ctypes.CDLL(None), "malloc_stats"):
+        pytest.skip("the C library has no malloc_stats")
+    script = textwrap.dedent(
+        """
+        import ctypes
+        from ridgeless_iv.harness import ExperimentConfig, run_setup
+
+        run_setup(ExperimentConfig(setup="ii", n_grid=(100, 200), repetitions=2), max_workers=2)
+        ctypes.CDLL(None).malloc_stats()
+        """
+    )
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    arenas = [line for line in out.stderr.splitlines() if line.startswith("Arena ")]
+    assert len(arenas) == 1, out.stderr
 
 
 class _Boom(RuntimeError):
