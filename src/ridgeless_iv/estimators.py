@@ -9,14 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import (
-    cholesky_lower,
-    cholesky_solve,
-    default_rank_tol,
-    lower_tail_qr,
-    lower_tail_qr_solve,
-    pseudoinverse,
-)
+from .matops import cholesky_lower, cholesky_solve, default_rank_tol, pseudoinverse, solve_lower
 from .sampling import Dataset
 
 
@@ -88,50 +81,81 @@ def _lower_tail(x: np.ndarray) -> bool:
     return not np.logical_and(x[:, p - n :], _strict_upper(n)).any()
 
 
+def _full_rank(pivots: np.ndarray) -> bool:
+    # false when a squared pivot is at or below default_rank_tol(dim) times
+    # the largest: for a rank-deficient factor, and for one that overflowed
+    # to inf (nan)
+    sq = pivots * pivots
+    return bool(sq.min() > default_rank_tol(len(sq)) * sq.max())
+
+
+def _spd_factor(a: np.ndarray):
+    # Cholesky factor of a symmetric positive definite a, None when it fails
+    # or fails the pivot test
+    factor, ok = cholesky_lower(a)
+    return factor if ok and _full_rank(np.diagonal(factor)) else None
+
+
 def _cholesky_solver(x: np.ndarray):
     # min-norm solve r -> X^T (X X^T)^-1 r, None for a numerically singular Gram
-    factor, full_rank = cholesky_lower(x @ x.T)
-    if full_rank:
-        pivots = np.diag(factor) ** 2
-        # false for a rank-deficient Gram, and for one that overflowed to inf (nan)
-        full_rank = pivots.min() > default_rank_tol(len(x)) * pivots.max()
-    return (lambda r: x.T @ cholesky_solve(factor, r)) if full_rank else None
+    factor = _spd_factor(x @ x.T)
+    return None if factor is None else (lambda r: x.T @ cholesky_solve(factor, r))
 
 
-def _qr_solver(x: np.ndarray):
-    # min-norm solve r -> Q R^-T r, None when R's diagonal has a negligible
-    # entry, at the cutoff pseudoinverse puts on singular values
-    factor, t = lower_tail_qr(x)
-    diag = np.abs(np.diagonal(factor, x.shape[1] - x.shape[0]))
-    full_rank = diag.min() > default_rank_tol(max(x.shape)) * diag.max()
-    return (lambda r: lower_tail_qr_solve(factor, t, r)) if full_rank else None
+def _two_scale_solver(x: np.ndarray):
+    # min-norm solve r -> X^+ r of X = [H, T] with T lower triangular, None
+    # when T has a negligible diagonal entry or G fails the pivot test.
+    # X X^T = H H^T + T T^T, and Woodbury around T T^T, with A = T^-1 H
+    # scaled to unit columns by D, gives theta_H = c / D and
+    # theta_T = v - A c for v = T^-1 r and c = G^-1 A^T v,
+    # G = D^-2 + A^T A: the tail's scale cancels instead of being formed
+    h = x.shape[1] - x.shape[0]
+    x = np.ascontiguousarray(x)
+    t = x[:, h:]
+    if not _full_rank(np.diagonal(t)):
+        return None
+    a = solve_lower(t, x[:, :h])
+    d = np.sqrt(np.einsum("ij,ij->j", a, a))
+    d[d == 0.0] = 1.0  # an all-zero head column: a unit row of G, and theta 0 there
+    a /= d
+    g = a.T @ a
+    g.flat[:: h + 1] += d**-2
+    factor = _spd_factor(g)
+
+    def solve(r):
+        v = solve_lower(t, r)
+        c = cholesky_solve(factor, a.T @ v)
+        return np.concatenate([c / d, v - a @ c])
+
+    return None if factor is None else solve
 
 
 def min_norm_interpolator(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Least-norm solution of X theta = Y: theta = X^T (X X^T)^+ Y.
 
-    A design wider than tall whose trailing n x n block is exactly lower
-    triangular, as a compressed sample's Bartlett block is, is solved from
-    a QR of X^T that starts from that triangle (matops.lower_tail_qr):
-    about 2 (p - n) n^2 flops, and no Gram.  Any other design has its Gram
-    X X^T Cholesky-factored.  Either factor gives the min-norm solve
-    r -> X^+ r.  theta = X^+ Y is refined once with the solve of the
-    residual Y - X theta, which takes the relative residual to working
-    precision on Grams with condition numbers near 1e10.
+    A design wider than tall whose trailing n x n block T is exactly lower
+    triangular, as a compressed sample's Bartlett block is, is solved in two
+    scales: one triangular solve A = T^-1 H for its head H (the first
+    h = p - n columns), then a Cholesky factor of an h x h matrix of A's
+    unit-scaled columns; about n^2 (h + 1) + n h^2 flops and no Gram.  The
+    flat tail's eigenvalue (3e-26 at n = 3000), lost next to the head in a
+    Gram, is never formed.  Any other design has its Gram X X^T
+    Cholesky-factored.  Either route gives the min-norm solve r -> X^+ r;
+    theta = X^+ Y is refined once with the solve of the residual
+    Y - X theta, which takes the relative residual to working precision on
+    Grams with condition numbers near 1e10.
 
-    The QR counts as singular when an entry of |diag R| is at or below
-    default_rank_tol(max(n, p)) times the largest, the fallback's cutoff on
-    singular values; the Cholesky factor when it fails or a squared pivot
-    is at or below default_rank_tol(n) times the largest.  A singular
-    factor, or a refined answer whose relative residual is above 1e-12,
-    gives way to an SVD least-squares solve of X itself
-    (matops.pseudoinverse), the min-norm least-squares answer for any rank
-    without squaring the condition number, as a pseudoinverse of the Gram
-    would.  Every factor and solve runs without the GIL, so repetitions on
+    A Cholesky factor counts as singular when it fails or a squared pivot
+    is at or below default_rank_tol(dim) times the largest, and T when a
+    squared diagonal entry is.  A singular factor, or a refined answer
+    whose relative residual is above 1e-12, gives way to an SVD
+    least-squares solve of X itself (matops.pseudoinverse), the min-norm
+    least-squares answer for any rank without squaring the condition
+    number.  Every factor and solve runs without the GIL, so repetitions on
     a thread pool do not queue behind one another's.
     """
     x, y = _check_xy(x, y)
-    solve = _qr_solver(x) if _lower_tail(x) else _cholesky_solver(x)
+    solve = _two_scale_solver(x) if _lower_tail(x) else _cholesky_solver(x)
     if solve is not None:
         theta = solve(y)
         # refine theta itself, not the dual vector: X^T alpha loses digits to

@@ -630,8 +630,8 @@ def _pin_malloc_thresholds() -> None:
     that its adaptive rule reaches on its own after freeing one large block,
     and its arena count at one.
 
-    A repetition allocates and frees a few MB of arrays (X, W1, and the copy
-    of X that a compressed fit factors by QR).  Left adaptive, the
+    A repetition allocates and frees a few MB of arrays (X, W1, and the
+    head block T^-1 H that a compressed fit solves for).  Left adaptive, the
     thresholds follow the largest block freed so far, so the heap is
     trimmed (or the block unmapped) after most repetitions and the next one
     faults the same pages in again.  On the 16-repetition setup ii batch

@@ -3,8 +3,9 @@ module that calls scipy's LAPACK.
 
 All routines are pure: they never mutate their inputs and hold no state, so
 results can be shared freely across threads.  The eigensolver and the SVD
-least squares are numpy's; the other LAPACK routines come from the capsules
-of scipy's cython_lapack extension module, so nothing imports scipy.linalg.
+least squares are numpy's.  The Cholesky factor and solve (LAPACK dpotrf,
+dpotrs) and the triangular solve (dtrtrs) come from the capsules of scipy's
+cython_lapack extension module, so nothing imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -99,35 +100,17 @@ _POTRF = _lapack("dpotrf", "void (char *, int *, double *, int *, int *)")
 _POTRS = _lapack(
     "dpotrs", "void (char *, int *, int *, double *, int *, double *, int *, int *)"
 )
-_TPQRT = _lapack(
-    "dtpqrt",
-    "void (int *, int *, int *, int *, double *, int *, double *, int *, double *, int *,"
-    " double *, int *)",
-)
-_TPMQRT = _lapack(
-    "dtpmqrt",
-    "void (char *, char *, int *, int *, int *, int *, int *, double *, int *, double *,"
-    " int *, double *, int *, double *, int *, double *, int *)",
-)
 _TRTRS = _lapack(
     "dtrtrs", "void (char *, char *, char *, int *, int *, double *, int *, double *, int *, int *)"
 )
-_LOWER = _LEFT = ctypes.c_char_p(b"L")
+_LOWER = ctypes.c_char_p(b"L")
 _UPPER = ctypes.c_char_p(b"U")
 _NO_TRANS = ctypes.c_char_p(b"N")
 _TRANS = ctypes.c_char_p(b"T")
-# block size of the triangular-pentagonal QR; on setup ii samples 16 and 32
-# were within 15% of each other from n = 100 to 1000 (16 ahead below
-# n = 300, 32 above), and 64 was slower at every n
-_QR_BLOCK = 32
 
 
 def _int(value: int):
     return ctypes.byref(ctypes.c_int(value))
-
-
-# read-only scalar arguments shared by every call
-_ZERO, _ONE = _int(0), _int(1)
 
 
 def cholesky_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -174,73 +157,30 @@ def pseudoinverse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(a, b, rcond=default_rank_tol(max(a.shape)))[0]
 
 
-def lower_tail_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(factor, t): QR of x^T for an n x p design x = [A, B] whose trailing
-    n x n block B is lower triangular (p >= n).  B's strict upper triangle
-    is not read: the caller checks that it is zero.
+def solve_lower(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t^-1 b, Fortran-ordered, for a lower-triangular n x n t and an n
+    vector or n x k matrix b; t's strict upper triangle is not read.
 
-    B^T is upper triangular, so with it stacked above A^T LAPACK tpqrt
-    folds in the p - n rows of A^T at about 2 (p - n) n^2 flops:
-    [B^T; A^T] = Q [R; 0] with R upper triangular.  Read in Fortran order
-    with leading dimension p, the rows of a C-ordered x are the columns of
-    x^T, so the factorization runs on one copy of x and makes no transpose.
-    factor is that copy: its trailing block holds R^T in the lower
-    triangle, and its head holds the transposed reflectors V^T.  t holds
-    the triangular factors of the block reflectors; t.T is LAPACK's
-    nb x n array.  Same bits as scipy.linalg.lapack.dtpqrt(0, nb, B^T,
-    A^T), without holding the GIL.
+    t is read in place when its rows are contiguous, as in a block of
+    columns of a C-ordered design: in Fortran order they are the columns of
+    t^T, which LAPACK trtrs solves with transposed.  Same bits as
+    scipy.linalg.lapack.dtrtrs(t.T, b, lower=0, trans=1) on a C-ordered t,
+    without holding the GIL.
     """
-    factor = np.array(x, dtype=float, order="C")
-    if factor.ndim != 2 or not 1 <= factor.shape[0] <= factor.shape[1]:
-        raise ValueError(f"need an n x p design with 1 <= n <= p, got shape {factor.shape}")
-    n, p = factor.shape
-    head = p - n
-    nb = min(_QR_BLOCK, n)
-    t = np.zeros((n, nb))
-    work = np.empty(nb * n)
-    info = ctypes.c_int(0)
-    _TPQRT(
-        _int(head), _int(n), _ZERO, _int(nb), factor.ctypes.data + head * factor.itemsize,
-        _int(p), factor.ctypes.data, _int(p), t.ctypes.data, _int(nb), work.ctypes.data,
-        ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise ValueError(f"illegal value in argument {-info.value} of tpqrt")
-    return factor, t
-
-
-def lower_tail_qr_solve(factor: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution theta of x theta = b for a vector b, given
-    (factor, t) from lower_tail_qr(x) with R nonsingular.
-
-    x = R^T Q^T on Q's first n columns, so theta = Q [R^-T b; 0]: one
-    triangular solve (LAPACK trtrs) and one pass of the reflectors
-    (tpmqrt), neither holding the GIL.  theta comes back in x's column
-    order.
-    """
-    n, p = factor.shape
-    head = p - n
-    nb = t.shape[1]
-    theta = np.zeros(p)  # [0; b] on entry: the solve runs in place on the tail
-    theta[head:] = b
-    work = np.empty(nb)
-    f_ptr, out = factor.ctypes.data, theta.ctypes.data
-    tail = out + head * theta.itemsize
+    n = t.shape[0]
+    if t.dtype != float or t.strides[1] != t.itemsize or t.strides[0] < n * t.itemsize:
+        t = np.ascontiguousarray(t, dtype=float)
+    x = np.array(b, dtype=float, order="F")
+    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    lda = max(t.strides[0] // t.itemsize, 1)
     info = ctypes.c_int(0)
     _TRTRS(
-        _UPPER, _TRANS, _NO_TRANS, _int(n), _ONE, f_ptr + head * factor.itemsize, _int(p), tail,
-        _int(n), ctypes.byref(info),
+        _UPPER, _TRANS, _NO_TRANS, _int(n), _int(nrhs), t.ctypes.data, _int(lda), x.ctypes.data,
+        _int(max(n, 1)), ctypes.byref(info),
     )
     if info.value != 0:  # below 0 an illegal argument, above 0 a zero diagonal entry
         raise ValueError(f"trtrs failed with info {info.value}")
-    _TPMQRT(
-        _LEFT, _NO_TRANS, _int(head), _ONE, _int(n), _ZERO, _int(nb), f_ptr, _int(p),
-        t.ctypes.data, _int(nb), tail, _int(n), out, _int(max(head, 1)), work.ctypes.data,
-        ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise ValueError(f"illegal value in argument {-info.value} of tpmqrt")
-    return theta
+    return x
 
 
 def _check_sym(a: np.ndarray) -> np.ndarray:

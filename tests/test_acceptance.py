@@ -35,6 +35,7 @@ from ridgeless_iv.metrics import (
     effective_ranks,
     evaluate_conditions,
     norm_upper_bound,
+    projected_rmse,
 )
 from ridgeless_iv.sampling import sample_dataset
 
@@ -92,10 +93,13 @@ def test_criterion_01_interpolation_suite():
 def test_interpolation_on_named_setup_designs():
     # criterion 01 draws i.i.d. Gaussian designs; the named setups have
     # Gram condition numbers up to ~5e9 (setup ii at n=400), and the
-    # flat-tailed setups ii and iv run to n=1000 on the full-scale grid
-    resid = {}
+    # flat-tailed setups ii and iv run to n=1000 on the full-scale grid and
+    # are checked past it at n=3000, where their tail eigenvalue is 3e-26;
+    # a fit there that drops the tail writes an error near 0 instead of
+    # about 0.17
+    resid, errors = {}, {}
     cases = [(sid, n) for sid in SETUP_IDS for n in (100, 400)]
-    cases += [(sid, n) for sid in ("ii", "iv") for n in (700, 1000)]
+    cases += [(sid, n) for sid in ("ii", "iv") for n in (700, 1000, 3000)]
     for sid, n in cases:
         model = setup_model(sid, n)
         data = sample_dataset(model, n, repetition_seed(0, n, 0))
@@ -103,9 +107,16 @@ def test_interpolation_on_named_setup_designs():
         resid[sid, n] = float(np.linalg.norm(data.X @ fit.theta_hat - data.Y)) / float(
             np.linalg.norm(data.Y)
         )
+        if sid in ("ii", "iv"):
+            errors[sid, n] = projected_rmse(fit.theta_hat, data.true_coef, data.signal_eigs)
     worst = max(resid, key=resid.get)
-    print(f"[named-setup designs] worst rel residual {resid[worst]:.2e} at {worst}")
+    least = min(errors, key=errors.get)
+    print(
+        f"[named-setup designs] worst rel residual {resid[worst]:.2e} at {worst}, "
+        f"least projected error {errors[least]:.3g} at {least}"
+    )
     assert resid[worst] <= 1e-12
+    assert errors[least] >= 0.05
 
 
 def test_criterion_02_spectral_identities():

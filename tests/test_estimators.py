@@ -20,6 +20,7 @@ from ridgeless_iv.estimators import (
     split_sample_lasso_iv,
 )
 from ridgeless_iv.harness import repetition_seed, setup_model
+from ridgeless_iv.metrics import projected_rmse
 from ridgeless_iv.sampling import sample_dataset
 
 
@@ -67,9 +68,9 @@ def test_min_norm_rank_deficient_rows():
 
 @pytest.mark.parametrize("design", ["duplicated_row", "tall", "lower_tail_duplicated_row"])
 def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
-    # a singular Gram, or an R with a negligible diagonal entry, skips the
-    # factored answer; X itself is solved by an SVD least-squares solve,
-    # which gives the pseudoinverse answer pinv(X) Y
+    # a singular Gram, or a triangular block with a negligible diagonal
+    # entry, skips the factored answer; X itself is solved by an SVD
+    # least-squares solve, which gives the pseudoinverse answer pinv(X) Y
     rng = np.random.default_rng(23)
     if design == "duplicated_row":
         x = rng.standard_normal((6, 20))
@@ -96,9 +97,9 @@ def test_min_norm_falls_back_to_pseudoinverse(design, monkeypatch):
 
 
 def count_routes(monkeypatch):
-    # the factorizations and the fallback each fit calls, in order
+    # the routes and the fallback each fit takes, in order
     calls = []
-    for name in ("lower_tail_qr", "cholesky_lower", "pseudoinverse"):
+    for name in ("_two_scale_solver", "_cholesky_solver", "pseudoinverse"):
         real = getattr(estimators, name)
 
         def counted(*args, _name=name, _real=real):
@@ -112,7 +113,7 @@ def count_routes(monkeypatch):
 @pytest.mark.parametrize("head", [0, 1, 4, 37])
 def test_min_norm_lower_tail_route_matches_pinv(head, monkeypatch):
     # a design wider than tall with a lower-triangular trailing block takes
-    # the structured QR; a square one (head 0) takes the Cholesky route
+    # the two-scale solve; a square one (head 0) takes the Cholesky route
     rng = np.random.default_rng(41)
     calls = count_routes(monkeypatch)
     for n in (1, 3, 12, 50):
@@ -120,9 +121,28 @@ def test_min_norm_lower_tail_route_matches_pinv(head, monkeypatch):
         y = rng.standard_normal(n)
         del calls[:]
         fit = min_norm_interpolator(x, y)
-        assert calls == (["lower_tail_qr"] if head else ["cholesky_lower"])
+        assert calls == (["_two_scale_solver"] if head else ["_cholesky_solver"])
         ref = scipy.linalg.pinv(x) @ y
         assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("head", [1, 6, 60])
+def test_two_scale_solve_is_min_norm(head):
+    # one solve, unrefined, on heads narrower and wider than the block; an
+    # all-zero head column gets theta 0
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 9, 50):
+        x = lower_tail_design(rng, n, head)
+        y = rng.standard_normal(n)
+        y_in = y.copy()
+        for zero_column in (False, True):
+            if zero_column:
+                x[:, 0] = 0.0
+            theta = estimators._two_scale_solver(x)(y)
+            ref = scipy.linalg.pinv(x) @ y
+            assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert theta[0] == 0.0
+        assert np.array_equal(y, y_in)
 
 
 @pytest.mark.parametrize("row", [0, 17])
@@ -136,24 +156,27 @@ def test_min_norm_entry_above_block_diagonal_takes_cholesky(row, monkeypatch):
     x[row, head + row + 5] = 0.25
     calls = count_routes(monkeypatch)
     fit = min_norm_interpolator(x, y)
-    assert calls == ["cholesky_lower"]
+    assert calls == ["_cholesky_solver"]
     ref = scipy.linalg.pinv(x) @ y
     assert np.linalg.norm(fit.theta_hat - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("setup", ["ii", "iv"])
 def test_flat_tail_setups_never_fall_back(setup, monkeypatch):
-    # the structured QR interpolates the compressed samples at the top of
-    # the full-scale grid, so no repetition pays for a second solve
+    # the two-scale solve interpolates the compressed samples at the top of
+    # the full-scale grid and past it, where the tail eigenvalue is 3e-26
+    # (n = 3000), so no repetition pays for a second solve, and the error
+    # stays near the 0.17 that the deterministic equivalent predicts there
     calls = count_routes(monkeypatch)
-    for n in (700, 1000):
+    for n in (700, 1000, 3000):
         data = sample_dataset(setup_model(setup, n), n, repetition_seed(0, n, 0))
         assert data.compressed
         del calls[:]
         fit = min_norm_interpolator(data.X, data.Y)
-        assert calls == ["lower_tail_qr"]
+        assert calls == ["_two_scale_solver"]
         resid = np.linalg.norm(data.X @ fit.theta_hat - data.Y) / np.linalg.norm(data.Y)
         assert resid <= 1e-12
+        assert projected_rmse(fit.theta_hat, data.true_coef, data.signal_eigs) >= 0.05
 
 
 def test_min_norm_inexact_cholesky_answer_falls_back(monkeypatch):

@@ -18,10 +18,9 @@ from ridgeless_iv.matops import (
     NotPSD,
     cholesky_lower,
     cholesky_solve,
-    lower_tail_qr,
-    lower_tail_qr_solve,
     pseudoinverse,
     psd_eigvals,
+    solve_lower,
 )
 
 
@@ -155,44 +154,27 @@ def test_pseudoinverse_releases_the_gil():
 
 
 @pytest.mark.parametrize("n, head", [(1, 1), (5, 1), (40, 7), (33, 90)])
-def test_lower_tail_qr_matches_scipy_bit_for_bit(n, head):
+def test_solve_lower_matches_scipy_bit_for_bit(n, head):
+    # the trailing block of a design, read in place, solved for a vector and
+    # for the design's head, as the two-scale interpolator solves it
     rng = np.random.default_rng(19)
     x = lower_tail_design(rng, n, head)
     x_in = x.copy()
-    factor, t = lower_tail_qr(x)
-    nb = min(matops._QR_BLOCK, n)
-    r, v, ref_t, info = scipy.linalg.lapack.dtpqrt(0, nb, x[:, head:].T, x[:, :head].T)
-    assert info == 0
-    assert np.array_equal(factor[:, head:].T, r)
-    assert np.array_equal(factor[:, :head].T, v)
-    assert np.array_equal(t.T, ref_t)
+    t = x[:, head:]
+    for b in (rng.standard_normal(n), x[:, :head]):
+        b_in = b.copy()
+        got = solve_lower(t, b)
+        ref, info = scipy.linalg.lapack.dtrtrs(np.ascontiguousarray(t).T, b, lower=0, trans=1)
+        assert info == 0
+        assert np.array_equal(got, ref)
+        assert np.array_equal(solve_lower(np.asfortranarray(t), b), ref)  # read from a copy
+        assert np.array_equal(b, b_in)
     assert np.array_equal(x, x_in)  # input untouched
 
 
-@pytest.mark.parametrize("head", [0, 1, 6, 60])
-def test_lower_tail_qr_solve_is_min_norm(head):
-    # one solve, unrefined, on designs of head width 0, 1 and several
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 9, 50):
-        x = lower_tail_design(rng, n, head)
-        y = rng.standard_normal(n)
-        y_in = y.copy()
-        factor, t = lower_tail_qr(x)
-        theta = lower_tail_qr_solve(factor, t, y)
-        ref = scipy.linalg.pinv(x) @ y
-        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.array_equal(y, y_in)
-
-
-def test_lower_tail_qr_rejects_tall_or_empty_designs():
-    for shape in ((3, 2), (0, 4), (4,)):
-        with pytest.raises(ValueError, match="1 <= n <= p"):
-            lower_tail_qr(np.ones(shape))
-
-
-def test_lower_tail_qr_releases_the_gil():
-    x = lower_tail_design(np.random.default_rng(37), 1500, 300)
-    assert_releases_the_gil(lambda: lower_tail_qr(x))
+def test_solve_lower_releases_the_gil():
+    x = lower_tail_design(np.random.default_rng(37), 2000, 600)
+    assert_releases_the_gil(lambda: solve_lower(x[:, 600:], x[:, :600]))
 
 
 def test_lapack_signature_mismatch_raises_import_error():

@@ -253,7 +253,7 @@ def test_compressed_route_agrees_in_law_with_direct():
 
 @pytest.mark.parametrize("dof", [None, 5.0])
 def test_compressed_trailing_block_is_lower_triangular(dof):
-    # min_norm_interpolator's structured QR needs the trailing n columns of
+    # min_norm_interpolator's two-scale solve needs the trailing n columns of
     # a compressed sample exactly lower triangular; the t mixing scales
     # whole rows and keeps it so
     law = ("gaussian", None) if dof is None else ("student_t", dof)
